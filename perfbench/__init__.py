@@ -1,0 +1,5 @@
+"""Out-of-program benchmark of the lotus-eater reproduction.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
