@@ -223,10 +223,10 @@ def batched_word_exchange(
     rows_r = np.asarray(responders, dtype=np.intp)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = have[rows_i]
-    have_r = have[rows_r]
-    miss_i = missing[rows_i]
-    miss_r = missing[rows_r]
+    have_i = np.take(have, rows_i, axis=0)
+    have_r = np.take(have, rows_r, axis=0)
+    miss_i = np.take(missing, rows_i, axis=0)
+    miss_r = np.take(missing, rows_r, axis=0)
     available_to_initiator = have_r & miss_i
     available_to_responder = have_i & miss_r
     n_initiator = word_popcounts(available_to_initiator)
@@ -241,20 +241,19 @@ def batched_word_exchange(
     else:
         count_initiator = base
         count_responder = base.copy()
-    selected_initiator = available_to_initiator.copy()
-    selected_responder = available_to_responder.copy()
+    # Truncated in place: the availability rows are dead afterwards.
     truncate_word_rows(
-        selected_initiator, available_to_initiator,
+        available_to_initiator, available_to_initiator,
         count_initiator, n_initiator, prefer_newest,
     )
     truncate_word_rows(
-        selected_responder, available_to_responder,
+        available_to_responder, available_to_responder,
         count_responder, n_responder, prefer_newest,
     )
-    have[rows_i] = have_i | selected_initiator
-    missing[rows_i] = miss_i & ~selected_initiator
-    have[rows_r] = have_r | selected_responder
-    missing[rows_r] = miss_r & ~selected_responder
+    have[rows_i] = have_i | available_to_initiator
+    missing[rows_i] = miss_i & ~available_to_initiator
+    have[rows_r] = have_r | available_to_responder
+    missing[rows_r] = miss_r & ~available_to_responder
     return count_initiator, count_responder
 
 
@@ -296,12 +295,13 @@ def batched_word_dump(
     and the selected word rows (the report path materializes id tuples
     only for the few rows the reporting policy flags).
     """
+    have = pool.have_words
     missing = pool.missing_words
-    give = missing[receivers] & pool_words[None, :]
-    n_give = word_popcounts(give)
+    miss = np.take(missing, receivers, axis=0)
+    selected = miss & pool_words[None, :]
+    n_give = word_popcounts(selected)
     counts = np.minimum(n_give, limits)
-    selected = give.copy()
-    truncate_word_rows(selected, give, counts, n_give, prefer_newest=False)
-    pool.have_words[receivers] |= selected
-    missing[receivers] = missing[receivers] & ~selected
+    truncate_word_rows(selected, selected, counts, n_give, prefer_newest=False)
+    have[receivers] = np.take(have, receivers, axis=0) | selected
+    missing[receivers] = miss & ~selected
     return counts, selected

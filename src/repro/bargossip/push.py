@@ -274,23 +274,25 @@ def batched_word_push(
     old = pool.mask_words(old_mask)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = have[rows_i]
-    have_r = have[rows_r]
-    miss_i = missing[rows_i]
-    miss_r = missing[rows_r]
-    wanted = have_i & miss_r & recent
-    n_wanted = word_popcounts(wanted)
+    have_i = np.take(have, rows_i, axis=0)
+    have_r = np.take(have, rows_r, axis=0)
+    miss_i = np.take(missing, rows_i, axis=0)
+    miss_r = np.take(missing, rows_r, axis=0)
+    # Both offers are truncated in place: the untruncated rows are dead
+    # once their popcounts are taken.
+    to_responder = have_i & miss_r & recent
+    n_wanted = word_popcounts(to_responder)
     responder_counts = np.minimum(n_wanted, config.push_size)
-    to_responder = wanted.copy()
     truncate_word_rows(
-        to_responder, wanted, responder_counts, n_wanted, prefer_newest=False
+        to_responder, to_responder, responder_counts, n_wanted,
+        prefer_newest=False,
     )
-    payable = miss_i & have_r & old
-    n_payable = word_popcounts(payable)
+    to_initiator = miss_i & have_r & old
+    n_payable = word_popcounts(to_initiator)
     initiator_counts = np.minimum(n_payable, responder_counts)
-    to_initiator = payable.copy()
     truncate_word_rows(
-        to_initiator, payable, initiator_counts, n_payable, prefer_newest=False
+        to_initiator, to_initiator, initiator_counts, n_payable,
+        prefer_newest=False,
     )
     have[rows_r] = have_r | to_responder
     missing[rows_r] = miss_r & ~to_responder

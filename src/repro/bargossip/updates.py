@@ -64,6 +64,7 @@ __all__ = [
     "int_to_words",
     "word_popcounts",
     "word_popcount_matrix",
+    "lowest_word_bits",
     "truncate_word_rows",
     "shared_memory_available",
     "WORD_BITS",
@@ -530,6 +531,43 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         )
 
 
+_ONE = np.uint64(1)
+
+#: (half-window width, mask of that many low bits) for the select's
+#: binary search, widest first.
+_SELECT_STEPS = tuple(
+    (np.uint64(width), np.uint64((1 << width) - 1))
+    for width in (32, 16, 8, 4, 2, 1)
+)
+
+
+def lowest_word_bits(words: "np.ndarray", k: "np.ndarray") -> "np.ndarray":
+    """Keep the lowest ``k[i]`` set bits of each ``uint64`` in ``words``.
+
+    Broadword select: the position of the k-th set bit comes from a
+    6-step binary search — at each step the popcount of the low half of
+    the current window says whether the k-th bit lies in it, or above
+    it with that many fewer still to find.  The kept mask is every bit
+    up to and including that position, ``(bit - 1) | bit`` (not
+    ``(bit << 1) - 1``, which shifts the bit out at position 63 and is
+    right there only through unsigned wraparound).  ``k`` must satisfy
+    ``0 <= k <= popcount``; rows with ``k == 0`` give 0.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    k = np.asarray(k, dtype=np.int64)
+    # A k == 0 row never moves up and is masked to 0 at the end.
+    remaining = k.copy()
+    position = np.zeros(words.shape, dtype=np.uint64)
+    # Masks multiply rather than np.where: measurably faster here.
+    for width, low_mask in _SELECT_STEPS:
+        low = word_popcount_matrix((words >> position) & low_mask)
+        above = low < remaining
+        position += above * width
+        remaining -= low * above
+    bit = _ONE << position
+    return (words & ((bit - _ONE) | bit)) * (k > 0)
+
+
 def truncate_word_rows(
     selected: "np.ndarray",
     available: "np.ndarray",
@@ -539,56 +577,60 @@ def truncate_word_rows(
 ) -> None:
     """Overwrite ``selected`` rows whose transfer count is capped.
 
-    The batched planners start from ``selected = available`` (the
+    The batched planners pass ``selected`` holding ``available`` (the
     common full-take case costs nothing); every row whose count falls
     short of its availability is re-picked with the exact top-k /
     bottom-k set-bit rule as one masked word sweep.  Per-word
     popcounts locate each capped row's *boundary word* — the word the
-    k-th chosen bit lands in — in a single cumulative-sum pass; words
-    strictly inside the kept side survive whole, words on the dropped
-    side zero out, and the boundary words themselves split bit-by-bit
-    through one ``unpackbits``/``cumsum``/``packbits`` pass over all
-    capped rows at once.  Selection stays bit-identical to
+    k-th chosen bit lands in: walking the words from the kept end, a
+    word survives whole while the running count stays below the
+    target, and the boundary is the first word that reaches it.  Words
+    past the boundary zero out, and the bits still owed inside each
+    boundary word are resolved by one broadword select
+    (:func:`lowest_word_bits`) over all capped rows at once: bottom-k
+    keeps the lowest ``owed`` bits, top-k drops the lowest
+    ``popcount - owed``.  Selection stays bit-identical to
     :func:`top_bits` / :func:`bottom_bits` (pinned by the parity tests
     against :func:`_truncate_word_rows_scalar`).
+
+    ``selected`` may be ``available`` itself: the capped rows are
+    gathered before anything is written back.
     """
     rows = np.flatnonzero(counts < n_available)
     if not len(rows):
         return
-    avail = available[rows]
-    need = np.asarray(counts, dtype=np.int64)[rows]
-    n_words = avail.shape[1]
+    avail = np.take(available, rows, axis=0)
+    need = np.take(np.asarray(counts, dtype=np.int64), rows)
     per_word = word_popcount_matrix(avail)
-    idx = np.arange(len(rows))
-    if prefer_newest:
-        # suffix[:, j] = set bits at word j and above; non-increasing
-        # in j, so the boundary is the last word whose suffix still
-        # reaches the target (argmax of the reversed True-prefix).
-        suffix = per_word[:, ::-1].cumsum(axis=1)[:, ::-1]
-        boundary = n_words - 1 - np.argmax(
-            (suffix >= need[:, None])[:, ::-1], axis=1
-        )
-        outside = suffix[idx, boundary] - per_word[idx, boundary]
-        full = np.arange(n_words)[None, :] > boundary[:, None]
-    else:
-        prefix = per_word.cumsum(axis=1)
-        boundary = np.argmax(prefix >= need[:, None], axis=1)
-        outside = prefix[idx, boundary] - per_word[idx, boundary]
-        full = np.arange(n_words)[None, :] < boundary[:, None]
-    # Bits still owed once every fully-kept word is taken; resolved
-    # inside the boundary word (0 <= owed <= popcount(boundary word)).
+    n_rows, n_words = avail.shape
+    # Column by column from the kept end: row reductions over a
+    # handful of words cost more than one 1-D pass per word.
+    reached = np.zeros(n_rows, dtype=np.int64)
+    outside = np.zeros(n_rows, dtype=np.int64)
+    n_whole = np.zeros(n_rows, dtype=np.int64)
+    whole_by_word = []
+    for word in range(n_words - 1, -1, -1) if prefer_newest else range(n_words):
+        popcounts = per_word[:, word]
+        reached += popcounts
+        whole = reached < need
+        n_whole += whole
+        outside += popcounts * whole
+        whole_by_word.append((word, whole))
+    boundary = n_words - 1 - n_whole if prefer_newest else n_whole
+    # Bits still owed once every whole word is taken; resolved inside
+    # the boundary word (0 <= owed <= popcount(boundary word)).
     owed = need - outside
-    result = avail * full
-    octets = avail[idx, boundary].reshape(-1, 1).view(np.uint8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    cells = np.arange(0, n_rows * n_words, n_words) + boundary
+    flat = avail.reshape(-1)
+    edge = flat[cells]
     if prefer_newest:
-        rank = bits[:, ::-1].cumsum(axis=1)[:, ::-1]
+        kept = edge ^ lowest_word_bits(edge, per_word.reshape(-1)[cells] - owed)
     else:
-        rank = bits.cumsum(axis=1)
-    keep = bits & (rank <= owed[:, None])
-    packed = np.packbits(keep, axis=1, bitorder="little")
-    result[idx, boundary] = packed.view(np.uint64).ravel()
-    selected[rows] = result
+        kept = lowest_word_bits(edge, owed)
+    for word, whole in whole_by_word:
+        avail[:, word] *= whole
+    flat[cells] = kept
+    selected[rows] = avail
 
 
 def _truncate_word_rows_scalar(

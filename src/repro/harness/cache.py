@@ -57,8 +57,10 @@ _KEY_BYTES = 16
 #: Scenario API redesign keys sweep cells by Scenario.to_dict() (config
 #: + network + schedule + attack) instead of a flat GossipConfig dict
 #: that still carried execution fields — same physics, incompatible
-#: fingerprint shape.
-CACHE_SCHEMA_VERSION = 4
+#: fingerprint shape; 5 = gossip sweep fingerprints carry the resolved
+#: partner model ("pairing": "uniform" for shards == 0, "cells"
+#: otherwise) — schema-4 keys served one model's cells to the other.
+CACHE_SCHEMA_VERSION = 5
 
 #: Stamped into every record and checked on read.  Identifies the
 #: simulator code generation that produced the value: bump it to bulk-

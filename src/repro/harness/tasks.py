@@ -66,8 +66,12 @@ class GossipSweepTask:
     attacker fraction: each cell runs ``scenario.replace(
     attacker_fraction=x)`` through :func:`~repro.bargossip.scenario.
     run_experiment`.  ``execution`` decides only *how* cells run and
-    is deliberately absent from the fingerprint (execution strategy
-    never changes results — pinned by the parity suites).
+    is absent from the fingerprint (execution strategy never changes
+    results — pinned by the parity suites), with one exception: the
+    partner model it resolves to.  ``shards == 0`` runs the paper's
+    uniform partner draws and any ``shards >= 1`` the 4-node-cell
+    pairing, two different models, so the fingerprint carries
+    ``"pairing"`` and the two never share cached cells.
     """
 
     scenario: Scenario
@@ -88,6 +92,7 @@ class GossipSweepTask:
         return {
             "scenario": self.scenario.to_dict(),
             "execution": self.execution.cache_fingerprint(),
+            "pairing": "uniform" if self.execution.shards == 0 else "cells",
             "metric": self.metric,
         }
 

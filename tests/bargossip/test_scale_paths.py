@@ -9,8 +9,9 @@ silently erode:
   are a parity oracle only.  Asserted by making them raise and
   checking the trace is unchanged.
 * **Exact capped truncation** — the vectorized top/bottom-k masked
-  word sweep equals the per-row arbitrary-precision oracle bit for
-  bit, including boundary-word rank ties.
+  word sweep and its broadword select equal the per-row
+  arbitrary-precision oracle bit for bit, including boundary-word rank
+  ties, bit-63 boundaries and the numpy < 2 popcount table.
 * **Ring-buffer budget** — the word store's live window floats inside
   a fixed-width row (no per-round reallocation), and the simulator's
   ``memory_breakdown`` accounts for every flat byte.
@@ -37,6 +38,8 @@ from repro.bargossip.simulator import GossipSimulator, InteractionEngine
 from repro.bargossip.updates import (
     WordPopulationStore,
     _truncate_word_rows_scalar,
+    bottom_bits,
+    lowest_word_bits,
     truncate_word_rows,
     word_popcounts,
 )
@@ -231,6 +234,148 @@ class TestTruncateWordRows:
         assert np.array_equal(word_popcounts(vectorized), counts)
         assert not np.any(vectorized & ~available)
 
+    @pytest.mark.parametrize("prefer_newest", [True, False])
+    @pytest.mark.parametrize("density", [0.02, 0.5, 0.98])
+    @pytest.mark.parametrize("n_words", [1, 2, 3, 5])
+    def test_fuzz_widths_densities_and_edge_bits(
+        self, n_words, density, prefer_newest
+    ):
+        _assert_truncation_parity(n_words, density, prefer_newest)
+
+    @pytest.mark.parametrize("prefer_newest", [True, False])
+    def test_selected_may_alias_available(self, prefer_newest):
+        available, counts, n_available = _fuzz_rows(3, 0.5, seed=11)
+        oracle = available.copy()
+        _truncate_word_rows_scalar(
+            oracle, available, counts, n_available, prefer_newest
+        )
+        aliased = available.copy()
+        truncate_word_rows(aliased, aliased, counts, n_available, prefer_newest)
+        assert np.array_equal(aliased, oracle)
+
+
+def _fuzz_rows(n_words, density, seed):
+    """Random word rows of the given bit density plus hand-placed edge
+    rows, with capped counts covering every interesting rank."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((300, n_words, 64)) < density
+    random_rows = np.packbits(bits, axis=-1, bitorder="little").view(
+        np.uint64
+    ).reshape(300, n_words)
+    top, bottom, full = np.uint64(1 << 63), np.uint64(1), ~np.uint64(0)
+    # Rows whose boundary word holds only bit 63, has bit 63 as its
+    # highest set bit, or bit 0 as its lowest / only one.
+    edge_rows = np.array(
+        [[word] * n_words for word in (top, top | bottom, full, bottom)]
+        + [[top if j % 2 else bottom for j in range(n_words)]],
+        dtype=np.uint64,
+    )
+    available = np.concatenate([edge_rows, random_rows])
+    n_available = word_popcounts(available)
+    counts = rng.integers(0, n_available + 1).astype(np.int64)
+    # Edge rows cycle through one-short, a single bit and k = 0, so
+    # k = 0 rows sit among capped rows in the same call.
+    for row in range(len(available)):
+        choice = row % 5
+        if choice == 0:
+            counts[row] = max(n_available[row] - 1, 0)
+        elif choice == 1:
+            counts[row] = min(1, n_available[row])
+        elif choice == 2:
+            counts[row] = 0
+    return available, counts, n_available
+
+
+def _assert_truncation_parity(n_words, density, prefer_newest, seed=0):
+    available, counts, n_available = _fuzz_rows(n_words, density, seed)
+    vectorized = available.copy()
+    oracle = available.copy()
+    truncate_word_rows(vectorized, available, counts, n_available, prefer_newest)
+    _truncate_word_rows_scalar(
+        oracle, available, counts, n_available, prefer_newest
+    )
+    assert np.array_equal(vectorized, oracle)
+    assert np.array_equal(word_popcounts(vectorized), counts)
+
+
+class TestLowestWordBits:
+    """The broadword select against a per-int oracle."""
+
+    @staticmethod
+    def _cases(seed=5):
+        rng = np.random.default_rng(seed)
+        words = np.concatenate([
+            np.array(
+                [0, 1, 1 << 63, (1 << 63) | 1, (1 << 64) - 1, 0x8000000100000000],
+                dtype=np.uint64,
+            ),
+            rng.integers(0, 1 << 64, size=400, dtype=np.uint64),
+            rng.integers(0, 1 << 64, size=200, dtype=np.uint64)
+            & rng.integers(0, 1 << 64, size=200, dtype=np.uint64)
+            & rng.integers(0, 1 << 64, size=200, dtype=np.uint64),
+        ])
+        popcounts = word_popcounts(words[:, None])
+        ks = rng.integers(0, popcounts + 1).astype(np.int64)
+        # Pin both ends for every word: k = 0 and k = popcount.
+        words = np.concatenate([words, words, words])
+        ks = np.concatenate([ks, np.zeros_like(popcounts), popcounts])
+        return words, ks
+
+    def test_matches_per_int_oracle(self):
+        words, ks = self._cases()
+        kept = lowest_word_bits(words, ks)
+        expected = [bottom_bits(int(w), int(k)) for w, k in zip(words, ks)]
+        assert [int(value) for value in kept] == expected
+
+    def test_bit_63_does_not_overflow(self):
+        top = np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        kept = lowest_word_bits(top, np.array([1, 64]))
+        assert [int(value) for value in kept] == [1 << 63, (1 << 64) - 1]
+
+
+class TestNumpy1PopcountFallback:
+    """numpy < 2 has no ``bitwise_count``; the shipped fallback counts
+    bits through a 16-bit lookup table.  CI installs numpy 2, so the
+    select and the truncation are run here through an equivalent table
+    implementation patched in for ``word_popcount_matrix``."""
+
+    @pytest.fixture
+    def lut_popcounts(self, monkeypatch):
+        from repro.bargossip import updates
+
+        table = np.zeros(1 << 16, dtype=np.uint8)
+        values = np.arange(1 << 16)
+        for shift in range(16):
+            table += ((values >> shift) & 1).astype(np.uint8)
+        calls = []
+
+        def word_popcount_matrix(words):
+            calls.append(np.shape(words))
+            words = np.asarray(words, dtype=np.uint64)
+            halves = np.ascontiguousarray(words).view(np.uint16)
+            return table[halves].reshape(words.shape + (4,)).sum(
+                axis=-1, dtype=np.int64
+            )
+
+        monkeypatch.setattr(updates, "word_popcount_matrix", word_popcount_matrix)
+        return calls
+
+    @pytest.mark.parametrize("prefer_newest", [True, False])
+    @pytest.mark.parametrize("n_words", [1, 3, 5])
+    def test_truncation_parity_through_lut(
+        self, lut_popcounts, n_words, prefer_newest
+    ):
+        _assert_truncation_parity(n_words, 0.5, prefer_newest, seed=3)
+        # Per-word counts plus the select's six binary-search steps.
+        assert len(lut_popcounts) == 7
+
+    def test_select_through_lut(self, lut_popcounts):
+        words, ks = TestLowestWordBits._cases(seed=9)
+        kept = lowest_word_bits(words, ks)
+        expected = [bottom_bits(int(w), int(k)) for w, k in zip(words, ks)]
+        assert [int(value) for value in kept] == expected
+        assert len(lut_popcounts) == 6
+
 
 class TestRingBudget:
     """The word buffer's fixed-width ring and its byte accounting."""
@@ -309,6 +454,7 @@ HOT_PATH_FUNCTIONS = {
         "GossipSimulator._broadcast",
     ),
     "src/repro/bargossip/updates.py": (
+        "lowest_word_bits",
         "truncate_word_rows",
         "WordPopulationStore.advance_to",
         "WordPopulationStore.masked_have_popcounts",

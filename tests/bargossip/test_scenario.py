@@ -205,10 +205,10 @@ class TestDeprecatedShim:
 class TestCacheSchemaBump:
     """Scenario-keyed fingerprints are a new cache key universe."""
 
-    def test_schema_version_is_4(self):
+    def test_schema_version_is_5(self):
         from repro.harness.cache import CACHE_SCHEMA_VERSION
 
-        assert CACHE_SCHEMA_VERSION == 4
+        assert CACHE_SCHEMA_VERSION == 5
 
     def test_schema_version_changes_cell_keys(self, monkeypatch):
         # Entries written by the pre-Scenario code (schema 3 keys over

@@ -126,6 +126,25 @@ class TestTaskContracts:
         )
         assert sets_task.cache_fingerprint() == bitset_task.cache_fingerprint()
 
+    def test_fingerprint_distinguishes_partner_model(self):
+        # shards == 0 runs the paper's uniform partner draws, shards >= 1
+        # the 4-node-cell pairing: different results, so different keys.
+        uniform = GossipSweepTask(Scenario(), ExecutionConfig())
+        cells = GossipSweepTask(
+            Scenario(), ExecutionConfig(backend="words", shards=4)
+        )
+        assert uniform.cache_fingerprint() != cells.cache_fingerprint()
+        assert uniform.cache_fingerprint()["pairing"] == "uniform"
+        assert cells.cache_fingerprint()["pairing"] == "cells"
+
+    def test_fingerprint_ignores_shard_count(self):
+        # Any k >= 1 is the same cell pairing, split differently.
+        one = GossipSweepTask(Scenario(), ExecutionConfig(shards=1))
+        four = GossipSweepTask(
+            Scenario(), ExecutionConfig(backend="words", shards=4)
+        )
+        assert one.cache_fingerprint() == four.cache_fingerprint()
+
     def test_fingerprint_distinguishes_network_and_schedule(self):
         from repro.bargossip.network import NetworkModel
 
