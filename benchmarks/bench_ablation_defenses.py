@@ -12,7 +12,7 @@ import numpy as np
 from repro.bargossip.attacker import AttackKind
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import ReportingPolicy
-from repro.bargossip.simulator import run_gossip_experiment
+from repro.bargossip.scenario import Scenario, run_experiment
 from repro.coding import CodedGossipSimulator, run_coded_experiment
 from repro.core.graphs import grid_graph
 from repro.harness.ascii import render_table
@@ -32,12 +32,11 @@ def test_reporting_defense(benchmark):
     policy = ReportingPolicy(excess_threshold=2, reports_to_evict=2)
 
     def run():
-        undefended = run_gossip_experiment(
-            config, AttackKind.TRADE, 0.2, seed=0, rounds=30
+        scenario = Scenario(
+            config=config, kind=AttackKind.TRADE, attacker_fraction=0.2, rounds=30
         )
-        defended = run_gossip_experiment(
-            config, AttackKind.TRADE, 0.2, seed=0, rounds=30, reporting=policy
-        )
+        undefended = run_experiment(scenario, seed=0)
+        defended = run_experiment(scenario.replace(reporting=policy), seed=0)
         return undefended, defended
 
     undefended, defended = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -58,9 +57,11 @@ def test_rational_nodes_do_not_report(benchmark):
     policy = ReportingPolicy(excess_threshold=2, reports_to_evict=2)
 
     def run():
-        return run_gossip_experiment(
-            config, AttackKind.TRADE, 0.2, seed=0, rounds=30, reporting=policy
+        scenario = Scenario(
+            config=config, kind=AttackKind.TRADE, attacker_fraction=0.2,
+            rounds=30, reporting=policy,
         )
+        return run_experiment(scenario, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("Same defense with rational-only beneficiaries",

@@ -17,7 +17,7 @@ obedience*.
 from repro.bargossip.attacker import AttackKind
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import with_rate_limit
-from repro.bargossip.simulator import run_gossip_experiment
+from repro.bargossip.scenario import Scenario, run_experiment
 from repro.harness.ascii import render_table
 
 from conftest import emit
@@ -25,19 +25,23 @@ from conftest import emit
 ATTACK_FRACTION = 0.15
 
 
+def trade_attack(config):
+    """The benched trade attack on ``config``."""
+    return Scenario(
+        config=config, kind=AttackKind.TRADE,
+        attacker_fraction=ATTACK_FRACTION, rounds=35,
+    )
+
+
 def test_rate_limit_dose_response(benchmark):
     base = GossipConfig.paper().replace(obedient_fraction=1.0)
 
     def run():
         results = {}
-        results["no cap"] = run_gossip_experiment(
-            base, AttackKind.TRADE, ATTACK_FRACTION, seed=2, rounds=35
-        )
+        results["no cap"] = run_experiment(trade_attack(base), seed=2)
         for cap in (20, 10, 5):
             config = with_rate_limit(base, accept_cap=cap)
-            results[f"cap {cap}"] = run_gossip_experiment(
-                config, AttackKind.TRADE, ATTACK_FRACTION, seed=2, rounds=35
-            )
+            results[f"cap {cap}"] = run_experiment(trade_attack(config), seed=2)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -58,12 +62,9 @@ def test_rate_limit_needs_obedience(benchmark):
     rational = GossipConfig.paper()  # obedient_fraction = 0
 
     def run():
-        plain = run_gossip_experiment(
-            rational, AttackKind.TRADE, ATTACK_FRACTION, seed=2, rounds=35
-        )
-        capped = run_gossip_experiment(
-            rational.replace(accept_cap=5),
-            AttackKind.TRADE, ATTACK_FRACTION, seed=2, rounds=35,
+        plain = run_experiment(trade_attack(rational), seed=2)
+        capped = run_experiment(
+            trade_attack(rational.replace(accept_cap=5)), seed=2
         )
         return plain, capped
 

@@ -17,7 +17,7 @@ simulator is unreleased); EXPERIMENTS.md records both.
 
 from repro.bargossip.attacker import AttackKind
 from repro.bargossip.config import GossipConfig
-from repro.bargossip.simulator import run_gossip_experiment
+from repro.bargossip.scenario import Scenario, run_experiment
 from repro.harness.figures import FAST_FRACTIONS, crossovers, figure1
 
 from conftest import emit, emit_crossovers, emit_curves
@@ -58,9 +58,11 @@ def test_figure1_partial_satiation(benchmark, bench_rounds):
     config = GossipConfig.paper()
 
     def run():
-        return run_gossip_experiment(
-            config, AttackKind.IDEAL, 0.04, seed=0, rounds=bench_rounds
+        scenario = Scenario(
+            config=config, kind=AttackKind.IDEAL, attacker_fraction=0.04,
+            rounds=bench_rounds,
         )
+        return run_experiment(scenario, seed=0)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(

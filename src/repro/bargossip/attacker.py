@@ -33,7 +33,7 @@ the broadcaster seeded to any coalition node.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -68,7 +68,10 @@ class AttackerCoalition:
     nodes:
         Ids of the coalition's nodes.
     satiated_targets:
-        Ids of the correct nodes the coalition tries to satiate.
+        Ids of the correct nodes the coalition tries to satiate.  Read
+        back as a frozen set; :meth:`retarget` is the one way to change
+        it, and bumps :attr:`targets_version` so per-row caches built
+        from the set know to rebuild.
     """
 
     def __init__(
@@ -79,12 +82,15 @@ class AttackerCoalition:
     ) -> None:
         self.kind = kind
         self.nodes: Set[int] = set(nodes)
-        self.satiated_targets: Set[int] = set(satiated_targets)
-        if self.nodes & self.satiated_targets:
+        self._satiated_targets: FrozenSet[int] = frozenset(satiated_targets)
+        if self.nodes & self._satiated_targets:
             raise ConfigurationError(
                 "attacker nodes cannot also be satiated targets: "
-                f"{sorted(self.nodes & self.satiated_targets)}"
+                f"{sorted(self.nodes & self._satiated_targets)}"
             )
+        #: Bumped by every :meth:`retarget`; caches keyed on it rebuild
+        #: exactly when the target set changes.
+        self.targets_version: int = 0
         if kind is AttackKind.NONE and self.nodes:
             raise ConfigurationError("a NONE attack cannot control nodes")
         #: Union of live updates any coalition node received from the
@@ -151,9 +157,14 @@ class AttackerCoalition:
         """Whether ``node`` belongs to the coalition."""
         return node in self.nodes
 
+    @property
+    def satiated_targets(self) -> FrozenSet[int]:
+        """Ids of the correct nodes the coalition tries to satiate."""
+        return self._satiated_targets
+
     def is_satiated_target(self, node: int) -> bool:
         """Whether ``node`` is in the group the attacker serves."""
-        return node in self.satiated_targets
+        return node in self._satiated_targets
 
     def trades(self) -> bool:
         """Whether coalition nodes participate in protocol interactions.
@@ -220,16 +231,19 @@ class AttackerCoalition:
 
         "By changing who is satiated over time, the attacker could
         even make the service intermittently unusable for all nodes."
-        The simulator drives the rotation schedule; this just swaps
-        the set (validating disjointness from the coalition).
+        The simulator drives the rotation schedule (and restores a
+        snapshot's targets through here after a crashed shared round);
+        this swaps the set, validating disjointness from the coalition,
+        and bumps :attr:`targets_version`.
         """
-        new_set = set(new_satiated)
+        new_set = frozenset(new_satiated)
         if new_set & self.nodes:
             raise ConfigurationError(
                 "satiated targets cannot include coalition nodes: "
                 f"{sorted(new_set & self.nodes)}"
             )
-        self.satiated_targets = new_set
+        self._satiated_targets = new_set
+        self.targets_version += 1
 
     def evict(self, node: int) -> bool:
         """Remove an evicted node from the coalition; True if it was one."""

@@ -214,6 +214,13 @@ def batched_word_exchange(
     trace is bit-identical — the sweep only replaces the per-pair
     Python dispatch with whole-phase numpy batches.
 
+    The counts are planned over every pair, but only the pairs that
+    move something (a positive count, hence a positive count both ways)
+    are truncated and written back.  That is exact: a pair that moves
+    nothing would write ``have | 0`` and ``missing & ~0``, i.e. its
+    rows unchanged.  Under the lotus-eater attack most pairs are such
+    no-ops — a satiated node has nothing left to trade for.
+
     Returns the per-pair ``(to_initiator, to_responder)`` transfer
     counts.
     """
@@ -241,19 +248,23 @@ def batched_word_exchange(
     else:
         count_initiator = base
         count_responder = base.copy()
-    # Truncated in place: the availability rows are dead afterwards.
-    truncate_word_rows(
-        available_to_initiator, available_to_initiator,
-        count_initiator, n_initiator, prefer_newest,
-    )
-    truncate_word_rows(
-        available_to_responder, available_to_responder,
-        count_responder, n_responder, prefer_newest,
-    )
-    have[rows_i] = have_i | available_to_initiator
-    missing[rows_i] = miss_i & ~available_to_initiator
-    have[rows_r] = have_r | available_to_responder
-    missing[rows_r] = miss_r & ~available_to_responder
+    moving = np.flatnonzero(base)
+    if not len(moving):
+        return count_initiator, count_responder
+    for rows, have_rows, miss_rows, available, counts, n_available in (
+        (rows_i, have_i, miss_i, available_to_initiator,
+         count_initiator, n_initiator),
+        (rows_r, have_r, miss_r, available_to_responder,
+         count_responder, n_responder),
+    ):
+        selected = np.take(available, moving, axis=0)
+        truncate_word_rows(
+            selected, selected,
+            counts[moving], n_available[moving], prefer_newest,
+        )
+        movers = rows[moving]
+        have[movers] = np.take(have_rows, moving, axis=0) | selected
+        missing[movers] = np.take(miss_rows, moving, axis=0) & ~selected
     return count_initiator, count_responder
 
 
@@ -289,19 +300,26 @@ def batched_word_dump(
     :meth:`~repro.bargossip.attacker.AttackerCoalition.dump_for`
     selects per node.  Receivers must be pairwise distinct within one
     call (cell pairs are node-disjoint), which makes the scatter
-    write-back exact.
+    write-back exact.  Only receivers with a positive count are
+    truncated and written back; a zero count would leave the rows
+    unchanged.
 
-    Returns ``(counts, selected)``: the per-receiver transfer count
-    and the selected word rows (the report path materializes id tuples
-    only for the few rows the reporting policy flags).
+    Returns ``(counts, selected)``: the per-receiver transfer count,
+    and the selected word rows of the receivers that gain (``counts >
+    0``), in receiver order — the report path materializes id tuples
+    only for the few of those the reporting policy flags.
     """
-    have = pool.have_words
     missing = pool.missing_words
     miss = np.take(missing, receivers, axis=0)
     selected = miss & pool_words[None, :]
     n_give = word_popcounts(selected)
     counts = np.minimum(n_give, limits)
-    truncate_word_rows(selected, selected, counts, n_give, prefer_newest=False)
-    have[receivers] = np.take(have, receivers, axis=0) | selected
-    missing[receivers] = miss & ~selected
+    moving = np.flatnonzero(counts)
+    selected = np.take(selected, moving, axis=0)
+    truncate_word_rows(
+        selected, selected, counts[moving], n_give[moving], prefer_newest=False
+    )
+    movers = receivers[moving]
+    pool.have_words[movers] |= selected
+    missing[movers] = np.take(miss, moving, axis=0) & ~selected
     return counts, selected

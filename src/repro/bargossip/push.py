@@ -43,6 +43,7 @@ from .updates import (
     popcount,
     truncate_word_rows,
     word_popcounts,
+    word_rows_any,
 )
 
 __all__ = [
@@ -197,10 +198,12 @@ def batched_push_eligibility(
     """
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
     old_words = pool.mask_words(old_mask)
-    wants = (pool.missing_words[rows] & old_words).any(axis=1)
+    wants = word_rows_any(np.take(pool.missing_words, rows, axis=0) & old_words)
     if obedient.any():
         recent_words = pool.mask_words(recent_mask)
-        has_offers = (pool.have_words[rows] & recent_words).any(axis=1)
+        has_offers = word_rows_any(
+            np.take(pool.have_words, rows, axis=0) & recent_words
+        )
         wants |= obedient & has_offers
     return wants
 
@@ -264,6 +267,11 @@ def batched_word_push(
     here (transfers for pairs with a positive responder count) is the
     per-pair plan → accept → apply sequence, batched.
 
+    Only the offers are sized over every pair.  The payment, the
+    truncation and the write-back run on the accepted pairs alone: a
+    declined push moves nothing either way (its payment is capped at
+    the zero it received), so skipping its rows is exact.
+
     Returns the per-pair ``(to_responder, to_initiator)`` counts; the
     junk payment is their difference.
     """
@@ -271,32 +279,36 @@ def batched_word_push(
     rows_r = np.asarray(responders, dtype=np.intp)
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
     recent = pool.mask_words(recent_mask)
-    old = pool.mask_words(old_mask)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = np.take(have, rows_i, axis=0)
-    have_r = np.take(have, rows_r, axis=0)
-    miss_i = np.take(missing, rows_i, axis=0)
     miss_r = np.take(missing, rows_r, axis=0)
-    # Both offers are truncated in place: the untruncated rows are dead
-    # once their popcounts are taken.
-    to_responder = have_i & miss_r & recent
+    to_responder = np.take(have, rows_i, axis=0) & miss_r & recent
     n_wanted = word_popcounts(to_responder)
     responder_counts = np.minimum(n_wanted, config.push_size)
+    initiator_counts = np.zeros_like(responder_counts)
+    moving = np.flatnonzero(responder_counts)
+    if not len(moving):
+        return responder_counts, initiator_counts
+    rows_i, rows_r = rows_i[moving], rows_r[moving]
+    to_responder = np.take(to_responder, moving, axis=0)
+    # Both offers are truncated in place: the untruncated rows are dead
+    # once their popcounts are taken.
     truncate_word_rows(
-        to_responder, to_responder, responder_counts, n_wanted,
+        to_responder, to_responder, responder_counts[moving], n_wanted[moving],
         prefer_newest=False,
     )
-    to_initiator = miss_i & have_r & old
+    have_r = np.take(have, rows_r, axis=0)
+    miss_i = np.take(missing, rows_i, axis=0)
+    to_initiator = miss_i & have_r & pool.mask_words(old_mask)
     n_payable = word_popcounts(to_initiator)
-    initiator_counts = np.minimum(n_payable, responder_counts)
+    paid = np.minimum(n_payable, responder_counts[moving])
     truncate_word_rows(
-        to_initiator, to_initiator, initiator_counts, n_payable,
-        prefer_newest=False,
+        to_initiator, to_initiator, paid, n_payable, prefer_newest=False,
     )
+    initiator_counts[moving] = paid
     have[rows_r] = have_r | to_responder
-    missing[rows_r] = miss_r & ~to_responder
-    have[rows_i] = have_i | to_initiator
+    missing[rows_r] = np.take(miss_r, moving, axis=0) & ~to_responder
+    have[rows_i] |= to_initiator
     missing[rows_i] = miss_i & ~to_initiator
     return responder_counts, initiator_counts
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -180,6 +180,8 @@ class InteractionEngine:
         #: Dense row -> node-id map; built lazily by the (rare) report
         #: materialization path of the batched dumps.
         self._ids_by_row: Optional[np.ndarray] = None
+        #: ``(targets_version, mask)`` of the last satiated-row mask built.
+        self._satiated_rows: Optional[Tuple[int, np.ndarray]] = None
 
     def _rows_of_ids(self, ids: "np.ndarray") -> "np.ndarray":
         """Population/pool rows of an array of global node ids.
@@ -226,15 +228,21 @@ class InteractionEngine:
         population's group column: shard-local populations do not carry
         the satiated/isolated split (their nodes are all marked
         ISOLATED).  Targets outside this engine's slice are dropped.
+        Cached until the coalition's ``targets_version`` moves (every
+        change to the target set goes through ``retarget``); callers
+        only read the mask.
         """
+        version = self.attack.targets_version
+        if self._satiated_rows is not None and self._satiated_rows[0] == version:
+            return self._satiated_rows[1]
         mask = np.zeros(len(self.population.evicted), dtype=bool)
         targets = self.attack.satiated_targets
-        if not targets:
-            return mask
-        lookup = self._ensure_row_lookup()
-        ids = np.fromiter(targets, dtype=np.intp, count=len(targets))
-        rows = lookup[ids[ids < len(lookup)]]
-        mask[rows[rows >= 0]] = True
+        if targets:
+            lookup = self._ensure_row_lookup()
+            ids = np.fromiter(targets, dtype=np.intp, count=len(targets))
+            rows = lookup[ids[ids < len(lookup)]]
+            mask[rows[rows >= 0]] = True
+        self._satiated_rows = (version, mask)
         return mask
 
     def run_exchanges(self, round_now: int, order, partners) -> None:
@@ -283,9 +291,14 @@ class InteractionEngine:
         ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         rows = self._rows_of_ids(ids)
         population = self.population
-        special = (population.byzantine_mask | population.evicted)[rows]
-        mixed = special.any(axis=1)
-        return rows[~mixed], rows[mixed]
+        special = population.byzantine_mask | population.evicted
+        mixed = special[rows[:, 0]] | special[rows[:, 1]]
+        # Row gathers by index: boolean-masking an (m, 2) array costs
+        # several times more.
+        return (
+            np.take(rows, np.flatnonzero(~mixed), axis=0),
+            np.take(rows, np.flatnonzero(mixed), axis=0),
+        )
 
     def _pair_chunks(self, rows):
         """Cache-sized blocks of an ``(m, 2)`` pair-row array.
@@ -338,12 +351,18 @@ class InteractionEngine:
         counters = self.population.counters
         for block in self._pair_chunks(clean_rows):
             left, right = block[:, 0], block[:, 1]
-            for rows_i, rows_r in ((left, right), (right, left)):
-                # Rows are pairwise disjoint within a pass, so
-                # fancy-index += is an exact scatter-add (no np.add.at
-                # needed).
+            # Rows are pairwise disjoint within a pass, so fancy-index
+            # += is an exact scatter-add (no np.add.at needed).  Both
+            # directions book up front: counters never feed a plan.
+            for rows_i in (left, right):
                 counters[rows_i, CI_EXCHANGES_INITIATED] += 1
-                self._exchange_apply_clean(rows_i, rows_r)
+            moved = self._exchange_apply_clean(left, right)
+            # When the other end initiates, the pair's two availabilities
+            # just swap sides, and the transfer size (the capped minimum
+            # of both) is symmetric in them.  A pair that moved nothing
+            # the first way moves nothing the second way either, so
+            # only the movers go again.
+            self._exchange_apply_clean(right[moved], left[moved])
         if len(mixed_rows):
             pool_words = self._attack_pool_words()
             satiated = (
@@ -355,8 +374,11 @@ class InteractionEngine:
                     round_now, rows_i, rows_r, pool_words, satiated
                 )
 
-    def _exchange_apply_clean(self, rows_i, rows_r) -> None:
-        """Apply one direction's correct-correct exchanges (no booking)."""
+    def _exchange_apply_clean(self, rows_i, rows_r) -> "np.ndarray":
+        """Apply one direction's correct-correct exchanges (no booking).
+
+        Returns the indices (into ``rows_i``) of the pairs that moved.
+        """
         config = self.config
         to_initiator, to_partner = batched_word_exchange(
             self.pool,
@@ -366,9 +388,9 @@ class InteractionEngine:
             unbalanced=config.unbalanced_exchange,
             prefer_newest=config.exchange_prefer_newest,
         )
-        moved = (to_initiator > 0) | (to_partner > 0)
-        if not moved.any():
-            return
+        moved = np.flatnonzero((to_initiator > 0) | (to_partner > 0))
+        if not len(moved):
+            return moved
         counters = self.population.counters
         rows_i, rows_r = rows_i[moved], rows_r[moved]
         gained, given = to_initiator[moved], to_partner[moved]
@@ -377,6 +399,7 @@ class InteractionEngine:
         counters[rows_r, CI_UPDATES_SENT] += gained
         counters[rows_r, CI_UPDATES_RECEIVED] += given
         counters[rows_i, CI_EXCHANGES_NONEMPTY] += 1
+        return moved
 
     def _exchange_pass_mixed(
         self, round_now: int, rows_i, rows_r, pool_words, satiated_rows
@@ -402,16 +425,17 @@ class InteractionEngine:
         r_byz = byz[rows_r]
         alive = ~(evicted[rows_i] | evicted[rows_r])
         book = alive if self.attack.trades() else (alive & ~i_byz)
-        population.counters[rows_i[book], CI_EXCHANGES_INITIATED] += 1
+        booked = rows_i[np.flatnonzero(book)]
+        population.counters[booked, CI_EXCHANGES_INITIATED] += 1
         if pool_words is None:
             return
-        dumped = alive & (i_byz ^ r_byz)
-        if not dumped.any():
+        dumped = np.flatnonzero(alive & (i_byz ^ r_byz))
+        if not len(dumped):
             return
         givers = np.where(i_byz, rows_i, rows_r)[dumped]
         receivers = np.where(i_byz, rows_r, rows_i)[dumped]
-        satiated = satiated_rows[receivers]
-        if not satiated.any():
+        satiated = np.flatnonzero(satiated_rows[receivers])
+        if not len(satiated):
             return
         givers, receivers = givers[satiated], receivers[satiated]
         limits = exchange_dump_limits(
@@ -437,19 +461,19 @@ class InteractionEngine:
             self.pool, pool_words, receivers, limits
         )
         self.attack.updates_served += int(counts.sum())
-        gave = counts > 0
-        if not gave.any():
+        gave = np.flatnonzero(counts)
+        if not len(gave):
             return
+        # ``selected`` holds exactly the receivers that gain, in order.
+        givers, receivers, counts = givers[gave], receivers[gave], counts[gave]
         counters = self.population.counters
-        counters[receivers[gave], CI_UPDATES_RECEIVED] += counts[gave]
-        counters[givers[gave], CI_UPDATES_SENT] += counts[gave]
+        counters[receivers, CI_UPDATES_RECEIVED] += counts
+        counters[givers, CI_UPDATES_SENT] += counts
         authority = self.authority
         if authority is None:
             return
-        flagged = (
-            gave
-            & (counts > authority.policy.excess_threshold)
-            & self.population.obedient_mask[receivers]
+        flagged = (counts > authority.policy.excess_threshold) & (
+            self.population.obedient_mask[receivers]
         )
         for k in np.flatnonzero(flagged):
             self._file_dump_report(
@@ -710,38 +734,36 @@ class InteractionEngine:
         r_byz = byz[rows_r]
         alive = ~(evicted[rows_i] | evicted[rows_r])
         if pool_words is not None:
-            forward = alive & i_byz & ~r_byz
-            if forward.any():
-                receivers = rows_r[forward]
-                satiated = satiated_rows[receivers]
-                if satiated.any():
-                    receivers = receivers[satiated]
-                    self._apply_dump(
-                        round_now,
-                        rows_i[forward][satiated],
-                        receivers,
-                        pool_words,
-                        push_dump_limits(self.config, obedient[receivers]),
-                        Purpose.PUSH,
-                    )
-        correct_i = ~i_byz & ~evicted[rows_i]
-        if not correct_i.any():
+            forward = np.flatnonzero(alive & i_byz & ~r_byz)
+            givers, receivers = rows_i[forward], rows_r[forward]
+            satiated = np.flatnonzero(satiated_rows[receivers])
+            if len(satiated):
+                receivers = receivers[satiated]
+                self._apply_dump(
+                    round_now,
+                    givers[satiated],
+                    receivers,
+                    pool_words,
+                    push_dump_limits(self.config, obedient[receivers]),
+                    Purpose.PUSH,
+                )
+        correct_i = np.flatnonzero(~i_byz & ~evicted[rows_i])
+        if not len(correct_i):
             return
         rows_ci = rows_i[correct_i]
         rows_cr = rows_r[correct_i]
         wants = batched_push_eligibility(
             self.pool, rows_ci, obedient[rows_ci], self.config, round_now
         )
-        book = wants & ~evicted[rows_cr]
-        population.counters[rows_ci[book], CI_PUSHES_INITIATED] += 1
+        book = np.flatnonzero(wants & ~evicted[rows_cr])
+        rows_ci, rows_cr = rows_ci[book], rows_cr[book]
+        population.counters[rows_ci, CI_PUSHES_INITIATED] += 1
         if pool_words is None:
             return
-        back = book & byz[rows_cr]
-        if not back.any():
-            return
+        back = np.flatnonzero(byz[rows_cr])
         receivers = rows_ci[back]
-        satiated = satiated_rows[receivers]
-        if not satiated.any():
+        satiated = np.flatnonzero(satiated_rows[receivers])
+        if not len(satiated):
             return
         receivers = receivers[satiated]
         self._apply_dump(
@@ -767,16 +789,17 @@ class InteractionEngine:
         wants = batched_push_eligibility(
             self.pool, rows_i, obedient[rows_i], self.config, round_now
         )
-        if not wants.any():
+        willing = np.flatnonzero(wants)
+        if not len(willing):
             return
-        rows_i, rows_r = rows_i[wants], rows_r[wants]
+        rows_i, rows_r = rows_i[willing], rows_r[willing]
         responder_counts, initiator_counts = batched_word_push(
             self.pool, rows_i, rows_r, self.config, round_now
         )
         counters = self.population.counters
         counters[rows_i, CI_PUSHES_INITIATED] += 1
-        applied = responder_counts > 0
-        if not applied.any():
+        applied = np.flatnonzero(responder_counts)
+        if not len(applied):
             return
         rows_i, rows_r = rows_i[applied], rows_r[applied]
         to_responder = responder_counts[applied]
@@ -1396,7 +1419,7 @@ class GossipSimulator(RoundSimulator):
             "evicted_ids": set(self._evicted_ids),
             "attack_nodes": set(self.attack.nodes),
             "attack_pool": set(self.attack.pool),
-            "attack_satiated": set(self.attack.satiated_targets),
+            "attack_satiated": self.attack.satiated_targets,
             "updates_served": self.attack.updates_served,
         }
         if self.authority is not None:
@@ -1413,7 +1436,9 @@ class GossipSimulator(RoundSimulator):
         In-place (``arr[:] = ...``, ``set.clear()`` + update) because
         nodes, the population and the engine all hold live views/
         references into these structures — replacing the objects would
-        orphan them.
+        orphan them.  The satiated targets are the exception: they go
+        back through ``retarget``, so the caches keyed on the target
+        set's version rebuild.
         """
         pool = self._pool
         pool.have_words[:] = snapshot["have_words"]
@@ -1427,8 +1452,7 @@ class GossipSimulator(RoundSimulator):
         attack.nodes.update(snapshot["attack_nodes"])
         attack.pool.clear()
         attack.pool.update(snapshot["attack_pool"])
-        attack.satiated_targets.clear()
-        attack.satiated_targets.update(snapshot["attack_satiated"])
+        attack.retarget(snapshot["attack_satiated"])
         attack.updates_served = snapshot["updates_served"]
         if self.authority is not None:
             self.authority.reports.clear()
@@ -1774,21 +1798,20 @@ class GossipSimulator(RoundSimulator):
         departed = self._departed
         pool = self._pool
         if isinstance(pool, WordPopulationStore):
-            rows = np.fromiter(
-                (
-                    target
-                    for target in self.attack.satiated_targets
-                    if departed is None or not departed[target]
-                ),
-                dtype=np.intp,
-            )
+            # The engine's cached mask (row == node id here): rebuilt
+            # only when the coalition retargets.
+            satiated = self._engine._satiated_row_mask()
+            if departed is not None:
+                satiated = satiated & ~departed
+            rows = np.flatnonzero(satiated)
             if not len(rows):
                 return
             mask = self.attack.pool_mask(pool.base, pool.capacity)
-            give = pool.missing_words[rows] & pool.mask_words(mask)[None, :]
+            miss = np.take(pool.missing_words, rows, axis=0)
+            give = miss & pool.mask_words(mask)[None, :]
             counts = word_popcounts(give)
             pool.have_words[rows] |= give
-            pool.missing_words[rows] = pool.missing_words[rows] & ~give
+            pool.missing_words[rows] = miss & ~give
             self.attack.updates_served += int(counts.sum())
             gained = counts > 0
             self.population.counters[rows[gained], CI_UPDATES_RECEIVED] += counts[
@@ -1857,9 +1880,13 @@ class GossipSimulator(RoundSimulator):
         if created >= self.measure_from_round:
             delivered_counts = pool.masked_have_popcounts(due_mask)
             due_each = len(due)
+            # Dense adds over every row: an attacker row adds 0, which
+            # beats gathering and scattering the correct rows.
             correct = self.population.correct_mask
-            self._delivered_by_node[correct] += delivered_counts[correct]
-            self._missed_by_node[correct] += due_each - delivered_counts[correct]
+            delivered = delivered_counts * correct
+            missed = (due_each - delivered_counts) * correct
+            self._delivered_by_node += delivered
+            self._missed_by_node += missed
             window = created // self.config.update_lifetime
             window_delivered, window_missed = self._window_tallies.setdefault(
                 window,
@@ -1868,8 +1895,8 @@ class GossipSimulator(RoundSimulator):
                     np.zeros(self.config.n_nodes, dtype=np.int64),
                 ],
             )
-            window_delivered[correct] += delivered_counts[correct]
-            window_missed[correct] += due_each - delivered_counts[correct]
+            window_delivered += delivered
+            window_missed += missed
             self.stats.record_groups(
                 tally_group_codes(
                     delivered_counts, due_each, self.population.group_codes

@@ -64,6 +64,7 @@ __all__ = [
     "int_to_words",
     "word_popcounts",
     "word_popcount_matrix",
+    "word_rows_any",
     "lowest_word_bits",
     "truncate_word_rows",
     "shared_memory_available",
@@ -502,33 +503,53 @@ def int_to_words(bits: int, n_words: int) -> "np.ndarray":
     )
 
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+#: Set bits of every 16-bit value (the numpy < 2.0 popcount table).
+_POP16 = (_POP8[:, None] + _POP8[None, :]).reshape(-1)
 
-    def word_popcounts(words: "np.ndarray") -> "np.ndarray":
-        """Per-row popcount of packed word rows (last axis summed)."""
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
-    def word_popcount_matrix(words: "np.ndarray") -> "np.ndarray":
-        """Per-*word* popcounts of packed rows (no axis reduction)."""
-        return np.bitwise_count(words).astype(np.int64)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-
-    _POP16 = np.array(
-        [_python_popcount(value) for value in range(1 << 16)], dtype=np.uint8
+def _lut_word_bit_counts(words: "np.ndarray") -> "np.ndarray":
+    """Per-word popcounts via a 16-bit lookup table (numpy < 2.0)."""
+    words = np.asarray(words, dtype=np.uint64)
+    halves = np.ascontiguousarray(words).view(np.uint16)
+    return _POP16[halves].reshape(words.shape + (4,)).sum(
+        axis=-1, dtype=np.uint8
     )
 
-    def word_popcounts(words: "np.ndarray") -> "np.ndarray":
-        """Per-row popcount via a 16-bit lookup table (numpy < 2.0)."""
-        halves = np.ascontiguousarray(words).view(np.uint16)
-        return _POP16[halves].sum(axis=-1, dtype=np.int64)
 
-    def word_popcount_matrix(words: "np.ndarray") -> "np.ndarray":
-        """Per-*word* popcounts via the 16-bit table (numpy < 2.0)."""
-        halves = np.ascontiguousarray(words).view(np.uint16)
-        return _POP16[halves].reshape(words.shape + (4,)).sum(
-            axis=-1, dtype=np.int64
-        )
+#: Per-word popcounts (``uint8``, same shape): ``np.bitwise_count`` on
+#: numpy >= 2.0, the lookup table otherwise.
+_word_bit_counts = (
+    np.bitwise_count if hasattr(np, "bitwise_count") else _lut_word_bit_counts
+)
+
+
+def word_popcounts(words: "np.ndarray") -> "np.ndarray":
+    """Per-row popcount of packed word rows (last axis summed).
+
+    Summed one word column at a time: rows are only a few words wide,
+    and a 1-D pass per column costs a fraction of one ``reduce`` over
+    such a short last axis.
+    """
+    total = _word_bit_counts(words[..., 0]).astype(np.int64)
+    for word in range(1, words.shape[-1]):
+        total += _word_bit_counts(words[..., word])
+    return total
+
+
+def word_popcount_matrix(words: "np.ndarray") -> "np.ndarray":
+    """Per-*word* popcounts of packed rows (no axis reduction)."""
+    return _word_bit_counts(words).astype(np.int64)
+
+
+def word_rows_any(words: "np.ndarray") -> "np.ndarray":
+    """Whether each packed row has any set bit, one word column at a time."""
+    acc = words[..., 0].copy()
+    for word in range(1, words.shape[-1]):
+        acc |= words[..., word]
+    return acc != 0
 
 
 _ONE = np.uint64(1)

@@ -115,5 +115,19 @@ class TestPooling:
         assert coalition.evict(1) is False
         assert coalition.nodes == {2}
 
+    def test_retarget_is_the_only_way_to_change_targets(self):
+        coalition = AttackerCoalition(AttackKind.TRADE, nodes=[1], satiated_targets=[5])
+        assert coalition.targets_version == 0
+        with pytest.raises(AttributeError):
+            coalition.satiated_targets.add(6)
+        with pytest.raises(AttributeError):
+            coalition.satiated_targets = {6}
+        coalition.retarget([6, 7])
+        assert coalition.satiated_targets == {6, 7}
+        assert coalition.targets_version == 1
+        with pytest.raises(ConfigurationError):
+            coalition.retarget([1])
+        assert coalition.targets_version == 1
+
     def test_repr_mentions_kind(self):
         assert "trade" in repr(build(AttackKind.TRADE, 0.1))

@@ -41,6 +41,7 @@ from repro.bargossip.updates import (
     bottom_bits,
     lowest_word_bits,
     truncate_word_rows,
+    word_popcount_matrix,
     word_popcounts,
 )
 from repro.core.errors import ConfigurationError, SimulationError
@@ -337,7 +338,8 @@ class TestNumpy1PopcountFallback:
     """numpy < 2 has no ``bitwise_count``; the shipped fallback counts
     bits through a 16-bit lookup table.  CI installs numpy 2, so the
     select and the truncation are run here through an equivalent table
-    implementation patched in for ``word_popcount_matrix``."""
+    implementation patched in for ``word_popcount_matrix``, and the
+    column-wise row popcounts through the shipped table itself."""
 
     @pytest.fixture
     def lut_popcounts(self, monkeypatch):
@@ -369,12 +371,76 @@ class TestNumpy1PopcountFallback:
         # Per-word counts plus the select's six binary-search steps.
         assert len(lut_popcounts) == 7
 
+    @pytest.mark.parametrize("n_words", [1, 3, 5])
+    def test_row_popcounts_through_shipped_lut(self, monkeypatch, n_words):
+        from repro.bargossip import updates
+
+        monkeypatch.setattr(
+            updates, "_word_bit_counts", updates._lut_word_bit_counts
+        )
+        rng = np.random.default_rng(n_words)
+        words = rng.integers(
+            0, 2**64 - 1, size=(64, n_words), dtype=np.uint64, endpoint=True
+        )
+        words[0] = 1 << 63
+        words[1] = 2**64 - 1
+        words[2] = 0
+        per_word = [[bin(int(word)).count("1") for word in row] for row in words]
+        assert word_popcount_matrix(words).tolist() == per_word
+        assert word_popcounts(words).tolist() == [sum(row) for row in per_word]
+        assert word_popcounts(words[:0]).tolist() == []
+
     def test_select_through_lut(self, lut_popcounts):
         words, ks = TestLowestWordBits._cases(seed=9)
         kept = lowest_word_bits(words, ks)
         expected = [bottom_bits(int(w), int(k)) for w, k in zip(words, ks)]
         assert [int(value) for value in kept] == expected
         assert len(lut_popcounts) == 6
+
+
+class TestTargetSetCaches:
+    """The satiated-row mask rebuilds whenever the target set moves.
+
+    ``InteractionEngine._satiated_row_mask`` (which the ideal attack's
+    out-of-band sweep also reads) is cached on the coalition's
+    ``targets_version``; a rotation and a shared-round snapshot restore
+    must each yield what a fresh build from the target set gives.
+    """
+
+    WORDS = ExecutionConfig(backend="words", shards=1)
+
+    @staticmethod
+    def _assert_fresh(simulator):
+        mask = np.zeros(simulator.config.n_nodes, dtype=bool)
+        mask[sorted(simulator.attack.satiated_targets)] = True
+        assert np.array_equal(simulator._engine._satiated_row_mask(), mask)
+
+    def test_rotation_rebuilds(self):
+        simulator = _run(
+            GossipConfig.small(), AttackKind.TRADE, self.WORDS, rounds=1,
+            rotate_targets_every=1,
+        )
+        seen = set()
+        for _ in range(4):
+            self._assert_fresh(simulator)
+            seen.add(simulator.attack.satiated_targets)
+            simulator.step()
+        assert len(seen) > 1  # the rotation really moved the targets
+        simulator.close()
+
+    def test_snapshot_restore_rebuilds(self):
+        simulator = _run(GossipConfig.small(), AttackKind.TRADE, self.WORDS, rounds=2)
+        snapshot = simulator._shared_round_snapshot()
+        targets = simulator.attack.satiated_targets
+        self._assert_fresh(simulator)
+        # What a rotated round that then crashed would leave behind.
+        correct = [node.node_id for node in simulator.nodes if node.is_correct]
+        simulator.attack.retarget(correct[: len(correct) // 3])
+        self._assert_fresh(simulator)
+        simulator._restore_shared_round(snapshot)
+        assert simulator.attack.satiated_targets == targets
+        self._assert_fresh(simulator)
+        simulator.close()
 
 
 class TestRingBudget:
@@ -449,11 +515,14 @@ HOT_PATH_FUNCTIONS = {
         "InteractionEngine._push_pass_mixed",
         "InteractionEngine._push_pass_batched",
         "InteractionEngine._apply_dump",
+        "InteractionEngine._satiated_row_mask",
         "GossipSimulator._attack_out_of_band",
         "GossipSimulator._expire_bitset",
         "GossipSimulator._broadcast",
     ),
     "src/repro/bargossip/updates.py": (
+        "word_popcounts",
+        "word_rows_any",
         "lowest_word_bits",
         "truncate_word_rows",
         "WordPopulationStore.advance_to",
@@ -468,6 +537,7 @@ HOT_PATH_FUNCTIONS = {
         "exchange_dump_limits",
     ),
     "src/repro/bargossip/push.py": (
+        "batched_push_eligibility",
         "batched_word_push",
         "push_dump_limits",
     ),

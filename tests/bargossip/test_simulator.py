@@ -7,8 +7,20 @@ from repro.bargossip.attacker import AttackKind, AttackerCoalition
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import ReportingPolicy
 from repro.bargossip.node import TargetGroup
-from repro.bargossip.simulator import GossipSimulator, run_gossip_experiment
+from repro.bargossip.scenario import Scenario, run_experiment
+from repro.bargossip.simulator import GossipSimulator
 from repro.core.errors import ConfigurationError
+
+
+def experiment(config, kind, fraction, seed, rounds, **scenario):
+    """``run_experiment`` on the scenario these arguments describe."""
+    return run_experiment(
+        Scenario(
+            config=config, kind=kind, attacker_fraction=fraction,
+            rounds=rounds, **scenario,
+        ),
+        seed=seed,
+    )
 
 
 def build_coalition(kind, fraction, config, seed=0):
@@ -20,7 +32,7 @@ def build_coalition(kind, fraction, config, seed=0):
 
 class TestBaseline:
     def test_no_attack_delivers_usable_stream(self, small_gossip):
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip, AttackKind.NONE, 0.0, seed=1, rounds=30
         )
         assert result.correct_fraction is not None
@@ -46,54 +58,54 @@ class TestBaseline:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self, small_gossip):
-        a = run_gossip_experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
-        b = run_gossip_experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
+        a = experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
+        b = experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
         assert a == b
 
     def test_different_seeds_differ(self, small_gossip):
-        a = run_gossip_experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
-        b = run_gossip_experiment(small_gossip, AttackKind.TRADE, 0.2, seed=6, rounds=25)
+        a = experiment(small_gossip, AttackKind.TRADE, 0.2, seed=5, rounds=25)
+        b = experiment(small_gossip, AttackKind.TRADE, 0.2, seed=6, rounds=25)
         assert a.isolated_fraction != b.isolated_fraction
 
 
 class TestAttackEffects:
     def test_ideal_attack_hurts_isolated_nodes(self, small_gossip):
-        baseline = run_gossip_experiment(
+        baseline = experiment(
             small_gossip, AttackKind.NONE, 0.0, seed=1, rounds=30
         )
-        attacked = run_gossip_experiment(
+        attacked = experiment(
             small_gossip, AttackKind.IDEAL, 0.15, seed=1, rounds=30
         )
         assert attacked.isolated_fraction < baseline.correct_fraction
 
     def test_satiated_nodes_receive_near_perfect_service(self, small_gossip):
         """Paper: 'satiated nodes receive near perfect service.'"""
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip, AttackKind.IDEAL, 0.15, seed=1, rounds=30
         )
         assert result.satiated_fraction > 0.97
         assert result.satiated_fraction > result.isolated_fraction
 
     def test_ideal_stronger_than_crash_at_same_fraction(self, small_gossip):
-        crash = run_gossip_experiment(
+        crash = experiment(
             small_gossip, AttackKind.CRASH, 0.15, seed=1, rounds=30
         )
-        ideal = run_gossip_experiment(
+        ideal = experiment(
             small_gossip, AttackKind.IDEAL, 0.15, seed=1, rounds=30
         )
         assert ideal.isolated_fraction < crash.isolated_fraction
 
     def test_trade_weaker_than_ideal_at_same_fraction(self, small_gossip):
-        ideal = run_gossip_experiment(
+        ideal = experiment(
             small_gossip, AttackKind.IDEAL, 0.1, seed=1, rounds=30
         )
-        trade = run_gossip_experiment(
+        trade = experiment(
             small_gossip, AttackKind.TRADE, 0.1, seed=1, rounds=30
         )
         assert trade.isolated_fraction > ideal.isolated_fraction
 
     def test_pool_coverage_reported(self, small_gossip):
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip, AttackKind.IDEAL, 0.1, seed=1, rounds=30
         )
         assert result.pool_coverage is not None
@@ -104,20 +116,20 @@ class TestAttackEffects:
         minority of updates — 'frequent partial satiation can be
         sufficient to attack the system.'"""
         config = GossipConfig.small()
-        result = run_gossip_experiment(
+        result = experiment(
             config, AttackKind.IDEAL, 0.1, seed=1, rounds=30
         )
         assert result.pool_coverage < 0.6
         assert result.isolated_fraction < 0.93
 
     def test_group_sizes_sum(self, small_gossip):
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip, AttackKind.TRADE, 0.25, seed=0, rounds=20
         )
         assert sum(result.group_sizes.values()) == small_gossip.n_nodes
 
     def test_crash_attack_has_no_satiated_group(self, small_gossip):
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip, AttackKind.CRASH, 0.25, seed=0, rounds=20
         )
         assert result.group_sizes["satiated"] == 0
@@ -197,20 +209,20 @@ class TestRotatingAttack:
 
 class TestDefensesInSimulation:
     def test_larger_push_raises_isolated_delivery(self, small_gossip):
-        small = run_gossip_experiment(
+        small = experiment(
             small_gossip, AttackKind.IDEAL, 0.15, seed=1, rounds=30
         )
-        big = run_gossip_experiment(
+        big = experiment(
             small_gossip.replace(push_size=8),
             AttackKind.IDEAL, 0.15, seed=1, rounds=30,
         )
         assert big.isolated_fraction > small.isolated_fraction
 
     def test_unbalanced_exchanges_raise_isolated_delivery(self, small_gossip):
-        balanced = run_gossip_experiment(
+        balanced = experiment(
             small_gossip, AttackKind.TRADE, 0.2, seed=1, rounds=30
         )
-        unbalanced = run_gossip_experiment(
+        unbalanced = experiment(
             small_gossip.replace(unbalanced_exchange=True),
             AttackKind.TRADE, 0.2, seed=1, rounds=30,
         )
@@ -220,10 +232,10 @@ class TestDefensesInSimulation:
         """With obedient targets, the trade attack self-destructs."""
         config = small_gossip.replace(obedient_fraction=1.0)
         policy = ReportingPolicy(excess_threshold=2, reports_to_evict=2)
-        defended = run_gossip_experiment(
+        defended = experiment(
             config, AttackKind.TRADE, 0.2, seed=1, rounds=30, reporting=policy
         )
-        undefended = run_gossip_experiment(
+        undefended = experiment(
             config, AttackKind.TRADE, 0.2, seed=1, rounds=30
         )
         assert defended.evicted_attackers > 0
@@ -233,20 +245,20 @@ class TestDefensesInSimulation:
         """Obedient receivers capping intake slow the attacker's
         satiation (the Section 5 open-problem defense)."""
         obedient = small_gossip.replace(obedient_fraction=1.0)
-        plain = run_gossip_experiment(
+        plain = experiment(
             obedient, AttackKind.TRADE, 0.2, seed=1, rounds=30
         )
-        limited = run_gossip_experiment(
+        limited = experiment(
             obedient.replace(accept_cap=4), AttackKind.TRADE, 0.2, seed=1, rounds=30
         )
         assert limited.isolated_fraction >= plain.isolated_fraction
 
     def test_rate_limit_inert_for_rational_receivers(self, small_gossip):
         """Rational receivers pocket the excess: the cap changes nothing."""
-        plain = run_gossip_experiment(
+        plain = experiment(
             small_gossip, AttackKind.TRADE, 0.2, seed=1, rounds=30
         )
-        limited = run_gossip_experiment(
+        limited = experiment(
             small_gossip.replace(accept_cap=4),
             AttackKind.TRADE, 0.2, seed=1, rounds=30,
         )
@@ -257,7 +269,7 @@ class TestDefensesInSimulation:
     def test_rational_beneficiaries_do_not_report(self, small_gossip):
         """Rational nodes keep quiet about service they benefit from."""
         policy = ReportingPolicy(excess_threshold=2, reports_to_evict=2)
-        result = run_gossip_experiment(
+        result = experiment(
             small_gossip,  # obedient_fraction = 0
             AttackKind.TRADE, 0.2, seed=1, rounds=30, reporting=policy,
         )
