@@ -43,14 +43,15 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--backend",
         choices=["sets", "bitset", "words"],
-        default="sets",
-        help="gossip update-store backend (default: sets, the reference)",
+        default="words",
+        help="gossip update-store backend (default: words; sets is the "
+        "reference oracle)",
     )
     parser.add_argument(
         "--memory",
         choices=["heap", "shared"],
         default="heap",
-        help="word-row placement (shared requires --backend words)",
+        help="word-row placement (shared requires the words backend)",
     )
     parser.add_argument(
         "--shards",

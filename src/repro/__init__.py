@@ -44,7 +44,6 @@ from .bargossip import (
     Scenario,
     figure3_variants,
     run_experiment,
-    run_gossip_experiment,
     with_larger_pushes,
     with_unbalanced_exchanges,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ExecutionConfig",
     "NetworkModel",
     "run_experiment",
-    "run_gossip_experiment",
     "AttackKind",
     "AttackerCoalition",
     "ReportingPolicy",

@@ -32,7 +32,6 @@ from .simulator import (
     GossipExperimentResult,
     GossipSimulator,
     InteractionEngine,
-    run_gossip_experiment,
 )
 from .updates import (
     BitsetPopulationStore,
@@ -54,7 +53,6 @@ __all__ = [
     "DeliveryTimeTracker",
     "EventQueue",
     "run_experiment",
-    "run_gossip_experiment",
     "AttackKind",
     "AttackerCoalition",
     "DEFAULT_SATIATE_FRACTION",

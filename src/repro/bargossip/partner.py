@@ -30,13 +30,13 @@ Two schedules implement the contract:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["Purpose", "RoundWindowSchedule", "PartnerSchedule"]
+__all__ = ["Purpose", "RoundWindowSchedule", "PartnerSchedule", "dependency_waves"]
 
 
 class Purpose(enum.Enum):
@@ -157,3 +157,43 @@ class PartnerSchedule(RoundWindowSchedule):
         draws = self._rng.integers(0, self._n_nodes - 1, size=self._n_nodes)
         initiators = np.arange(self._n_nodes)
         return np.where(draws >= initiators, draws + 1, draws)
+
+
+def dependency_waves(initiators, partners) -> List[np.ndarray]:
+    """Cut an ordered list of directed interactions into dependency waves.
+
+    Interaction ``k`` is ``initiators[k] -> partners[k]``, in schedule
+    order; a self entry (``initiators[k] == partners[k]``) is an
+    unpaired node and joins no wave.  Each interaction lands in the
+    earliest wave after every earlier interaction that shares a node
+    with it: ``wave = max(last[a], last[b])``, then
+    ``last[a] = last[b] = wave + 1``.  So a wave's interactions are
+    node-disjoint, and running the waves in order (each one in
+    schedule order) is a linear extension of the sequential
+    schedule's dependency order, hence the same trace whenever an
+    interaction only touches its two nodes' state.
+
+    Returns one ascending index array into the inputs per wave (none
+    for an empty or all-self list).  The peel is one plain pass over
+    the list.
+    """
+    initiators = np.asarray(initiators, dtype=np.intp)
+    partners = np.asarray(partners, dtype=np.intp)
+    last = [0] * (int(max(initiators.max(initial=0), partners.max(initial=0))) + 1)
+    levels = []
+    for a, b in zip(initiators.tolist(), partners.tolist()):
+        if a == b:
+            levels.append(-1)
+            continue
+        wave = last[a] if last[a] >= last[b] else last[b]
+        last[a] = last[b] = wave + 1
+        levels.append(wave)
+    levels = np.asarray(levels, dtype=np.intp)
+    # A stable sort keeps schedule order inside each wave; the -1
+    # (self) entries sort to the front and are dropped.
+    order = np.argsort(levels, kind="stable")
+    sizes = np.bincount(levels[levels >= 0])
+    if not len(sizes):
+        return []
+    order = order[len(levels) - int(sizes.sum()) :]
+    return np.split(order, np.cumsum(sizes)[:-1])

@@ -14,9 +14,6 @@ them:
   NetworkModel`, the schedule mode, and the attack.
 * :func:`run_experiment` — the single entry point behind every figure
   point, sweep cell and CLI invocation.
-
-The old ``run_gossip_experiment(config, kind, fraction, ...)`` remains
-as a deprecation-warned shim in :mod:`repro.bargossip.simulator`.
 """
 
 from __future__ import annotations
@@ -53,13 +50,16 @@ class ExecutionConfig:
     served across execution strategies.
     """
 
-    #: Update-store implementation.  ``"sets"`` keeps per-node Python
-    #: sets (the reference implementation); ``"bitset"`` packs the
-    #: population's live-update state into arbitrary-precision rows;
-    #: ``"words"`` packs the same rows into fixed-width 64-bit word
-    #: arrays, enabling whole-phase numpy sweeps and shared-memory
-    #: shard execution (see ``memory``).
-    backend: str = "sets"
+    #: Update-store implementation.  ``"words"`` (the default) packs
+    #: the population's live-update state into fixed-width 64-bit word
+    #: arrays and runs every rounds-schedule phase as batched numpy
+    #: sweeps: dependency waves on the paper's uniform partner
+    #: schedule, whole-phase sweeps on the cell pairing, and
+    #: shared-memory shard execution (see ``memory``).  ``"sets"``
+    #: keeps per-node Python sets: the reference oracle every parity
+    #: suite compares against.  ``"bitset"`` packs the same rows into
+    #: arbitrary-precision ints.
+    backend: str = "words"
     #: Where the ``words`` backend places its row buffer: ``"heap"``
     #: (process-private) or ``"shared"`` (one
     #: ``multiprocessing.shared_memory`` block holding the rows and

@@ -23,7 +23,6 @@ of both).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -37,7 +36,7 @@ from ..core.engine import RoundSimulator
 from ..core.errors import ConfigurationError, SimulationError, WorkerCrash
 from ..core.metrics import DeliveryStats, tally_group_codes
 from ..core.rng import RngStreams
-from .attacker import DEFAULT_SATIATE_FRACTION, AttackKind, AttackerCoalition
+from .attacker import AttackKind, AttackerCoalition
 from .config import GossipConfig
 from .defenses import EvictionAuthority, ReportingPolicy
 from .events import (
@@ -61,7 +60,7 @@ from .exchange import (
 )
 from .messages import sign_receipt
 from .node import COUNTER_INDEX, GossipNode, TargetGroup
-from .partner import PartnerSchedule, Purpose
+from .partner import PartnerSchedule, Purpose, dependency_waves
 from .population import N_COUNTER_COLS, Population
 from .push import (
     apply_push,
@@ -96,7 +95,6 @@ __all__ = [
     "InteractionEngine",
     "GossipSimulator",
     "GossipExperimentResult",
-    "run_gossip_experiment",
 ]
 
 # Counter-matrix column indices, hoisted to module constants so the
@@ -109,6 +107,10 @@ CI_EXCHANGES_INITIATED = COUNTER_INDEX["exchanges_initiated"]
 CI_EXCHANGES_NONEMPTY = COUNTER_INDEX["exchanges_nonempty"]
 CI_PUSHES_INITIATED = COUNTER_INDEX["pushes_initiated"]
 CI_PUSHES_NONEMPTY = COUNTER_INDEX["pushes_nonempty"]
+
+#: One booked exchange initiation, as a counters-row delta.
+_BOOK_EXCHANGE = np.zeros(N_COUNTER_COLS, dtype=np.int64)
+_BOOK_EXCHANGE[CI_EXCHANGES_INITIATED] = 1
 
 
 class InteractionEngine:
@@ -252,7 +254,15 @@ class InteractionEngine:
         id to partner id (array or mapping).  A self-partner entry
         means the node sits this phase out (the sharded schedule's
         unpaired tail); the reference schedule never produces one.
+
+        On the words backend the phase runs as dependency waves
+        (:meth:`_run_waves`; ``partners`` must be an array there); the
+        sets and bitset backends walk the pairs one at a time, the
+        reference the waves are pinned to.
         """
+        if isinstance(self.pool, WordPopulationStore):
+            self._run_waves(round_now, order, partners, Purpose.EXCHANGE)
+            return
         for initiator_id in order:
             partner_id = int(partners[initiator_id])
             if partner_id != initiator_id:  # self-partner: unpaired
@@ -289,7 +299,14 @@ class InteractionEngine:
         methods survive only as the sets/bitset parity oracle.
         """
         ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        rows = self._rows_of_ids(ids)
+        return self._split_pair_rows(self._rows_of_ids(ids))
+
+    def _split_pair_rows(self, rows):
+        """:meth:`_split_cell_pairs` over an ``(m, 2)`` array of rows.
+
+        Reads the eviction column at call time, so a split taken between
+        dependency waves sees the evictions of the waves before it.
+        """
         population = self.population
         special = population.byzantine_mask | population.evicted
         mixed = special[rows[:, 0]] | special[rows[:, 1]]
@@ -330,6 +347,65 @@ class InteractionEngine:
         if not mask:
             return None
         return self.pool.mask_words(mask)
+
+    def _phase_waves(self, order, partners):
+        """The phase's directed interactions as ``(m, 2)`` row arrays, wave by wave.
+
+        Interactions are ``(initiator, partners[initiator])`` in
+        ``order`` (``partners`` an id-indexed array, as the partner
+        schedules produce); self-partner entries are dropped.  See
+        :func:`~repro.bargossip.partner.dependency_waves`.
+        """
+        initiators = np.asarray(order, dtype=np.intp)
+        targets = np.asarray(partners, dtype=np.intp)[initiators]
+        rows = self._rows_of_ids(np.stack([initiators, targets], axis=1))
+        for wave in dependency_waves(rows[:, 0], rows[:, 1]):
+            yield np.take(rows, wave, axis=0)
+
+    def _run_waves(self, round_now: int, order, partners, purpose) -> None:
+        """One exchange or push phase of the per-initiator schedule, in waves.
+
+        The sequential phase is cut into node-disjoint dependency waves
+        (:meth:`_phase_waves`), and each wave runs through the same
+        one-direction passes as the cell pairing: clean pairs through
+        the plain word sweeps, pairs with an attacker or evicted member
+        through the masked dump sweeps.  Bit-identical to the per-pair
+        walk, because within a phase
+
+        * an interaction only touches its two nodes' rows and counters;
+        * the coalition's pool changes only in broadcast and expiry, so
+          its word row (and the satiated-row mask) hold for the phase;
+        * eviction reports are keyed by the offender, a member of the
+          pair, and the pair's own wave order is the schedule's;
+        * ``updates_served`` is a sum.
+
+        Each pass reads the eviction column when it starts, so a wave
+        sees every eviction an earlier wave made.
+        """
+        pool_words = self._attack_pool_words()
+        satiated = self._satiated_row_mask() if pool_words is not None else None
+        obedient = self.population.obedient_mask
+        exchange = purpose is Purpose.EXCHANGE
+        for wave in self._phase_waves(order, partners):
+            clean_rows, mixed_rows = self._split_pair_rows(wave)
+            for block in self._pair_chunks(clean_rows):
+                rows_i, rows_r = block[:, 0], block[:, 1]
+                if exchange:
+                    self.population.add_counter_deltas(rows_i, _BOOK_EXCHANGE)
+                    self._exchange_apply_clean(rows_i, rows_r)
+                else:
+                    self._push_pass_batched(round_now, rows_i, rows_r, obedient)
+            if not len(mixed_rows):
+                continue
+            rows_i, rows_r = mixed_rows[:, 0], mixed_rows[:, 1]
+            if exchange:
+                self._exchange_pass_mixed(
+                    round_now, rows_i, rows_r, pool_words, satiated
+                )
+            else:
+                self._push_pass_mixed(
+                    round_now, rows_i, rows_r, pool_words, obedient, satiated
+                )
 
     def run_exchanges_batched(self, round_now: int, pairs) -> None:
         """One balanced-exchange phase over disjoint cell pairs, batched.
@@ -631,6 +707,9 @@ class InteractionEngine:
 
     def run_pushes(self, round_now: int, order, partners) -> None:
         """One optimistic-push phase (same calling convention as exchanges)."""
+        if isinstance(self.pool, WordPopulationStore):
+            self._run_waves(round_now, order, partners, Purpose.PUSH)
+            return
         for initiator_id in order:
             partner_id = int(partners[initiator_id])
             if partner_id != initiator_id:  # self-partner: unpaired
@@ -2012,46 +2091,3 @@ class GossipExperimentResult:
         if self.isolated_fraction is None:
             return None
         return self.isolated_fraction > 0.93
-
-
-def run_gossip_experiment(
-    config: GossipConfig,
-    kind: AttackKind,
-    attacker_fraction: float,
-    seed: int = 0,
-    rounds: int = 50,
-    satiate_fraction: float = DEFAULT_SATIATE_FRACTION,
-    reporting: Optional[ReportingPolicy] = None,
-    shard_pool: Optional[ShardPool] = None,
-    execution: Optional["ExecutionConfig"] = None,
-    network: Optional[NetworkModel] = None,
-    schedule: str = "rounds",
-) -> GossipExperimentResult:
-    """Deprecated shim over :func:`repro.bargossip.scenario.run_experiment`.
-
-    The keyword pile this signature accreted (PRs 1-5) is exactly what
-    the Scenario API untangles; this wrapper assembles the equivalent
-    :class:`~repro.bargossip.scenario.Scenario` and forwards.  New code
-    should call ``run_experiment(Scenario(...), execution=...)``.
-    """
-    warnings.warn(
-        "run_gossip_experiment is deprecated; use "
-        "repro.bargossip.scenario.run_experiment(Scenario(...), execution=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .scenario import Scenario, run_experiment
-
-    scenario = Scenario(
-        config=config,
-        network=network if network is not None else NetworkModel.ideal(),
-        schedule=schedule,
-        kind=kind,
-        attacker_fraction=attacker_fraction,
-        satiate_fraction=satiate_fraction,
-        rounds=rounds,
-        reporting=reporting,
-    )
-    return run_experiment(
-        scenario, execution=execution, seed=seed, shard_pool=shard_pool
-    )

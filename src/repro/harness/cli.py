@@ -32,12 +32,13 @@ seed) cells across ``--jobs`` worker processes and cache cell results
 content-addressed under ``--cache-dir`` (default
 ``$LOTUS_EATER_CACHE_DIR`` or ``.lotus-eater-cache``), so repeated runs
 skip every already-computed simulation.  ``--no-cache`` disables the
-store; parallel output is bit-identical to ``--jobs 1``.  ``--backend
-bitset`` switches the gossip commands to the packed-bitset store (same
-results, measured ~2.8x faster single-core at scale); ``--backend
-words`` to the fixed-width word-array store (batched phase sweeps, and
-the only backend supporting ``--memory shared``, which places the rows
-in a shared-memory block so sharded workers mutate them in place).
+store; parallel output is bit-identical to ``--jobs 1``.  The gossip
+commands run on the fixed-width word-array store by default
+(``--backend words``: every round's phases run as batched sweeps, and
+it is the only backend supporting ``--memory shared``, which places the
+rows in a shared-memory block so sharded workers mutate them in
+place); ``--backend sets`` runs the per-node set reference oracle and
+``--backend bitset`` the packed-int store, with identical results.
 ``--shards k`` switches the gossip commands to the sharded round
 schedule (one simulation partitioned into k independent shards per
 round — results identical for every k; combine with ``--jobs`` freely:
@@ -785,11 +786,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=["sets", "bitset", "words"],
-        default="sets",
-        help="gossip update-store backend (bitset: packed rows, "
-        "identical results, ~2.8x faster single-core at scale; words: "
-        "fixed-width word arrays with batched phase sweeps, required "
-        "for --memory shared)",
+        default="words",
+        help="gossip update-store backend (words, the default: "
+        "fixed-width word arrays whose rounds run as batched sweeps, "
+        "required for --memory shared; sets: per-node Python sets, the "
+        "reference oracle; bitset: packed int rows). Results are "
+        "identical on every backend",
     )
     parser.add_argument(
         "--memory",

@@ -3,11 +3,12 @@
 Four invariants introduced by the scale work, each pinned so it cannot
 silently erode:
 
-* **Batched-only execution** — on the words backend's sharded schedule
-  every figure-1/2/3 cell class (attacker, evicted, capped, defended)
-  runs through the batched word sweeps; the per-node scalar methods
-  are a parity oracle only.  Asserted by making them raise and
-  checking the trace is unchanged.
+* **Batched-only execution** — on the words backend, under both the
+  cell pairing and the paper's per-initiator schedule (run as
+  dependency waves), every figure-1/2/3 cell class (attacker, evicted,
+  capped, defended) runs through the batched word sweeps; the per-node
+  scalar methods are a parity oracle only.  Asserted by making them
+  raise and checking the trace is unchanged.
 * **Exact capped truncation** — the vectorized top/bottom-k masked
   word sweep and its broadword select equal the per-row
   arbitrary-precision oracle bit for bit, including boundary-word rank
@@ -88,6 +89,7 @@ class TestBatchedHotPath:
     """No per-node scalar fallback on the words backend's round loop."""
 
     WORDS = ExecutionConfig(backend="words", shards=1)
+    WORDS_UNIFORM = ExecutionConfig(backend="words")
 
     #: (config, kind, sim kwargs) covering every figure's cell classes:
     #: plain trade, large pushes, the figure-3 defense/variant grid,
@@ -154,13 +156,29 @@ class TestBatchedHotPath:
         batched = _snapshot(_run(config, kind, self.WORDS, **kwargs))
         assert batched == reference
 
+    @pytest.mark.parametrize(
+        "name,config,kind,kwargs",
+        SCENARIOS,
+        ids=[scenario[0] for scenario in SCENARIOS],
+    )
+    def test_no_scalar_fallback_uniform_schedule(
+        self, monkeypatch, name, config, kind, kwargs
+    ):
+        """The paper's per-initiator schedule (shards 0) runs as
+        dependency waves through the same batched sweeps."""
+        reference = _snapshot(_run(config, kind, self.WORDS_UNIFORM, **kwargs))
+        self._ban(monkeypatch)
+        waves = _snapshot(_run(config, kind, self.WORDS_UNIFORM, **kwargs))
+        assert waves == reference
+
     def test_mass_eviction_scenario_actually_evicts(self):
         _, config, kind, kwargs = next(
             s for s in self.SCENARIOS if s[0] == "mass-eviction"
         )
-        simulator = _run(config, kind, self.WORDS, **kwargs)
-        assert sum(node.evicted for node in simulator.nodes) >= 2
-        simulator.close()
+        for execution in (self.WORDS, self.WORDS_UNIFORM):
+            simulator = _run(config, kind, execution, **kwargs)
+            assert sum(node.evicted for node in simulator.nodes) >= 2
+            simulator.close()
 
     def test_ban_helper_actually_bans(self, monkeypatch):
         """The guard itself must bite: the sets backend's scalar loop
@@ -510,6 +528,9 @@ HOT_PATH_FUNCTIONS = {
         "InteractionEngine.run_exchanges_batched",
         "InteractionEngine.run_pushes_batched",
         "InteractionEngine._split_cell_pairs",
+        "InteractionEngine._split_pair_rows",
+        "InteractionEngine._phase_waves",
+        "InteractionEngine._run_waves",
         "InteractionEngine._exchange_apply_clean",
         "InteractionEngine._exchange_pass_mixed",
         "InteractionEngine._push_pass_mixed",
@@ -531,6 +552,7 @@ HOT_PATH_FUNCTIONS = {
         "WordPopulationStore.seed",
         "WordPopulationStore.mask_words",
     ),
+    "src/repro/bargossip/partner.py": ("dependency_waves",),
     "src/repro/bargossip/exchange.py": (
         "batched_word_exchange",
         "batched_word_dump",

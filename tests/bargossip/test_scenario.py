@@ -1,4 +1,4 @@
-"""Tests for the Scenario API: configs, round-trips, and the shim.
+"""Tests for the Scenario API: configs, round-trips, and migration errors.
 
 The redesign splits what used to be one ``GossipConfig`` into three
 orthogonal pieces — protocol (:class:`GossipConfig`), network
@@ -6,12 +6,11 @@ orthogonal pieces — protocol (:class:`GossipConfig`), network
 carried by a :class:`Scenario` through the single
 :func:`run_experiment` entry point.  This module pins the seams: the
 dict round-trips every spec uses, the pointed migration errors old
-call sites must see, the deprecation-warned ``run_gossip_experiment``
-shim, and the cache-schema bump the re-keyed fingerprints require.
+call sites must see, and the cache-schema bump the re-keyed
+fingerprints require.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -19,15 +18,14 @@ from repro.bargossip.attacker import AttackKind
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import ReportingPolicy
 from repro.bargossip.network import NetworkModel
-from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
-from repro.bargossip.simulator import run_gossip_experiment
+from repro.bargossip.scenario import ExecutionConfig, Scenario
 from repro.core.errors import ConfigurationError
 
 
 class TestExecutionConfig:
     def test_defaults(self):
         execution = ExecutionConfig()
-        assert execution.backend == "sets"
+        assert execution.backend == "words"
         assert execution.memory == "heap"
         assert execution.shards == 0
         assert execution.jobs == 1
@@ -163,43 +161,6 @@ class TestScenario:
         scenario = Scenario().replace(kind=AttackKind.IDEAL, rounds=9)
         assert scenario.kind is AttackKind.IDEAL
         assert scenario.rounds == 9
-
-
-class TestDeprecatedShim:
-    """run_gossip_experiment still works — warning and all."""
-
-    def test_warns_and_matches_run_experiment(self):
-        config = GossipConfig.small()
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            old = run_gossip_experiment(
-                config, AttackKind.TRADE, 0.2, seed=5, rounds=20
-            )
-        new = run_experiment(
-            Scenario(
-                config=config,
-                kind=AttackKind.TRADE,
-                attacker_fraction=0.2,
-                rounds=20,
-            ),
-            seed=5,
-        )
-        assert old == new
-
-    def test_shim_forwards_execution_and_schedule(self):
-        config = GossipConfig.small()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_gossip_experiment(
-                config,
-                AttackKind.NONE,
-                0.0,
-                seed=3,
-                rounds=15,
-                execution=ExecutionConfig(backend="bitset"),
-                schedule="event",
-            )
-        assert old.schedule == "event"
-        assert old.virtual_time == 15.0
 
 
 class TestCacheSchemaBump:

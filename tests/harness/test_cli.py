@@ -93,7 +93,7 @@ class TestSweepCommands:
 
 class TestBackendFlag:
     def test_figure1_bitset_matches_sets(self, capsys):
-        assert main(["--fast", "--no-cache", "figure1"]) == 0
+        assert main(["--fast", "--no-cache", "--backend", "sets", "figure1"]) == 0
         sets_out = capsys.readouterr().out
         assert main(["--fast", "--no-cache", "--backend", "bitset", "figure1"]) == 0
         bitset_out = capsys.readouterr().out
@@ -104,7 +104,7 @@ class TestBackendFlag:
             "--fast", "--no-cache", "--grid", "0.1,0.3",
             "--shards", "2", "sweep-gossip",
         ]
-        assert main(args) == 0
+        assert main(args + ["--backend", "sets"]) == 0
         sets_out = capsys.readouterr().out
         assert main(args + ["--backend", "words"]) == 0
         words_out = capsys.readouterr().out
@@ -112,7 +112,7 @@ class TestBackendFlag:
 
     def test_memory_flag_requires_words_backend(self, capsys):
         code = main([
-            "--fast", "--no-cache", "--grid", "0.1",
+            "--fast", "--no-cache", "--grid", "0.1", "--backend", "sets",
             "--memory", "shared", "sweep-gossip",
         ])
         assert code == 2
