@@ -4,12 +4,13 @@
 The paper simulates 250 nodes.  The word-array backend turns each
 round's exchange and push phases into whole-population masked word
 sweeps over a flat ~115 bytes/node of state (packed have/missing rows,
-the counter matrix, and three one-byte code columns), so the identical
-bit-exact protocol runs at 10^6 nodes in about a second per round on a
-single machine.  This script runs one such point — a 20% trade
-coalition pampering its satiated targets — and prints the round-time,
-the flat-buffer byte budget, and the group outcome the attack is
-designed to produce.
+the counter matrix, and three one-byte code columns), so the protocol
+runs at 10^6 nodes in well under a second per round on a single
+machine.  This script runs one such point — a 20% trade coalition
+pampering its satiated targets — on the 4-node-cell pairing
+(``shards=1``), not the paper's uniform partner schedule, and prints
+the round-time, the flat-buffer byte budget, and the group outcome the
+attack is designed to produce.
 
 The population size is a flag, so the same script doubles as a quick
 scaling probe:
@@ -86,7 +87,6 @@ def main() -> None:
         f"served out of band to {satiated:,} satiated targets "
         f"({satiated / args.nodes:.1%} of the population)"
     )
-    simulator.close()
 
 
 if __name__ == "__main__":

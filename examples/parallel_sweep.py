@@ -7,12 +7,11 @@ the second is served entirely from the on-disk result cache — zero
 simulator runs — while producing identical curves.
 
 All current simulator knobs are exposed, so the same script doubles as
-a quick tour of the execution matrix::
+a quick tour of the execution options::
 
-    python examples/parallel_sweep.py                       # reference sets backend
-    python examples/parallel_sweep.py --backend words       # batched word sweeps
-    python examples/parallel_sweep.py --backend words --shards 4
-    python examples/parallel_sweep.py --backend words --memory shared --shards 4
+    python examples/parallel_sweep.py                   # words backend, paper's schedule
+    python examples/parallel_sweep.py --backend sets    # reference oracle
+    python examples/parallel_sweep.py --shards 1        # 4-node-cell pairing
 
 ``--jobs`` defaults to one worker per CPU and is clamped to the CPU
 count: requesting more workers than cores would only measure
@@ -28,7 +27,6 @@ import time
 
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.scenario import ExecutionConfig
-from repro.bargossip.updates import shared_memory_available
 from repro.harness import (
     FAST_FRACTIONS,
     ResultCache,
@@ -48,17 +46,12 @@ def parse_args() -> argparse.Namespace:
         "reference oracle)",
     )
     parser.add_argument(
-        "--memory",
-        choices=["heap", "shared"],
-        default="heap",
-        help="word-row placement (shared requires the words backend)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
+        choices=[0, 1],
         default=0,
-        help="sharded round execution inside each simulation "
-        "(0 = classic schedule; results identical for any k >= 1)",
+        help="partner model: 0 = the paper's uniform draws, "
+        "1 = the 4-node-cell pairing (different results)",
     )
     parser.add_argument(
         "--jobs",
@@ -82,26 +75,15 @@ def main() -> int:
             f"note: clamping --jobs {args.jobs} to {cpus} CPU(s) — more "
             "workers than cores measures oversubscription, not speedup"
         )
-    if args.memory == "shared" and args.backend != "words":
-        print(
-            "error: --memory shared requires --backend words "
-            "(the fixed-width word store is the only shared-memory layout)"
-        )
-        return 2
-    if args.memory == "shared" and not shared_memory_available():
-        print("note: no usable shared memory here; falling back to --memory heap")
-        args.memory = "heap"
     config = GossipConfig.paper()
-    execution = ExecutionConfig(
-        backend=args.backend, memory=args.memory, shards=args.shards, jobs=jobs
-    )
+    execution = ExecutionConfig(backend=args.backend, shards=args.shards, jobs=jobs)
 
     cache_dir = tempfile.mkdtemp(prefix="lotus-cache-")
     with SweepExecutor(jobs=jobs, cache=ResultCache(cache_dir)) as executor:
         print(
             f"executor: {executor!r}\ncache: {cache_dir}\n"
             f"execution: backend={execution.backend} "
-            f"memory={execution.memory} shards={execution.shards}\n"
+            f"shards={execution.shards}\n"
         )
 
         start = time.perf_counter()

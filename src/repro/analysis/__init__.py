@@ -1,19 +1,18 @@
 """``lotus-lint``: AST-based determinism & resource-discipline analyzer.
 
 Static backstop for the invariants the runtime parity suites pin:
-bit-exact simulation traces across backends, shard counts, memory
-modes and schedules.  The rules reject the known ways a change breaks
-those invariants — global-state randomness, unsorted set iteration in
-protocol code, wall-clock reads in the simulator core, protocol draws
-from the network/churn streams, leaked shared-memory segments,
+bit-exact simulation traces across backends and schedules.  The rules
+reject the known ways a change breaks those invariants — global-state
+randomness, unsorted set iteration in protocol code, wall-clock reads
+in the simulator core, protocol draws from the network/churn streams,
 unguarded counter writes, and unpicklable pool task specs — at review
 time, before an expensive parity-matrix job has to find them.
 
 Two tiers:
 
-* **Per-file** (DET/RNG/SHM/API/PKL rules): one module at a time,
+* **Per-file** (DET/RNG/API/PKL rules): one module at a time,
   syntactic, fast.
-* **Flow** (FLW010–FLW013, ``--flow``): whole-program call graph +
+* **Flow** (FLW010, FLW011, FLW013, FLW014, ``--flow``): whole-program call graph +
   dataflow summaries, so an invariant violated three calls away from
   its anchor point is still caught.  See :mod:`repro.analysis.flow`.
 

@@ -1,8 +1,8 @@
 """Determinism rules: DET001-DET003 and RNG004.
 
 These encode the invariant every parity suite in this repo pins at
-runtime — simulations are bit-exact across backends, shard counts,
-memory modes and schedules — as review-time checks:
+runtime — simulations are bit-exact across backends and schedules —
+as review-time checks:
 
 * **DET001** — no global-state randomness.  Every draw flows through
   :class:`repro.core.rng.RngStreams`; ``random.*`` and the legacy

@@ -195,7 +195,7 @@ class _FunctionScanner(ast.NodeVisitor):
             if method is not None:
                 site.callees = [method.qualname]
                 return site
-        # Dotted module access: `updates.merge_shard(...)`.
+        # Dotted module access: `updates.word_popcounts(...)`.
         parts = _receiver_parts(func)
         if parts is not None:
             qualname = self.project.resolve_qualname(self.module, ".".join(parts))

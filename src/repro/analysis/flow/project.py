@@ -8,7 +8,7 @@ query by qualified name.
 
 Name resolution extends :class:`repro.analysis.rules.ImportTracker`
 with *relative* imports: ``from .updates import WordPopulationStore``
-inside ``repro.bargossip.sharding`` resolves to
+inside ``repro.bargossip.simulator`` resolves to
 ``repro.bargossip.updates.WordPopulationStore``, which is what lets a
 call site in one module find a callee defined in another.
 """
@@ -304,7 +304,7 @@ class ProjectModel:
             dotted = f"{target}.{rest}" if rest else target
             if dotted in self.functions or dotted in self.classes:
                 return dotted
-            # `from . import updates` then `updates.merge_shard`.
+            # `from . import updates` then `updates.word_popcounts`.
             if dotted in self.modules and not rest:
                 return None
         return None

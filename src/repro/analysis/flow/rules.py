@@ -1,4 +1,4 @@
-"""Interprocedural flow rules FLW010–FLW014.
+"""Interprocedural flow rules FLW010, FLW011, FLW013 and FLW014.
 
 Each rule sees the whole :class:`FlowContext` — project model, call
 graph, and interprocedural summaries — instead of one file, so a
@@ -156,20 +156,20 @@ def _call_args(node: ast.Call) -> List[ast.expr]:
 
 
 # ----------------------------------------------------------------------
-# FLW010 — shard-write disjointness
+# FLW010 — batched-write disjointness
 # ----------------------------------------------------------------------
 
 
 @register_flow
-class ShardDisjointWriteRule(FlowRule):
+class DisjointWriteRule(FlowRule):
     code = "FLW010"
-    title = "unguarded write to a shared population buffer in shard-reachable code"
+    title = "unguarded write to a population buffer in batched-sweep code"
     rationale = (
-        "Shard workers share one Population counters matrix / "
-        "WordPopulationStore buffer; every write reachable from a shard "
-        "entry point must be indexed by the shard's row arrays (or an "
-        "equivalent cell-disjoint selection), or two workers can race "
-        "on the same rows."
+        "The batched sweeps scatter-add whole phases into one Population "
+        "counters matrix / WordPopulationStore buffer; every write "
+        "reachable from a sweep entry point must be indexed by the "
+        "phase's row arrays (or an equivalent cell-disjoint selection), "
+        "or two pairs of one sweep can collide on the same rows."
     )
 
     def check(self, ctx: FlowContext) -> Iterable[Finding]:
@@ -206,8 +206,8 @@ class ShardDisjointWriteRule(FlowRule):
                 write.col,
                 (
                     f"write to shared population buffer '{write.base}' is not "
-                    "guarded by shard row arrays — workers sharing the buffer "
-                    "can race on the written rows"
+                    "guarded by row arrays — pairs of one sweep can collide "
+                    "on the written rows"
                 ),
                 trace=chain,
             )
@@ -222,7 +222,7 @@ class ShardDisjointWriteRule(FlowRule):
                 col,
                 (
                     f"rows passed to '{callee_qual}' "
-                    f"({', '.join(sorted(params))}) are neither shard row "
+                    f"({', '.join(sorted(params))}) are neither row "
                     "arrays nor derived from this function's parameters — the "
                     f"buffer write below is unguarded ({' -> '.join(evidence)})"
                 ),
@@ -374,379 +374,6 @@ class RngStreamTaintRule(FlowRule):
                                 trace=[qualname, site.name],
                             )
                             break
-
-
-# ----------------------------------------------------------------------
-# FLW012 — SharedMemory lifecycle as dataflow
-# ----------------------------------------------------------------------
-
-
-def _is_shm_creation(node: ast.Call) -> bool:
-    """``SharedMemory(..., create=True)`` (or truthy second positional)."""
-    tail = None
-    if isinstance(node.func, ast.Name):
-        tail = node.func.id
-    elif isinstance(node.func, ast.Attribute):
-        tail = node.func.attr
-    if tail != "SharedMemory":
-        return False
-    for keyword in node.keywords:
-        if keyword.arg == "create":
-            return isinstance(keyword.value, ast.Constant) and bool(keyword.value.value)
-    if len(node.args) >= 2:
-        arg = node.args[1]
-        return isinstance(arg, ast.Constant) and bool(arg.value)
-    return False
-
-
-_RELEASE_METHODS = ("close", "unlink")
-_REGISTER_CALLS = ("finalize", "register")
-
-_BEFORE, _LIVE, _RELEASED = "before", "live", "released"
-
-
-@dataclass
-class _ShmPathState:
-    status: str = _BEFORE
-    terminated: bool = False
-
-    def copy(self) -> "_ShmPathState":
-        return _ShmPathState(self.status, self.terminated)
-
-
-class _ShmWalker:
-    """Structured-path walker: does one creation reach a release on
-    every path?  Approximations: loops are walked once and merged with
-    the skip path; exception handlers of the try that *contains* the
-    creation start un-created; attribute-level aliasing beyond a single
-    ``self.X = handle`` store is not tracked."""
-
-    def __init__(
-        self,
-        creation_stmt: ast.stmt,
-        var: Optional[str],
-        class_model: Optional[ClassModel],
-    ) -> None:
-        self.creation_stmt = creation_stmt
-        self.var = var
-        self.class_model = class_model
-        #: (line, col, message) leak evidence.
-        self.leaks: List[Tuple[int, int, str]] = []
-
-    # -- helpers -------------------------------------------------------
-
-    def _mentions_var_name(self, expr: ast.expr) -> bool:
-        return self.var is not None and self.var in names_in(expr)
-
-    def _is_release_call(self, expr: ast.expr) -> bool:
-        if not isinstance(expr, ast.Call):
-            return False
-        func = expr.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _RELEASE_METHODS
-            and isinstance(func.value, ast.Name)
-            and func.value.id == self.var
-        ):
-            return True
-        # finalize/atexit registration (or any call taking the bare
-        # handle: ownership transfer).
-        for arg in _call_args(expr):
-            if isinstance(arg, ast.Name) and arg.id == self.var:
-                return True
-        return False
-
-    def _class_releases_attr(self, attr: str) -> bool:
-        if self.class_model is None:
-            return False
-        for method in self.class_model.methods.values():
-            if _method_releases_self_attr(method.node, attr):
-                return True
-        return False
-
-    # -- walking -------------------------------------------------------
-
-    def walk(self, stmts: Sequence[ast.stmt], state: _ShmPathState) -> _ShmPathState:
-        for stmt in stmts:
-            if state.terminated:
-                return state
-            state = self._step(stmt, state)
-        return state
-
-    def _step(self, stmt: ast.stmt, state: _ShmPathState) -> _ShmPathState:
-        if stmt is self.creation_stmt:
-            state.status = _LIVE
-            if self.var is None:
-                self_attr = _creation_self_attr(stmt)
-                if self_attr is not None:
-                    # `self.X = SharedMemory(create=True, ...)`: ownership
-                    # lives on the instance from the start.
-                    if not self._class_releases_attr(self_attr):
-                        self.leaks.append(
-                            (
-                                stmt.lineno,
-                                stmt.col_offset,
-                                f"SharedMemory handle stored on self.{self_attr} "
-                                "but no method of the class closes/unlinks or "
-                                "finalize-registers it",
-                            )
-                        )
-                else:
-                    self.leaks.append(
-                        (
-                            stmt.lineno,
-                            stmt.col_offset,
-                            "SharedMemory(create=True) result is dropped — the "
-                            "segment can never be closed or unlinked",
-                        )
-                    )
-                state.status = _RELEASED  # don't re-report downstream
-            return state
-
-        if isinstance(stmt, ast.Return):
-            if state.status == _LIVE:
-                if stmt.value is not None and self._mentions_var_name(stmt.value):
-                    state.status = _RELEASED  # ownership escapes to caller
-                else:
-                    self.leaks.append(
-                        (
-                            stmt.lineno,
-                            stmt.col_offset,
-                            "return on a path where the created SharedMemory "
-                            "segment has not been closed/unlinked or handed off",
-                        )
-                    )
-            state.terminated = True
-            return state
-
-        if isinstance(stmt, ast.Raise):
-            if state.status == _LIVE:
-                self.leaks.append(
-                    (
-                        stmt.lineno,
-                        stmt.col_offset,
-                        "raise on a path where the created SharedMemory "
-                        "segment has not been closed/unlinked or handed off",
-                    )
-                )
-            state.terminated = True
-            return state
-
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            return self._step_assign(stmt, state)
-
-        if isinstance(stmt, ast.Expr):
-            if state.status == _LIVE and self._is_release_call(stmt.value):
-                state.status = _RELEASED
-            return state
-
-        if isinstance(stmt, ast.If):
-            then_state = self.walk(stmt.body, state.copy())
-            else_state = self.walk(stmt.orelse, state.copy())
-            return _merge(then_state, else_state)
-
-        if isinstance(stmt, (ast.For, ast.While)):
-            body_state = self.walk(stmt.body, state.copy())
-            if stmt.orelse:
-                body_state = self.walk(stmt.orelse, body_state)
-            return _merge(state, body_state)
-
-        if isinstance(stmt, ast.With):
-            return self.walk(stmt.body, state)
-
-        if isinstance(stmt, ast.Try):
-            contains_creation = _contains_stmt(stmt.body, self.creation_stmt)
-            handler_entry = state.copy() if contains_creation else None
-            body_state = self.walk(stmt.body, state.copy())
-            if handler_entry is None:
-                handler_entry = body_state.copy()
-                handler_entry.terminated = False
-            for handler in stmt.handlers:
-                self.walk(handler.body, handler_entry.copy())
-            if stmt.finalbody:
-                body_state = self.walk(stmt.finalbody, body_state)
-            return body_state
-
-        return state
-
-    def _step_assign(self, stmt: ast.stmt, state: _ShmPathState) -> _ShmPathState:
-        value = getattr(stmt, "value", None)
-        if state.status != _LIVE or value is None:
-            return state
-        # Registration / ownership transfer on the RHS.
-        for call in ast.walk(value):
-            if isinstance(call, ast.Call) and self._is_release_call(call):
-                state.status = _RELEASED
-                return state
-        # `self.X = handle`: ownership moves to the instance; some
-        # method of the class must then release self.X.
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        if isinstance(value, ast.Name) and value.id == self.var:
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    if self._class_releases_attr(target.attr):
-                        state.status = _RELEASED
-                    else:
-                        self.leaks.append(
-                            (
-                                stmt.lineno,
-                                stmt.col_offset,
-                                f"SharedMemory handle stored on self.{target.attr} "
-                                "but no method of the class closes/unlinks or "
-                                "finalize-registers it",
-                            )
-                        )
-                        state.status = _RELEASED  # reported once, stop tracking
-                    return state
-        return state
-
-
-def _merge(left: _ShmPathState, right: _ShmPathState) -> _ShmPathState:
-    if left.terminated and right.terminated:
-        return _ShmPathState(_RELEASED, True)
-    if left.terminated:
-        return right
-    if right.terminated:
-        return left
-    order = {_BEFORE: 0, _RELEASED: 1, _LIVE: 2}
-    status = left.status if order[left.status] >= order[right.status] else right.status
-    return _ShmPathState(status, False)
-
-
-def _contains_stmt(stmts: Sequence[ast.stmt], needle: ast.stmt) -> bool:
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if node is needle:
-                return True
-    return False
-
-
-def _method_releases_self_attr(method: ast.FunctionDef, attr: str) -> bool:
-    """Does ``method`` release ``self.<attr>`` — directly, through a
-    local bound from it (tuple unpack included), or by passing it to a
-    finalize/registration call?"""
-    bound_locals: Set[str] = set()
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign):
-            pairs: List[Tuple[ast.expr, ast.expr]] = []
-            for target in node.targets:
-                if isinstance(target, (ast.Tuple, ast.List)) and isinstance(
-                    node.value, (ast.Tuple, ast.List)
-                ):
-                    pairs.extend(zip(target.elts, node.value.elts))
-                else:
-                    pairs.append((target, node.value))
-            for tgt, val in pairs:
-                if (
-                    isinstance(tgt, ast.Name)
-                    and isinstance(val, ast.Attribute)
-                    and val.attr == attr
-                    and isinstance(val.value, ast.Name)
-                    and val.value.id == "self"
-                ):
-                    bound_locals.add(tgt.id)
-
-    def _is_self_attr(expr: ast.expr) -> bool:
-        return (
-            isinstance(expr, ast.Attribute)
-            and expr.attr == attr
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        )
-
-    for node in ast.walk(method):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _RELEASE_METHODS:
-            receiver = func.value
-            if _is_self_attr(receiver):
-                return True
-            if isinstance(receiver, ast.Name) and receiver.id in bound_locals:
-                return True
-        for arg in _call_args(node):
-            if _is_self_attr(arg):
-                return True
-            if isinstance(arg, ast.Name) and arg.id in bound_locals:
-                tail = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if tail in _REGISTER_CALLS:
-                    return True
-    return False
-
-
-@register_flow
-class ShmLifecycleFlowRule(FlowRule):
-    code = "FLW012"
-    title = "SharedMemory(create=True) does not reach a release on every path"
-    rationale = (
-        "A created shared-memory segment outlives the process unless "
-        "every path through its owner closes/unlinks it, registers a "
-        "finalizer, or hands the handle off; a single early return "
-        "without cleanup leaks the segment on the host."
-    )
-
-    def check(self, ctx: FlowContext) -> Iterable[Finding]:
-        for qualname, function in sorted(ctx.project.functions.items()):
-            if not self.anchors_in_scope(function.rel_path):
-                continue
-            module = ctx.project.modules.get(function.module)
-            if module is None:
-                continue
-            class_model = None
-            if function.class_name is not None:
-                class_model = module.classes.get(function.class_name)
-            for creation_stmt, var in _find_creations(function.node):
-                walker = _ShmWalker(creation_stmt, var, class_model)
-                end = walker.walk(function.node.body, _ShmPathState())
-                if not end.terminated and end.status == _LIVE:
-                    walker.leaks.append(
-                        (
-                            creation_stmt.lineno,
-                            creation_stmt.col_offset,
-                            "SharedMemory segment created here is not "
-                            "closed/unlinked or handed off on the fall-through "
-                            "path",
-                        )
-                    )
-                for line, col, message in walker.leaks:
-                    yield self.finding(
-                        ctx, module, line, col, message, trace=[qualname]
-                    )
-
-
-def _creation_self_attr(stmt: ast.stmt) -> Optional[str]:
-    """Attribute name when the creation is ``self.X = SharedMemory(...)``."""
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return None
-    target = stmt.targets[0]
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
-
-
-def _find_creations(
-    function_node: ast.FunctionDef,
-) -> List[Tuple[ast.stmt, Optional[str]]]:
-    creations: List[Tuple[ast.stmt, Optional[str]]] = []
-    for node in ast.walk(function_node):
-        if isinstance(node, ast.Assign):
-            if isinstance(node.value, ast.Call) and _is_shm_creation(node.value):
-                var = None
-                if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                    var = node.targets[0].id
-                creations.append((node, var))
-        elif isinstance(node, ast.Expr):
-            if isinstance(node.value, ast.Call) and _is_shm_creation(node.value):
-                creations.append((node, None))
-    return creations
 
 
 # ----------------------------------------------------------------------

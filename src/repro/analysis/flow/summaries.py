@@ -4,7 +4,7 @@ Two fixed points are computed over the call graph:
 
 * :attr:`FlowSummaries.unguarded_write_params` — for FLW010: parameters
   that, when bound to a shared population buffer, reach a subscript
-  write whose index carries no shard row guard (directly, or by being
+  write whose index carries no row guard (directly, or by being
   passed onward to another function with such a parameter).
 * :attr:`FlowSummaries.sink_params` — for FLW011: parameters whose
   value reaches a protocol-draw call site (directly as an argument to a
@@ -225,7 +225,7 @@ class FunctionFacts:
     #: Row-guard names (params named row/rows*, locals derived from
     #: row-source calls, loop targets over guard arrays …).
     guards: Set[str] = field(default_factory=set)
-    #: Locals constructed from shard-local store factories.
+    #: Locals constructed from function-local store factories.
     local_factory_vars: Dict[str, bool] = field(default_factory=dict)
     #: Names *aliasing* a shared buffer: bound from a buffer attribute
     #: chain directly, through view-preserving methods, or by a plain

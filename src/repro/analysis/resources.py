@@ -1,10 +1,5 @@
-"""Resource-discipline rules: SHM005, API006 and PKL008.
+"""Resource-discipline rules: API006 and PKL008.
 
-* **SHM005** — every ``SharedMemory(create=True)`` must pair with a
-  reachable ``close``/``unlink`` call or a ``weakref.finalize``/
-  ``atexit.register`` registration in the same function or class.  A
-  leaked segment outlives the process and fills ``/dev/shm`` on CI
-  runners.
 * **API006** — counter columns are mutated only through
   ``ServiceCounters.add()`` / ``CounterColumnView`` setters (which
   carry the overflow and negative-delta guards) or the audited
@@ -25,7 +20,6 @@ from .findings import Finding
 from .rules import FileContext, LintConfig, Rule, dotted_name, register
 
 __all__ = [
-    "SharedMemoryLifecycleRule",
     "CounterMutationRule",
     "TaskSpecPicklabilityRule",
 ]
@@ -37,82 +31,6 @@ def _call_name(node: ast.Call) -> Optional[str]:
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return None
-
-
-@register
-class SharedMemoryLifecycleRule(Rule):
-    code = "SHM005"
-    title = "SharedMemory(create=True) pairs with close/unlink or a finalizer"
-    rationale = (
-        "a segment with no reachable release path outlives the process "
-        "and leaks /dev/shm on every crashed run"
-    )
-    include = ("src/repro/*",)
-
-    _RELEASE_ATTRS = frozenset({"close", "unlink"})
-
-    def check(self, ctx: FileContext, config: LintConfig) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        # Map every node to its enclosing function/class chain once.
-        for creation, scopes in self._creations_with_scopes(ctx.tree):
-            if not any(self._scope_releases(scope) for scope in scopes):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        config,
-                        creation,
-                        "SharedMemory(create=True) with no reachable close/"
-                        "unlink or weakref.finalize/atexit.register in the "
-                        "enclosing function or class — the segment leaks if "
-                        "this scope raises",
-                    )
-                )
-        return findings
-
-    def _creations_with_scopes(self, tree: ast.Module):
-        """Yield ``(call, [enclosing scopes])`` for each creation."""
-        results = []
-
-        def walk(node: ast.AST, scopes) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scopes = scopes + [node]
-            for child in ast.iter_child_nodes(node):
-                walk(child, scopes)
-            if isinstance(node, ast.Call) and self._is_creation(node):
-                results.append((node, scopes or [tree]))
-
-        walk(tree, [])
-        return results
-
-    @staticmethod
-    def _is_creation(node: ast.Call) -> bool:
-        if _call_name(node) != "SharedMemory":
-            return False
-        for keyword in node.keywords:
-            if keyword.arg == "create":
-                return (
-                    isinstance(keyword.value, ast.Constant)
-                    and bool(keyword.value.value)
-                )
-        if len(node.args) >= 2:
-            second = node.args[1]
-            return isinstance(second, ast.Constant) and bool(second.value)
-        return False
-
-    def _scope_releases(self, scope: ast.AST) -> bool:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name in self._RELEASE_ATTRS:
-                return True
-            if name == "finalize":  # weakref.finalize(...) or bare finalize
-                return True
-            if name == "register":
-                chain = dotted_name(node.func)
-                if chain and chain[0] == "atexit":
-                    return True
-        return False
 
 
 @register

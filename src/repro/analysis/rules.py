@@ -89,16 +89,11 @@ class LintConfig:
 
     # PKL008 — dataclasses that cross a process boundary as pool task
     # specs (by exact name, or by class-name suffix).
-    pkl008_spec_classes: Tuple[str, ...] = (
-        "ShardStatic",
-        "ShardState",
-        "ShardOutcome",
-        "SharedShardOutcome",
-    )
+    pkl008_spec_classes: Tuple[str, ...] = ()
     pkl008_spec_suffixes: Tuple[str, ...] = ("Task",)
 
     # ------------------------------------------------------------------
-    # Flow tier (FLW010–FLW013) — whole-program knobs.  Per-file rules
+    # Flow tier (FLW010–FLW014) — whole-program knobs.  Per-file rules
     # above see one module; the flow analyzer sees every module matching
     # ``flow_project_patterns`` at once.
     # ------------------------------------------------------------------
@@ -108,11 +103,10 @@ class LintConfig:
     #: the invariants below are about shipped worker code.
     flow_project_patterns: Tuple[str, ...] = ("src/*",)
 
-    # FLW010 — shard-disjointness.  Entry points whose reachable set is
-    # scanned for writes into shared population buffers.
+    # FLW010 — write disjointness of the batched sweeps.  Entry points
+    # whose reachable set is scanned for writes into shared population
+    # buffers.
     flw010_roots: Tuple[str, ...] = (
-        "run_shard",
-        "run_shard_shared",
         "run_exchanges_batched",
         "_push_pass_batched",
     )
@@ -125,7 +119,7 @@ class LintConfig:
         "missing_words",
         "extra",
     )
-    #: Index names treated as shard row guards: exact names plus
+    #: Index names treated as row guards: exact names plus
     #: prefixes (``rows``, ``rows_i`` …).
     flw010_row_names: Tuple[str, ...] = ("row", "rows")
     flw010_row_prefixes: Tuple[str, ...] = ("row_", "rows_")
@@ -138,9 +132,9 @@ class LintConfig:
         "nonzero",
         "arange",
     )
-    #: Constructors producing *shard-local* stores/populations: buffers
-    #: hanging off a locally-constructed object are private to the
-    #: worker, so unguarded writes to them are fine.
+    #: Constructors producing *function-local* stores/populations:
+    #: buffers hanging off a locally-constructed object are private to
+    #: the caller, so unguarded writes to them are fine.
     flw010_local_factories: Tuple[str, ...] = (
         "Population",
         "WordPopulationStore",
@@ -205,21 +199,16 @@ class LintConfig:
     # ``tests/analysis`` pins the two in sync).
     flw014_sites: Tuple[str, ...] = (
         "worker:cell",
-        "worker:shard",
-        "worker:shard-shared",
-        "shm:attach",
         "cache:record",
     )
     #: Entry points of the retry/recovery machinery (bare function
     #: names): everything reachable from these must stay protocol-free
     #: — no reads of the schedule/protocol RNG streams, no calls into
     #: protocol-draw sinks.  Deliberately the *decision* paths only
-    #: (backoff, snapshot/restore, injection), not the dispatch paths
+    #: (backoff, quarantine, injection), not the dispatch paths
     #: that legitimately re-execute protocol code on retry.
     flw014_retry_roots: Tuple[str, ...] = (
         "backoff_delay",
-        "_shared_round_snapshot",
-        "_restore_shared_round",
         "fault_point",
         "_claim_hit",
         "_quarantine",

@@ -27,7 +27,7 @@ from .partner import PartnerSchedule, Purpose
 from .population import Population
 from .push import PushPlan, apply_push, plan_optimistic_push
 from .scenario import ExecutionConfig, Scenario, run_experiment
-from .sharding import ShardedPartnerSchedule, ShardPool
+from .sharding import ShardedPartnerSchedule
 from .simulator import (
     GossipExperimentResult,
     GossipSimulator,
@@ -76,7 +76,6 @@ __all__ = [
     "Population",
     "PartnerSchedule",
     "ShardedPartnerSchedule",
-    "ShardPool",
     "InteractionEngine",
     "Purpose",
     "UpdateStore",

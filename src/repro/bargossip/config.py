@@ -180,12 +180,12 @@ class GossipConfig:
             )
 
 
-# ``backend`` / ``memory`` / ``shards`` lived on GossipConfig through
-# PRs 2-5 and moved to ``repro.bargossip.scenario.ExecutionConfig`` in
-# the Scenario API redesign.  Passing them here gets a pointed error
+# ``backend`` / ``shards`` used to live on GossipConfig and moved to
+# ``repro.bargossip.scenario.ExecutionConfig`` in the Scenario API
+# redesign.  Passing them here gets a pointed error
 # instead of dataclass's generic TypeError, so old call sites read
 # their own migration note.
-_MOVED_TO_EXECUTION = ("backend", "memory", "shards")
+_MOVED_TO_EXECUTION = ("backend", "shards")
 
 _dataclass_init = GossipConfig.__init__
 
@@ -196,7 +196,7 @@ def _guarded_init(self, *args, **kwargs) -> None:
         raise ConfigurationError(
             f"GossipConfig no longer owns {moved}: execution concerns moved "
             "to repro.bargossip.scenario.ExecutionConfig(backend=..., "
-            "memory=..., shards=..., jobs=...); pass it to "
+            "shards=..., jobs=...); pass it to "
             "run_experiment(scenario, execution=...) or "
             "GossipSimulator(config, execution=...)"
         )

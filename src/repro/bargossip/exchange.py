@@ -208,7 +208,7 @@ def batched_word_exchange(
     """Many balanced exchanges in one word-array sweep.
 
     ``initiators[i]`` exchanges with ``responders[i]``; the pairs must
-    be node-disjoint (the sharded schedule's cells guarantee it), which
+    be node-disjoint (the cell pairing's cells guarantee it), which
     is what makes the gather/scatter below safe.  Each pair's plan and
     application are exactly those of :func:`bitset_exchange`, so the
     trace is bit-identical — the sweep only replaces the per-pair

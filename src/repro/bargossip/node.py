@@ -69,7 +69,7 @@ class TargetGroup(enum.Enum):
 #: The service-counter columns, in storage order.  This tuple *is* the
 #: schema of the columnar counters matrix: column ``i`` of a
 #: ``Population``'s ``(n_nodes, 8)`` buffer holds field
-#: ``COUNTER_FIELDS[i]``, and the shard protocol's counter deltas use
+#: ``COUNTER_FIELDS[i]``, and the batched sweeps' counter deltas use
 #: the same order.
 COUNTER_FIELDS: Tuple[str, ...] = (
     "updates_sent",
@@ -203,9 +203,8 @@ class CounterColumnView(_CounterProtocol):
     unchanged, while the batched interaction paths bypass the view and
     scatter-add whole phases into the matrix directly.
 
-    The view holds the owning population, not the matrix: if the
-    population re-homes its columns (a shared-memory store being
-    released copies them to the heap first), live views follow.
+    The view holds the owning population, not the matrix, and resolves
+    the matrix at every access.
     """
 
     __slots__ = ("_population", "_row")

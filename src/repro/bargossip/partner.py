@@ -20,11 +20,10 @@ Two schedules implement the contract:
 * :class:`PartnerSchedule` — the reference construction: each
   initiator's partner is an independent uniform draw over the other
   nodes (a node may be chosen by several initiators in one round).
-* :class:`~repro.bargossip.sharding.ShardedPartnerSchedule` — a
-  permutation-pairing construction whose pairs partition into shards,
-  enabling the sharded round executor.  It lives in ``sharding.py``
-  but shares the sliding-window semantics via
-  :class:`RoundWindowSchedule`.
+* :class:`~repro.bargossip.sharding.ShardedPartnerSchedule` — the
+  4-node-cell pairing, a different partner model whose pairs are
+  node-disjoint within each round.  It lives in ``sharding.py`` but
+  shares the sliding-window semantics via :class:`RoundWindowSchedule`.
 """
 
 from __future__ import annotations

@@ -26,20 +26,11 @@ row, ``node.group``/``node.evicted`` read and write the code arrays.
 The batched interaction paths skip the views entirely and scatter-add
 whole phases into the matrix — cell pairs are node-disjoint, so plain
 fancy-index ``+=`` is exact.
-
-The counters matrix can live on the heap (default) or view the spare
-region of a shared-memory
-:class:`~repro.bargossip.updates.WordPopulationStore` (``memory ==
-"shared"``): shard workers then bump the *live global* tallies in
-place, and the per-phase shard outcome carries no counter payload at
-all.  :meth:`materialize` re-homes shared columns to the heap before
-the segment is released, so aggregate metrics stay readable after
-``simulator.close()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -64,35 +55,19 @@ _SATIATED_CODE = GROUP_CODES[TargetGroup.SATIATED]
 
 
 class Population:
-    """Columnar per-node state for one population (or one shard slice).
+    """Columnar per-node state for one population.
 
     Parameters
     ----------
     n_nodes:
         Rows of every column.
-    counters:
-        Optional pre-allocated ``(n_nodes, 8)`` int64 matrix to adopt —
-        the shared-memory path passes a view into the word store's
-        counter region so workers mutate tallies in place.  Default:
-        a zeroed heap matrix.
     """
 
     __slots__ = ("n_nodes", "counters", "group_codes", "behavior_codes", "evicted")
 
-    def __init__(
-        self,
-        n_nodes: int,
-        counters: Optional["np.ndarray"] = None,
-    ) -> None:
+    def __init__(self, n_nodes: int) -> None:
         self.n_nodes = n_nodes
-        if counters is None:
-            counters = np.zeros((n_nodes, N_COUNTER_COLS), dtype=np.int64)
-        elif counters.shape != (n_nodes, N_COUNTER_COLS):
-            raise ValueError(
-                f"counters must have shape {(n_nodes, N_COUNTER_COLS)}, "
-                f"got {counters.shape}"
-            )
-        self.counters = counters
+        self.counters = np.zeros((n_nodes, N_COUNTER_COLS), dtype=np.int64)
         self.group_codes = np.zeros(n_nodes, dtype=np.int8)
         self.behavior_codes = np.zeros(n_nodes, dtype=np.int8)
         self.evicted = np.zeros(n_nodes, dtype=bool)
@@ -135,26 +110,7 @@ class Population:
             "correct": correct,
         }
 
-    # -- shard-delta helpers -------------------------------------------
-
-    def sparse_counter_deltas(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(rows, deltas)`` of the rows whose counters moved.
-
-        The lean shard payload: rows with an all-zero delta are dropped
-        at the source, and the surviving deltas are narrowed to the
-        smallest signed integer dtype that fits (one phase's transfers
-        are tiny; int16 covers every realistic window, int32 the
-        pathological ones).
-        """
-        moved = np.flatnonzero(self.counters.any(axis=1))
-        selected = self.counters[moved]
-        narrow = (
-            np.int16
-            if selected.size == 0
-            or int(selected.max()) <= np.iinfo(np.int16).max
-            else np.int32
-        )
-        return moved.astype(np.int32), selected.astype(narrow)
+    # -- batched counter updates ---------------------------------------
 
     def add_counter_deltas(self, rows: "np.ndarray", deltas: "np.ndarray") -> None:
         """Fold sparse per-row deltas in (rows unique, deltas >= 0)."""
@@ -166,9 +122,7 @@ class Population:
     def memory_breakdown(self) -> "Dict[str, int]":
         """Bytes held per columnar component.
 
-        ``counter_bytes`` covers the (n, 8) int64 tallies matrix —
-        counted here even when the matrix views a shared-memory
-        segment, since the segment exists either way;
+        ``counter_bytes`` covers the (n, 8) int64 tallies matrix;
         ``code_column_bytes`` covers the two int8 role columns and the
         eviction flags (3 bytes per node).
         """
@@ -181,19 +135,5 @@ class Population:
             ),
         }
 
-    # -- lifecycle -----------------------------------------------------
-
-    def materialize(self) -> None:
-        """Re-home the counters matrix onto the process heap.
-
-        A no-op for heap-backed populations.  Called before a backing
-        shared-memory segment is released so live
-        :class:`CounterColumnView`s (which resolve ``self.counters`` at
-        every access) keep reading valid tallies afterwards.
-        """
-        if self.counters.base is not None:
-            self.counters = self.counters.copy()
-
     def __repr__(self) -> str:
-        placement = "heap" if self.counters.base is None else "view"
-        return f"Population(n_nodes={self.n_nodes}, counters={placement})"
+        return f"Population(n_nodes={self.n_nodes})"

@@ -2,13 +2,15 @@
 
 Three orthogonal concerns used to share :class:`~repro.bargossip.
 config.GossipConfig`: the protocol parameters (Table 1), the execution
-strategy (store backend, memory placement, sharding — PRs 2-5), and
-now the network scenario (latency, loss, churn).  This module splits
-them:
+strategy (store backend, partner model, sweep workers), and the
+network scenario (latency, loss, churn).  This module splits them:
 
-* :class:`ExecutionConfig` — *how* to run: backend, memory, shards,
-  jobs.  Never changes results (pinned by the parity suites), so its
-  cache fingerprint is empty — switching backends serves cached cells.
+* :class:`ExecutionConfig` — *how* to run: backend, jobs, phase
+  blocking, plus ``shards``, which picks the partner model (0 = the
+  paper's uniform draws, 1 = the 4-node-cell pairing) and therefore
+  *does* change results.  Sweep tasks fingerprint that choice as
+  ``pairing``; every other field is results-free (pinned by the parity
+  suites), so switching backends serves cached cells.
 * :class:`Scenario` — *what* to simulate: the protocol
   :class:`GossipConfig`, the :class:`~repro.bargossip.network.
   NetworkModel`, the schedule mode, and the attack.
@@ -30,7 +32,6 @@ from .defenses import ReportingPolicy
 from .network import NetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .sharding import ShardPool
     from .simulator import GossipExperimentResult
 
 __all__ = ["ExecutionConfig", "Scenario", "run_experiment"]
@@ -42,32 +43,32 @@ SCHEDULES = ("rounds", "event")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a simulation executes — never what it computes.
+    """How a simulation executes, plus the partner-model switch.
 
-    Every combination produces bit-identical traces for the same seed
-    (pinned by the backend-, shard- and schedule-parity suites), which
-    is why :meth:`cache_fingerprint` is empty: cached results are
-    served across execution strategies.
+    ``backend``, ``jobs`` and ``phase_chunk_pairs`` never change
+    results: every combination produces bit-identical traces for the
+    same seed (pinned by the backend- and schedule-parity suites).
+    ``shards`` is the exception: it picks the partner model, 0 for the
+    paper's uniform draws and 1 for the 4-node-cell pairing, and the
+    two give different traces.  :meth:`cache_fingerprint` stays empty
+    because :class:`~repro.harness.tasks.GossipSweepTask` fingerprints
+    that choice itself, as ``pairing``.
     """
 
     #: Update-store implementation.  ``"words"`` (the default) packs
     #: the population's live-update state into fixed-width 64-bit word
     #: arrays and runs every rounds-schedule phase as batched numpy
     #: sweeps: dependency waves on the paper's uniform partner
-    #: schedule, whole-phase sweeps on the cell pairing, and
-    #: shared-memory shard execution (see ``memory``).  ``"sets"``
+    #: schedule and whole-phase sweeps on the cell pairing.  ``"sets"``
     #: keeps per-node Python sets: the reference oracle every parity
     #: suite compares against.  ``"bitset"`` packs the same rows into
     #: arbitrary-precision ints.
     backend: str = "words"
-    #: Where the ``words`` backend places its row buffer: ``"heap"``
-    #: (process-private) or ``"shared"`` (one
-    #: ``multiprocessing.shared_memory`` block holding the rows and
-    #: the counter columns, mutated in place by shard workers).
-    memory: str = "heap"
-    #: Sharded round execution: 0 keeps the classic schedule, ``k >= 1``
-    #: switches to the permutation-pairing sharded schedule and splits
-    #: each round's phases into ``k`` independent shards.
+    #: The partner model: 0 runs the paper's uniform partner draws
+    #: (:class:`~repro.bargossip.partner.PartnerSchedule`), 1 the
+    #: 4-node-cell pairing (:class:`~repro.bargossip.sharding.
+    #: ShardedPartnerSchedule`).  Changes results; fingerprinted by
+    #: sweep tasks as ``pairing``.
     shards: int = 0
     #: Worker processes for sweep fan-out (dispatch only; 0 = serial).
     jobs: int = 1
@@ -99,7 +100,8 @@ class ExecutionConfig:
         return cls(**payload)
 
     def cache_fingerprint(self) -> Dict[str, Any]:
-        """Empty by design: execution strategy never changes results."""
+        """Empty by design: the one results-bearing field, ``shards``,
+        is fingerprinted by the sweep task as ``pairing``."""
         return {}
 
     def __post_init__(self) -> None:
@@ -107,18 +109,10 @@ class ExecutionConfig:
             raise ConfigurationError(
                 f"backend must be 'sets', 'bitset' or 'words', got {self.backend!r}"
             )
-        if self.memory not in ("heap", "shared"):
+        if self.shards not in (0, 1):
             raise ConfigurationError(
-                f"memory must be 'heap' or 'shared', got {self.memory!r}"
-            )
-        if self.memory == "shared" and self.backend != "words":
-            raise ConfigurationError(
-                "memory='shared' requires the fixed-width word backend "
-                f"(backend='words'), got backend={self.backend!r}"
-            )
-        if self.shards < 0:
-            raise ConfigurationError(
-                f"shards must be >= 0 (0 = unsharded), got {self.shards}"
+                "shards picks the partner model: 0 (the paper's uniform "
+                f"draws) or 1 (the 4-node-cell pairing), got {self.shards}"
             )
         if self.jobs < 0:
             raise ConfigurationError(
@@ -237,7 +231,6 @@ def run_experiment(
     scenario: Scenario,
     execution: Optional[ExecutionConfig] = None,
     seed: int = 0,
-    shard_pool: Optional["ShardPool"] = None,
 ) -> "GossipExperimentResult":
     """Run one scenario and summarize it — the single experiment entry point.
 
@@ -246,8 +239,8 @@ def run_experiment(
     simulate ``scenario.rounds`` rounds under ``scenario.network`` on
     ``scenario.schedule``, and report the per-group delivery fractions
     over the measured window (plus the virtual-time delivery metrics
-    on the event schedule).  ``execution`` only decides *how* the run
-    executes; results never depend on it.
+    on the event schedule).  ``execution`` decides how the run executes
+    and, through ``shards``, which partner model it runs.
     """
     from .node import TargetGroup
     from .simulator import GossipExperimentResult, GossipSimulator
@@ -267,60 +260,54 @@ def run_experiment(
         seed=seed,
         reporting=scenario.reporting,
         rotate_targets_every=scenario.rotate_targets_every,
-        shard_pool=shard_pool,
         execution=execution,
         network=scenario.network,
         schedule=scenario.schedule,
     )
-    try:
-        pool_samples: List[float] = []
-        for _ in range(scenario.rounds):
-            simulator.step()
-            live = simulator.ledger.live_count
-            if coalition.active and live:
-                pool_samples.append(len(coalition.pool) / live)
-        pool_coverage = (
-            sum(pool_samples) / len(pool_samples) if pool_samples else None
-        )
-        evicted = sum(
-            1
-            for node in simulator.nodes
-            if node.evicted and node.group is TargetGroup.ATTACKER
-        )
-        delivery_times = simulator.delivery_time_summary()
-        network_stats = (
-            simulator.network_stats.as_dict()
-            if simulator.network_stats is not None
+    pool_samples: List[float] = []
+    for _ in range(scenario.rounds):
+        simulator.step()
+        live = simulator.ledger.live_count
+        if coalition.active and live:
+            pool_samples.append(len(coalition.pool) / live)
+    pool_coverage = (
+        sum(pool_samples) / len(pool_samples) if pool_samples else None
+    )
+    evicted = sum(
+        1
+        for node in simulator.nodes
+        if node.evicted and node.group is TargetGroup.ATTACKER
+    )
+    delivery_times = simulator.delivery_time_summary()
+    network_stats = (
+        simulator.network_stats.as_dict()
+        if simulator.network_stats is not None
+        else None
+    )
+    return GossipExperimentResult(
+        attack=scenario.kind,
+        attacker_fraction=scenario.attacker_fraction,
+        isolated_fraction=simulator.delivery_fraction("isolated"),
+        satiated_fraction=simulator.delivery_fraction("satiated"),
+        correct_fraction=simulator.delivery_fraction("correct"),
+        pool_coverage=pool_coverage,
+        group_sizes=simulator.group_sizes(),
+        evicted_attackers=evicted,
+        schedule=scenario.schedule,
+        virtual_time=(
+            scenario.rounds * scenario.network.round_duration
+            if scenario.schedule == "event"
             else None
-        )
-        return GossipExperimentResult(
-            attack=scenario.kind,
-            attacker_fraction=scenario.attacker_fraction,
-            isolated_fraction=simulator.delivery_fraction("isolated"),
-            satiated_fraction=simulator.delivery_fraction("satiated"),
-            correct_fraction=simulator.delivery_fraction("correct"),
-            pool_coverage=pool_coverage,
-            group_sizes=simulator.group_sizes(),
-            evicted_attackers=evicted,
-            schedule=scenario.schedule,
-            virtual_time=(
-                scenario.rounds * scenario.network.round_duration
-                if scenario.schedule == "event"
-                else None
-            ),
-            time_to_90_delivery=(
-                delivery_times["mean_time_to_threshold"]
-                if delivery_times is not None
-                else None
-            ),
-            delivery_reached_fraction=(
-                delivery_times["reached_fraction"]
-                if delivery_times is not None
-                else None
-            ),
-            network_stats=network_stats,
-        )
-    finally:
-        # One experiment, one lifetime: a shared-memory store must not
-        # outlive its run whether it completed or raised.
-        simulator.close()
+        ),
+        time_to_90_delivery=(
+            delivery_times["mean_time_to_threshold"]
+            if delivery_times is not None
+            else None
+        ),
+        delivery_reached_fraction=(
+            delivery_times["reached_fraction"]
+            if delivery_times is not None
+            else None
+        ),
+        network_stats=network_stats,
+    )

@@ -1,80 +1,40 @@
-"""Sharded execution of gossip rounds: schedule, slices, merge, workers.
+"""The 4-node-cell partner pairing (``ExecutionConfig(shards=1)``).
 
-The bitset backend (PR 2) vectorized the round loop *within* one core;
-this module partitions the node population of a single round across
-``k`` shards so the exchange and push phases can run on separate
-worker processes.  The obstacle named on the ROADMAP was the exchange
-phase's sequential pair order: with the reference
-:class:`~repro.bargossip.partner.PartnerSchedule` a node can serve
-several initiators in one round, so interactions chain through shared
-state and no partition of the nodes keeps every interaction local.
-
-:class:`ShardedPartnerSchedule` removes the obstacle at the schedule
-level, the same way BAR Gossip's verifiable pseudorandom partner
-selection makes partner choice strategy-independent: each round draws
-one seeded permutation of the population (a pure function of the root
+The paper's :class:`~repro.bargossip.partner.PartnerSchedule` draws
+each initiator's partner independently, so a node can serve several
+initiators in one round and interactions chain through shared state.
+:class:`ShardedPartnerSchedule` is a different partner model that
+removes the chaining at the schedule level: each round draws one
+seeded permutation of the population (a pure function of the root
 seed — no node can bias its own draws), consecutive positions form
 *cells* of four nodes, and both sub-protocols pair nodes within their
 cell (exchange pairs ``(0,1)/(2,3)``, push pairs ``(0,2)/(1,3)``).
-Every interaction of a round therefore touches exactly one cell, cells
-are mutually independent, and any grouping of cells into shards yields
-the same trace — results are bit-identical regardless of ``k``.  The
-per-round permutation keeps each node's partner distribution uniform
-over the other nodes across rounds.
+Every interaction of a round therefore touches exactly one cell, and
+the words backend runs each phase as whole-phase batched sweeps over
+node-disjoint pairs.  The per-round permutation keeps each node's
+partner distribution uniform over the other nodes across rounds.
 
-Execution reorganizes state ownership: :func:`extract_shard` cuts a
-shard's slice out of the simulator (packed bitset rows or per-node
-sets, eviction flags, the attacker-coalition and reporting-authority
-slices that shard can touch), :func:`run_shard` replays the two phases
-over the slice with the same
-:class:`~repro.bargossip.simulator.InteractionEngine` the classic
-simulator uses, and :func:`merge_shard` folds the outcome back in a
-deterministic shard order.  :class:`ShardPool` runs ``run_shard`` on a
-persistent worker-process pool; the in-process path calls the very
-same function, so worker count can never change results.
+Results differ from the paper's schedule, which is why the cache
+fingerprints the choice as ``pairing``.
 """
 
 from __future__ import annotations
 
-import atexit
-import weakref
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.behaviors import Behavior
-from ..core.errors import ConfigurationError, WorkerCrash
-from ..faults import FaultPlan, arm as _arm_faults, fault_point
-from .attacker import AttackerCoalition, AttackKind
-from .config import GossipConfig
-from .defenses import EvictionAuthority, ReportingPolicy
-from .node import GossipNode, TargetGroup
 from .partner import Purpose, RoundWindowSchedule
-from .population import N_COUNTER_COLS, Population
-from .updates import BitsetPopulationStore, UpdateStore, WordPopulationStore
 
 __all__ = [
     "CELL_SIZE",
     "cell_exchange_pairs",
     "cell_push_pairs",
     "ShardedPartnerSchedule",
-    "ShardStatic",
-    "ShardState",
-    "ShardOutcome",
-    "SharedShardOutcome",
-    "extract_shard",
-    "run_shard",
-    "run_shard_shared",
-    "merge_shard",
-    "merge_shard_shared",
-    "ShardPool",
 ]
 
 #: Nodes per cell of the round permutation.  Four is the smallest cell
-#: granting every node distinct exchange and push partners; shard
-#: boundaries always fall on cell boundaries, which is what makes the
-#: partner draws independent of the shard count.
+#: granting every node distinct exchange and push partners.
 CELL_SIZE = 4
 
 Cell = Tuple[int, ...]
@@ -110,7 +70,7 @@ def cell_push_pairs(cell: Cell) -> List[Tuple[int, int]]:
 
 
 class ShardedPartnerSchedule(RoundWindowSchedule):
-    """Permutation-pairing partner schedule that partitions into shards.
+    """Permutation-pairing partner schedule: node-disjoint 4-node cells.
 
     Satisfies the :class:`~repro.bargossip.partner.RoundWindowSchedule`
     contract (same sliding window, same ``partner_of`` /
@@ -119,10 +79,6 @@ class ShardedPartnerSchedule(RoundWindowSchedule):
     node left unpaired for a purpose (the tail of a population not
     divisible by :data:`CELL_SIZE`) maps to itself; the executor skips
     such entries.
-
-    The shard count is *not* part of the schedule: draws depend only
-    on the root seed, and :meth:`shard_cells` merely groups the cells,
-    so every ``k`` observes the identical schedule.
     """
 
     def __init__(self, n_nodes: int, rng: np.random.Generator) -> None:
@@ -141,8 +97,7 @@ class ShardedPartnerSchedule(RoundWindowSchedule):
 
         Built lazily from the raw permutation: the batched words path
         consumes :meth:`round_pairs` instead, so the O(n) Python tuple
-        materialization only runs for shard slicing and the per-pair
-        executors.
+        materialization only runs for the per-pair executors.
         """
         if round_now not in self._cells:
             permutation = self._perm_for_round(round_now).tolist()
@@ -193,31 +148,14 @@ class ShardedPartnerSchedule(RoundWindowSchedule):
             node for cell in self.cells_for_round(round_now) for node in cell
         )
 
-    def shard_cells(self, round_now: int, n_shards: int) -> List[Tuple[Cell, ...]]:
-        """The round's cells grouped into ``n_shards`` contiguous shards.
-
-        Shards may be empty when ``n_shards`` exceeds the cell count;
-        callers skip those.  Grouping is the only thing ``n_shards``
-        influences — the underlying draws are shard-count independent.
-        """
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        cells = self.cells_for_round(round_now)
-        count = len(cells)
-        return [
-            cells[shard * count // n_shards : (shard + 1) * count // n_shards]
-            for shard in range(n_shards)
-        ]
-
     def partners_for_round(self, round_now: int, purpose: Purpose):
         """Partner array derived lazily from the round's cells.
 
-        The sharded executor consumes only the cells (each shard
-        re-derives its pairings slice-locally), so the O(n)
-        full-population arrays are built on first request — the
-        ``shards == 1`` execution path and direct schedule queries —
-        instead of every round.  Window semantics are those of the
-        cells: one round of look-back, older raises.
+        The batched words path consumes :meth:`round_pairs`, so the
+        O(n) full-population arrays are built on first request — the
+        per-pair executors and direct schedule queries — instead of
+        every round.  Window semantics are those of the cells: one
+        round of look-back, older raises.
         """
         key = (round_now, purpose)
         if key not in self._cache:
@@ -243,842 +181,3 @@ class ShardedPartnerSchedule(RoundWindowSchedule):
         for cache in (self._cells, self._perms):
             for stale in [r for r in cache if r < cutoff_round]:
                 del cache[stale]
-
-
-# ----------------------------------------------------------------------
-# Shard slices: extraction, execution, merge
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardStatic:
-    """Per-simulation constants shipped to each worker exactly once.
-
-    ``behaviors`` is indexed by global node id.  A worker derives the
-    ATTACKER/correct split from it (attackers are exactly the
-    BYZANTINE nodes); the satiated/isolated split — which rotation can
-    change mid-run — travels per round in the attack slice instead,
-    because the interaction engine only consults it through the
-    coalition's target set.
-
-    ``shm_name`` names the simulation's shared-memory word store when
-    ``config.memory == "shared"``: pool workers attach to it once, in
-    the initializer, and thereafter mutate their shard's rows in
-    place.
-    """
-
-    config: GossipConfig
-    behaviors: Tuple[Behavior, ...]
-    shm_name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ShardState:
-    """One shard's slice of one round: everything its phases may read.
-
-    The population store rows (bitset backend) or per-node sets (sets
-    backend) are indexed by *local* position — the flattened cell
-    order, which is also the shard's initiation order.
-    """
-
-    round_now: int
-    cells: Tuple[Cell, ...]
-    node_ids: Tuple[int, ...]
-    evicted_mask: int
-    # Bitset backend: packed rows sliced out of the population store.
-    base: int
-    have_rows: Optional[Tuple[int, ...]]
-    missing_rows: Optional[Tuple[int, ...]]
-    # Sets backend: per-node live-update sets.
-    have_sets: Optional[Tuple[frozenset, ...]]
-    missing_sets: Optional[Tuple[frozenset, ...]]
-    # Attacker-coalition slice; populated only when the shard contains
-    # a coalition node (interactions elsewhere never consult it).
-    attack_kind: AttackKind
-    attack_members: Tuple[int, ...]
-    attack_targets: Tuple[int, ...]
-    attack_pool: Tuple[int, ...]
-    # Reporting-defense slice: standing report state of the shard's
-    # potential offenders (policy None when the defense is off).
-    policy: Optional[ReportingPolicy]
-    reports: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    already_evicted: Tuple[int, ...]
-    # Words backend, memory="heap": packed word rows (numpy uint64).
-    have_words: Optional["np.ndarray"] = None
-    missing_words: Optional["np.ndarray"] = None
-    # Shared-memory execution: the phase this slice drives ("exchange"
-    # or "push"); rows stay in the shared block and never travel.
-    phase: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What one shard's phases produced, ready for a deterministic merge.
-
-    Counter deltas are *sparse columns* (the worker's shard-local
-    :class:`~repro.bargossip.population.Population` starts every node
-    at zero): ``counter_rows`` names the local indices whose tallies
-    moved, ``counters`` their compact delta rows in
-    :data:`~repro.bargossip.node.COUNTER_FIELDS` order, narrowed to
-    int16/int32 — so the merge is one fancy-index scatter-add into the
-    simulator's counters matrix instead of a per-node tuple walk.
-    Store rows/sets are final values.  Node-local fields can never
-    conflict across shards — each node belongs to exactly one cell per
-    round — and the shared-state deltas (coalition service total,
-    reports, evictions) are applied in shard order.
-    """
-
-    have_rows: Optional[Tuple[int, ...]]
-    missing_rows: Optional[Tuple[int, ...]]
-    have_sets: Optional[Tuple[frozenset, ...]]
-    missing_sets: Optional[Tuple[frozenset, ...]]
-    counter_rows: "np.ndarray"  # (k,) local indices with nonzero deltas
-    counters: "np.ndarray"  # (k, 8) narrow-int delta rows
-    evicted_mask: int
-    updates_served: int
-    reports: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    newly_evicted: Tuple[int, ...]
-    coalition_evicted: Tuple[int, ...]
-    have_words: Optional["np.ndarray"] = None
-    missing_words: Optional["np.ndarray"] = None
-
-
-@dataclass(frozen=True)
-class SharedShardOutcome:
-    """One phase's result on the shared-memory path: no rows, no counters.
-
-    This is the whole point of ``memory="shared"``: the worker mutated
-    its shard's word rows *and its counter columns* in place (both
-    live in the same shared segment), so what crosses the wire back is
-    only the eviction mask and the coalition / authority deltas —
-    nothing that scales with the shard's node count.
-    """
-
-    evicted_mask: int
-    updates_served: int
-    reports: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    newly_evicted: Tuple[int, ...]
-    coalition_evicted: Tuple[int, ...]
-
-
-def extract_shard(
-    simulator,
-    cells: Sequence[Cell],
-    round_now: int,
-    phase: Optional[str] = None,
-) -> ShardState:
-    """Cut one shard's slice out of a live :class:`GossipSimulator`.
-
-    Pure read: the simulator is not modified.  The slice carries only
-    what the shard's interactions can observe — in particular the
-    attacker-coalition and authority slices are empty whenever no
-    coalition node landed in the shard this round.
-
-    ``phase`` marks a shared-memory slice (one phase per dispatch); no
-    rows are copied then, because the worker operates on the shared
-    block in place.
-    """
-    pool = simulator._pool
-    attack = simulator.attack
-    authority = simulator.authority
-    nodes = simulator.nodes
-    node_ids: List[int] = [node for cell in cells for node in cell]
-
-    # The simulator maintains the evicted-id and coalition-member sets
-    # (see its __init__/merge bookkeeping) precisely so the common case
-    # — nobody evicted, no attack — costs no per-node scan here.
-    evicted_mask = 0
-    if simulator._evicted_ids:
-        evicted_ids = simulator._evicted_ids
-        for local, node_id in enumerate(node_ids):
-            if node_id in evicted_ids:
-                evicted_mask |= 1 << local
-    if attack.active:
-        byzantine = simulator._byzantine
-        offenders = [node_id for node_id in node_ids if node_id in byzantine]
-    else:
-        offenders = []
-
-    have_rows = missing_rows = have_sets = missing_sets = None
-    have_words = missing_words = None
-    base = 0
-    if phase is not None:
-        base = pool.base  # rows live in the shared block; only metadata ships
-    elif isinstance(pool, WordPopulationStore):
-        base = pool.base
-        rows = np.asarray(node_ids, dtype=np.intp)
-        have_words = pool.have_words[rows]  # fancy index: a private copy
-        missing_words = pool.missing_words[rows]
-    elif pool is not None:
-        base = pool.base
-        have_bits, missing_bits = pool.have_bits, pool.missing_bits
-        have_rows = tuple([have_bits[node_id] for node_id in node_ids])
-        missing_rows = tuple([missing_bits[node_id] for node_id in node_ids])
-    else:
-        have_sets = tuple(
-            frozenset(nodes[node_id].store.have) for node_id in node_ids
-        )
-        missing_sets = tuple(
-            frozenset(nodes[node_id].store.missing) for node_id in node_ids
-        )
-
-    if offenders:
-        members = tuple(sorted(attack.nodes.intersection(node_ids)))
-        targets = tuple(sorted(attack.satiated_targets.intersection(node_ids)))
-        coalition_pool = tuple(sorted(attack.pool))
-        kind = attack.kind
-    else:
-        members = targets = coalition_pool = ()
-        kind = AttackKind.NONE
-
-    policy = None
-    reports: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
-    already_evicted: Tuple[int, ...] = ()
-    if authority is not None and offenders:
-        policy = authority.policy
-        reports = tuple(
-            (offender, tuple(sorted(authority.reports[offender])))
-            for offender in offenders
-            if offender in authority.reports
-        )
-        already_evicted = tuple(
-            offender for offender in offenders if offender in authority.evicted
-        )
-
-    return ShardState(
-        round_now=round_now,
-        cells=tuple(cells),
-        node_ids=tuple(node_ids),
-        evicted_mask=evicted_mask,
-        base=base,
-        have_rows=have_rows,
-        missing_rows=missing_rows,
-        have_sets=have_sets,
-        missing_sets=missing_sets,
-        attack_kind=kind,
-        attack_members=members,
-        attack_targets=targets,
-        attack_pool=coalition_pool,
-        policy=policy,
-        reports=reports,
-        already_evicted=already_evicted,
-        have_words=have_words,
-        missing_words=missing_words,
-        phase=phase,
-    )
-
-
-def _partner_maps(
-    cells: Sequence[Cell],
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Local (exchange, push) partner maps derived from the cells."""
-    exchange: Dict[int, int] = {}
-    push: Dict[int, int] = {}
-    for cell in cells:
-        for node in cell:
-            exchange[node] = node
-            push[node] = node
-        for left, right in cell_exchange_pairs(cell):
-            exchange[left] = right
-            exchange[right] = left
-        for left, right in cell_push_pairs(cell):
-            push[left] = right
-            push[right] = left
-    return exchange, push
-
-
-def _rebuild_attack(state: ShardState) -> AttackerCoalition:
-    """The shard's view of the coalition, counters zeroed for deltas."""
-    attack = AttackerCoalition(
-        state.attack_kind,
-        nodes=state.attack_members,
-        satiated_targets=state.attack_targets,
-    )
-    attack.pool = set(state.attack_pool)
-    return attack
-
-
-def _rebuild_authority(state: ShardState) -> Optional[EvictionAuthority]:
-    """The shard's slice of the reporting defense (None when off)."""
-    if state.policy is None:
-        return None
-    return EvictionAuthority(
-        policy=state.policy,
-        reports={
-            offender: set(reporters) for offender, reporters in state.reports
-        },
-        evicted=set(state.already_evicted),
-    )
-
-
-def _make_shard_node(
-    static: ShardStatic,
-    state: ShardState,
-    local: int,
-    node_id: int,
-    store,
-    population: Population,
-    row: int,
-) -> GossipNode:
-    """One shard-local node view over the given store and population row."""
-    behavior = static.behaviors[node_id]
-    return GossipNode(
-        node_id,
-        behavior,
-        # The engine only distinguishes attacker from correct; the
-        # satiated/isolated split lives in the coalition's target set,
-        # so ISOLATED is a safe stand-in here.
-        TargetGroup.ATTACKER
-        if behavior is Behavior.BYZANTINE
-        else TargetGroup.ISOLATED,
-        store=store,
-        evicted=bool(state.evicted_mask >> local & 1),
-        population=population,
-        row=row,
-    )
-
-
-def _evicted_mask_of(population: Population, rows=None) -> int:
-    """Shard-local eviction bitmask from a population's flag column.
-
-    ``rows`` maps local position -> population row (the shared path's
-    global ids); None means rows equal locals (a shard-local
-    population).  Evictions are rare, so the mask assembly only walks
-    the flagged positions.
-    """
-    flags = population.evicted
-    if rows is not None:
-        flags = flags[np.asarray(rows, dtype=np.intp)]
-    mask = 0
-    for local in np.flatnonzero(flags).tolist():
-        mask |= 1 << local
-    return mask
-
-
-def _authority_deltas(
-    authority: Optional[EvictionAuthority], state: ShardState
-) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], Tuple[int, ...]]:
-    """(final report state, newly evicted) of one shard execution."""
-    if authority is None:
-        return (), ()
-    reports = tuple(
-        (offender, tuple(sorted(reporters)))
-        for offender, reporters in sorted(authority.reports.items())
-    )
-    newly_evicted = tuple(
-        sorted(authority.evicted - set(state.already_evicted))
-    )
-    return reports, newly_evicted
-
-
-def run_shard(static: ShardStatic, state: ShardState) -> ShardOutcome:
-    """Run one shard's exchange and push phases over its slice.
-
-    A pure function of its arguments — the in-process executor and the
-    worker pool call exactly this, which is what makes worker count
-    irrelevant to results.  The slice is replayed through the same
-    :class:`~repro.bargossip.simulator.InteractionEngine` as the
-    classic round loop, over a shard-local population store; a words
-    slice additionally runs the phases through the engine's batched
-    word-array dispatch (bit-identical by construction).
-    """
-    from .simulator import InteractionEngine  # deferred: avoids module cycle
-
-    config = static.config
-    node_ids = state.node_ids
-
-    slice_pool = None
-    if state.have_rows is not None:
-        slice_pool = BitsetPopulationStore(
-            len(node_ids), config.updates_per_round, config.update_lifetime
-        )
-        slice_pool.base = state.base
-        slice_pool.have_bits = list(state.have_rows)
-        slice_pool.missing_bits = list(state.missing_rows)
-    elif state.have_words is not None:
-        slice_pool = WordPopulationStore(
-            len(node_ids), config.updates_per_round, config.update_lifetime
-        )
-        # Under the ring scheme the live window's bit offset is a pure
-        # function of ``base`` (``base % 64``), so adopting the
-        # coordinator's base and copying raw word rows reproduces its
-        # exact bit layout — no re-packing.  The same property is what
-        # would let a *remote* host adopt a compacted-store slice from
-        # a wire message (see ROADMAP: multi-host execution).
-        slice_pool.base = state.base
-        slice_pool.have_words[:] = state.have_words
-        slice_pool.missing_words[:] = state.missing_words
-
-    # Shard-local columnar state: counters start at zero, so after the
-    # phases the matrix *is* the shard's delta, ready for the sparse
-    # extraction below.
-    population = Population(len(node_ids))
-    shard_nodes: List[GossipNode] = []
-    for local, node_id in enumerate(node_ids):
-        if slice_pool is not None:
-            store = slice_pool.view(local)
-        else:
-            store = UpdateStore()
-            store.have = set(state.have_sets[local])
-            store.missing = set(state.missing_sets[local])
-        shard_nodes.append(
-            _make_shard_node(
-                static, state, local, node_id, store, population, local
-            )
-        )
-
-    attack = _rebuild_attack(state)
-    initial_members = set(state.attack_members)
-    authority = _rebuild_authority(state)
-
-    engine = InteractionEngine(
-        shard_nodes,
-        config,
-        attack,
-        authority,
-        pool=slice_pool,
-        population=population,
-    )
-    if isinstance(slice_pool, WordPopulationStore):
-        engine.run_exchanges_batched(
-            state.round_now,
-            [pair for cell in state.cells for pair in cell_exchange_pairs(cell)],
-        )
-        engine.run_pushes_batched(
-            state.round_now,
-            [pair for cell in state.cells for pair in cell_push_pairs(cell)],
-        )
-    else:
-        exchange_partners, push_partners = _partner_maps(state.cells)
-        engine.run_exchanges(state.round_now, node_ids, exchange_partners)
-        engine.run_pushes(state.round_now, node_ids, push_partners)
-
-    reports, newly_evicted = _authority_deltas(authority, state)
-    is_words = isinstance(slice_pool, WordPopulationStore)
-    is_bitset = slice_pool is not None and not is_words
-    counter_rows, counter_deltas = population.sparse_counter_deltas()
-
-    return ShardOutcome(
-        have_rows=tuple(slice_pool.have_bits) if is_bitset else None,
-        missing_rows=tuple(slice_pool.missing_bits) if is_bitset else None,
-        have_sets=(
-            tuple(frozenset(node.store.have) for node in shard_nodes)
-            if slice_pool is None
-            else None
-        ),
-        missing_sets=(
-            tuple(frozenset(node.store.missing) for node in shard_nodes)
-            if slice_pool is None
-            else None
-        ),
-        counter_rows=counter_rows,
-        counters=counter_deltas,
-        evicted_mask=_evicted_mask_of(population),
-        updates_served=attack.updates_served,
-        reports=reports,
-        newly_evicted=newly_evicted,
-        coalition_evicted=tuple(sorted(initial_members - attack.nodes)),
-        have_words=slice_pool.have_words if is_words else None,
-        missing_words=slice_pool.missing_words if is_words else None,
-    )
-
-
-def run_shard_shared(
-    static: ShardStatic, state: ShardState, store: WordPopulationStore
-) -> SharedShardOutcome:
-    """Run one phase of one shard *in place* on the shared word store.
-
-    The worker's (or, in-process, the coordinator's) ``store`` maps
-    the same shared-memory block the simulator owns — word rows *and*
-    counter columns — so the phase mutates the shard's rows directly
-    and bumps the live global tallies through a
-    :class:`~repro.bargossip.population.Population` view of the
-    store's counter region.  ``state`` carries cells and the
-    coalition/authority slices in, the outcome carries evictions and
-    reports back; neither rows nor counters ever cross the process
-    boundary.  Safe because cells are node-disjoint across shards and
-    the coordinator barriers each phase.
-    """
-    from .simulator import InteractionEngine  # deferred: avoids module cycle
-
-    config = static.config
-    node_ids = state.node_ids
-    store.base = state.base
-
-    # Counters view the shared segment (in-place global tallies);
-    # behaviour codes and eviction flags stay worker-local — the
-    # flagged evictions travel back through the outcome, exactly as on
-    # the heap path, so the authority keeps its dedup authority.
-    population = Population(
-        config.n_nodes,
-        counters=store.extra.reshape(config.n_nodes, N_COUNTER_COLS),
-    )
-    shard_nodes = [
-        _make_shard_node(
-            static, state, local, node_id, store.view(node_id),
-            population, node_id,
-        )
-        for local, node_id in enumerate(node_ids)
-    ]
-
-    attack = _rebuild_attack(state)
-    initial_members = set(state.attack_members)
-    authority = _rebuild_authority(state)
-
-    engine = InteractionEngine(
-        shard_nodes,
-        config,
-        attack,
-        authority,
-        pool=store,
-        rows=list(node_ids),
-        population=population,
-    )
-    if state.phase == "exchange":
-        engine.run_exchanges_batched(
-            state.round_now,
-            [pair for cell in state.cells for pair in cell_exchange_pairs(cell)],
-        )
-    else:
-        engine.run_pushes_batched(
-            state.round_now,
-            [pair for cell in state.cells for pair in cell_push_pairs(cell)],
-        )
-
-    reports, newly_evicted = _authority_deltas(authority, state)
-    return SharedShardOutcome(
-        evicted_mask=_evicted_mask_of(population, rows=node_ids),
-        updates_served=attack.updates_served,
-        reports=reports,
-        newly_evicted=newly_evicted,
-        coalition_evicted=tuple(sorted(initial_members - attack.nodes)),
-    )
-
-
-def merge_shard(simulator, state: ShardState, outcome: ShardOutcome) -> None:
-    """Fold one shard's outcome back into the simulator.
-
-    Node-local state is written in place (each node belongs to exactly
-    one shard per round), the sparse counter deltas land as one
-    scatter-add on the simulator's counters matrix, and the shared
-    coalition/authority deltas are applied in the caller's shard order
-    — which is fixed — so the merged state is identical whatever ran
-    the shards, and in whatever real-time order they finished.
-    """
-    pool = simulator._pool
-    nodes = simulator.nodes
-    if outcome.have_words is not None:
-        rows = np.asarray(state.node_ids, dtype=np.intp)
-        pool.have_words[rows] = outcome.have_words
-        pool.missing_words[rows] = outcome.missing_words
-    elif outcome.have_rows is not None:
-        for local, node_id in enumerate(state.node_ids):
-            pool.have_bits[node_id] = outcome.have_rows[local]
-            pool.missing_bits[node_id] = outcome.missing_rows[local]
-    elif outcome.have_sets is not None:
-        for local, node_id in enumerate(state.node_ids):
-            store = nodes[node_id].store
-            store.have = set(outcome.have_sets[local])
-            store.missing = set(outcome.missing_sets[local])
-    if len(outcome.counter_rows):
-        ids = np.asarray(state.node_ids, dtype=np.intp)[outcome.counter_rows]
-        simulator.population.add_counter_deltas(ids, outcome.counters)
-    _apply_eviction_mask(simulator, state, outcome.evicted_mask)
-    _merge_shared_state_deltas(simulator, outcome)
-
-
-def merge_shard_shared(
-    simulator, state: ShardState, outcome: SharedShardOutcome
-) -> None:
-    """Fold one shared-memory phase outcome back into the simulator.
-
-    Rows and counters already live where they belong (the worker
-    mutated the shared segment in place), so the merge reduces to the
-    eviction flags and the shared coalition/authority state — exactly
-    what the wire carried.
-    """
-    _apply_eviction_mask(simulator, state, outcome.evicted_mask)
-    _merge_shared_state_deltas(simulator, outcome)
-
-
-def _apply_eviction_mask(simulator, state: ShardState, mask: int) -> None:
-    """Raise the flagged locals' eviction flags (idempotent)."""
-    if not mask:
-        return
-    for local, node_id in enumerate(state.node_ids):
-        if mask >> local & 1:
-            node = simulator.nodes[node_id]
-            if not node.evicted:
-                node.evicted = True
-                simulator._evicted_ids.add(node_id)
-
-
-def _merge_shared_state_deltas(simulator, outcome) -> None:
-    """Coalition and authority deltas common to both merge paths."""
-    simulator.attack.updates_served += outcome.updates_served
-    for node_id in outcome.coalition_evicted:
-        simulator.attack.evict(node_id)
-    if simulator.authority is not None and outcome.reports:
-        for offender, reporters in outcome.reports:
-            simulator.authority.reports[offender] = set(reporters)
-        simulator.authority.evicted.update(outcome.newly_evicted)
-
-
-# ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-
-#: Per-worker simulation constants, installed by the pool initializer so
-#: the static payload crosses the process boundary once, not per round.
-_WORKER_STATIC: Optional[ShardStatic] = None
-
-#: The worker's attachment to the simulation's shared-memory word
-#: store (None on the heap paths).  Attached once per pool lifetime —
-#: this is the "zero-copy" half of the shared execution.
-_WORKER_STORE: Optional[WordPopulationStore] = None
-
-
-def _init_shard_worker(
-    static: ShardStatic, fault_plan: Optional[FaultPlan] = None
-) -> None:
-    # Pool-initializer pattern: worker-global state is the only way to
-    # hand a shared-memory attachment to every task in the worker.
-    # Runs again in every *respawned* worker, which is what re-attaches
-    # the shared segment after a crash.  The fault plan (chaos tests
-    # only) arms before the attach so ``shm:attach`` faults can fire.
-    global _WORKER_STATIC, _WORKER_STORE  # noqa: PLW0603
-    if fault_plan is not None:
-        _arm_faults(fault_plan)
-    _WORKER_STATIC = static
-    if _WORKER_STORE is not None:
-        _WORKER_STORE.close()
-        _WORKER_STORE = None
-    if static.shm_name is not None:
-        config = static.config
-        _WORKER_STORE = WordPopulationStore(
-            config.n_nodes,
-            config.updates_per_round,
-            config.update_lifetime,
-            memory="shared",
-            shm_name=static.shm_name,
-            # Mirror the creator's layout: the counter columns sit in
-            # the same segment, after the word rows.
-            extra_int64=config.n_nodes * N_COUNTER_COLS,
-        )
-
-
-def _run_shard_in_worker(state: ShardState) -> ShardOutcome:
-    fault_point("worker:shard")
-    return run_shard(_WORKER_STATIC, state)
-
-
-def _run_shared_in_worker(state: ShardState) -> SharedShardOutcome:
-    fault_point("worker:shard-shared")
-    return run_shard_shared(_WORKER_STATIC, state, _WORKER_STORE)
-
-
-class ShardPool:
-    """A persistent, supervised process pool executing shard slices.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count; values below 2 make :meth:`run` execute
-        in-process (identical results — ``run_shard`` is the single
-        execution path either way).
-    mp_context:
-        Optional :mod:`multiprocessing` start-method name; None uses
-        the platform default.
-    retries:
-        Re-attempts per heap-mode shard task after a worker crash or
-        missed deadline.  ``run_shard`` is a pure function of its
-        slice, so a retried shard reproduces the lost outcome
-        bit-exactly.  Shared-memory phases never retry at this level
-        (the phase mutates the segment in place — recovery belongs to
-        the coordinator, which restores the round snapshot).
-    phase_timeout:
-        Per-shard dispatch deadline in seconds (None = no deadline); a
-        worker that misses it is terminated and treated as crashed.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` armed in every
-        worker (chaos tests only).
-
-    The pool is bound to one simulation's :class:`ShardStatic` at a
-    time (shipped through the worker initializer); running a different
-    simulation through the same pool transparently restarts the
-    workers.  Worker loss is survived: the supervising pool respawns
-    the member (re-running the initializer, which re-attaches shared
-    memory) and re-runs only the lost shard — except in shared mode,
-    where the first loss tears the whole pool down and raises
-    :class:`~repro.core.errors.WorkerCrash` so no surviving worker can
-    mutate the segment while the coordinator restores it.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        mp_context: Optional[str] = None,
-        retries: int = 2,
-        phase_timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
-        if phase_timeout is not None and phase_timeout <= 0:
-            raise ConfigurationError(
-                f"phase_timeout must be > 0 or None, got {phase_timeout}"
-            )
-        self.workers = workers
-        self.mp_context = mp_context
-        self.retries = retries
-        self.phase_timeout = phase_timeout
-        self.fault_plan = fault_plan
-        self._pool = None  # Optional[supervise.SupervisedPool]
-        self._static: Optional[ShardStatic] = None
-
-    def run(
-        self, static: ShardStatic, states: Sequence[ShardState]
-    ) -> List[ShardOutcome]:
-        """Execute the round's shard states; results in submission order.
-
-        Heap-mode shards are pure functions of their slice, so a crashed
-        or wedged worker costs one transparent re-run of the lost shard;
-        only a shard failing past its retry budget raises
-        :class:`WorkerCrash` (after the pool is torn down).
-        """
-        if self.workers < 2 or len(states) < 2:
-            return [run_shard(static, state) for state in states]
-        from ..harness.supervise import SupervisionPolicy  # deferred: cycle
-
-        policy = SupervisionPolicy(
-            retries=self.retries, task_timeout=self.phase_timeout
-        )
-        outcomes, failures = self._ensure(static).run(
-            _run_shard_in_worker,
-            states,
-            policy=policy,
-            labels=[f"shard {i} (round {s.round_now})" for i, s in enumerate(states)],
-        )
-        if failures:
-            self.terminate()
-            first = failures[0]
-            raise WorkerCrash(first.label, first.fate, first.error)
-        return outcomes
-
-    def run_shared(
-        self,
-        static: ShardStatic,
-        states: Sequence[ShardState],
-        local_store: WordPopulationStore,
-    ) -> List[SharedShardOutcome]:
-        """Execute one phase's shard states on the shared word store.
-
-        Workers mutate the shared block through their own attachment;
-        the in-process fallback uses the coordinator's ``local_store``.
-        Returning is the phase barrier: every shard's phase has been
-        applied before the coordinator proceeds.
-
-        A shared-memory phase is *not* idempotent (rows mutate in
-        place), so worker loss cannot be retried here: the first failed
-        attempt terminates every worker — no survivor may touch the
-        segment — and raises :class:`WorkerCrash` for the coordinator,
-        which restores its round snapshot and re-runs the round on a
-        fresh pool.
-        """
-        if self.workers < 2 or len(states) < 2:
-            return [
-                run_shard_shared(static, state, local_store)
-                for state in states
-            ]
-        from ..harness.supervise import SupervisionPolicy  # deferred: cycle
-
-        policy = SupervisionPolicy(
-            retries=0, task_timeout=self.phase_timeout
-        )
-        try:
-            outcomes, _failures = self._ensure(static).run(
-                _run_shared_in_worker,
-                states,
-                policy=policy,
-                labels=[
-                    f"shared shard {i} ({s.phase}, round {s.round_now})"
-                    for i, s in enumerate(states)
-                ],
-                abort_on_failure=True,
-            )
-        except WorkerCrash:
-            # The supervising pool already terminated every worker; drop
-            # the dead pool so the coordinator's re-run builds a fresh
-            # one through the initializer (re-attaching the segment).
-            self._pool = None
-            self._static = None
-            _LIVE_POOLS.discard(self)
-            raise
-        return outcomes
-
-    def _ensure(self, static: ShardStatic):
-        if self._pool is None or self._static is not static:
-            self.close()
-            from ..harness.supervise import SupervisedPool  # deferred: cycle
-
-            self._pool = SupervisedPool(
-                self.workers,
-                initializer=_init_shard_worker,
-                initargs=(static, self.fault_plan),
-                mp_context=self.mp_context,
-            )
-            self._pool.start()
-            self._static = static
-            _LIVE_POOLS.add(self)
-        return self._pool
-
-    def close(self, join_deadline: float = 5.0) -> None:
-        """Shut the workers down (idempotent; a later run reopens them).
-
-        Waits up to ``join_deadline`` seconds for a graceful exit, then
-        terminates stragglers.
-        """
-        if self._pool is not None:
-            self._pool.close(join_deadline=join_deadline)
-            self._pool = None
-            self._static = None
-        _LIVE_POOLS.discard(self)
-
-    def terminate(self) -> None:
-        """Kill the workers immediately (failure path; idempotent).
-
-        Unlike :meth:`close` this does not wait for in-flight tasks —
-        it is what a failing round calls so no worker outlives the
-        coordinator's exception.
-        """
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
-            self._static = None
-        _LIVE_POOLS.discard(self)
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "live" if self._pool is not None else "idle"
-        return f"ShardPool(workers={self.workers}, {state})"
-
-
-#: Pools with live workers, swept at interpreter exit so an abandoned
-#: pool (coordinator exception, forgotten close) cannot leak children.
-_LIVE_POOLS: "weakref.WeakSet[ShardPool]" = weakref.WeakSet()
-
-
-@atexit.register
-def _terminate_live_pools() -> None:  # pragma: no cover - exit hook
-    for pool in list(_LIVE_POOLS):
-        try:
-            pool.terminate()
-        except Exception:
-            pass

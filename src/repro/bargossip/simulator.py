@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..core.behaviors import Behavior
 from ..core.engine import RoundSimulator
-from ..core.errors import ConfigurationError, SimulationError, WorkerCrash
+from ..core.errors import ConfigurationError, SimulationError
 from ..core.metrics import DeliveryStats, tally_group_codes
 from ..core.rng import RngStreams
 from .attacker import AttackKind, AttackerCoalition
@@ -71,16 +71,7 @@ from .push import (
     plan_optimistic_push,
     push_dump_limits,
 )
-from .sharding import (
-    ShardedPartnerSchedule,
-    ShardPool,
-    ShardStatic,
-    extract_shard,
-    merge_shard,
-    merge_shard_shared,
-    run_shard,
-    run_shard_shared,
-)
+from .sharding import ShardedPartnerSchedule
 from .updates import (
     BitsetPopulationStore,
     UpdateLedger,
@@ -114,33 +105,25 @@ _BOOK_EXCHANGE[CI_EXCHANGES_INITIATED] = 1
 
 
 class InteractionEngine:
-    """The exchange and push phases over one population slice.
+    """The exchange and push phases over one population.
 
     Owns no round structure of its own: callers hand it an initiation
     order and a partner assignment, and it applies the interactions to
-    the node slice it was built over.  The classic simulator builds one
-    engine over the full population (pool row index == node id); the
-    sharded executor builds one per shard over shard-local state (see
-    :mod:`repro.bargossip.sharding`) — reorganizing who *owns* the
-    population state without duplicating the protocol logic.
+    the nodes it was built over.  The simulator builds one engine over
+    the full population (pool row index == node id).
 
     Parameters
     ----------
     nodes:
-        The slice's nodes; their ``node_id`` stays global.
+        The engine's nodes; row ``i`` of ``pool`` and ``population``
+        belongs to ``nodes[i]``.
     config / attack / authority:
         As on :class:`GossipSimulator` (``authority`` may be None).
     pool:
-        The slice's packed population store on the bitset or words
-        backend (row ``i`` belongs to ``nodes[i]``), or None on the
-        sets backend.
-    rows:
-        Optional explicit pool row per node (same order as ``nodes``).
-        The shared-memory shard path passes global node ids here so a
-        shard engine addresses the full population store in place;
-        default is local position, matching a sliced store.
+        The packed population store on the bitset or words backend, or
+        None on the sets backend.
     population:
-        The slice's columnar :class:`~repro.bargossip.population.
+        The columnar :class:`~repro.bargossip.population.
         Population` (row layout identical to ``pool``'s).  Required for
         the batched word paths, whose eligibility checks and counter
         updates run as array sweeps and scatter-adds over its columns;
@@ -154,7 +137,6 @@ class InteractionEngine:
         attack: AttackerCoalition,
         authority: Optional[EvictionAuthority],
         pool: Optional[BitsetPopulationStore] = None,
-        rows: Optional[List[int]] = None,
         population: Optional[Population] = None,
         chunk_pairs: int = 0,
     ) -> None:
@@ -165,15 +147,13 @@ class InteractionEngine:
         self.pool = pool
         self.population = population
         #: Cache-block size (in pairs) for the batched whole-phase
-        #: sweeps; 0 disables chunking (shard slices are already small).
+        #: sweeps; 0 disables chunking.
         self.chunk_pairs = chunk_pairs
         self._node_of: Dict[int, GossipNode] = {
             node.node_id: node for node in self.nodes
         }
-        if rows is None:
-            rows = list(range(len(self.nodes)))
         self._row_of: Dict[int, int] = {
-            node.node_id: row for node, row in zip(self.nodes, rows)
+            node.node_id: row for row, node in enumerate(self.nodes)
         }
         #: Dense node-id -> row map for the vectorized paths (scalar
         #: paths keep the dict).  Built lazily: only the batched word
@@ -226,10 +206,9 @@ class InteractionEngine:
         """Per-row mask of the coalition's satiated targets.
 
         Built from the coalition's target id set — the same membership
-        the scalar ``is_satiated_target`` gate consults — NOT from the
-        population's group column: shard-local populations do not carry
-        the satiated/isolated split (their nodes are all marked
-        ISOLATED).  Targets outside this engine's slice are dropped.
+        the scalar ``is_satiated_target`` gate consults — so the batched
+        and scalar paths agree by construction.  Targets outside this
+        engine's nodes are dropped.
         Cached until the coalition's ``targets_version`` moves (every
         change to the target set goes through ``retarget``); callers
         only read the mask.
@@ -252,7 +231,7 @@ class InteractionEngine:
 
         ``order`` iterates initiator ids; ``partners`` maps initiator
         id to partner id (array or mapping).  A self-partner entry
-        means the node sits this phase out (the sharded schedule's
+        means the node sits this phase out (the cell pairing's
         unpaired tail); the reference schedule never produces one.
 
         On the words backend the phase runs as dependency waves
@@ -962,14 +941,11 @@ class GossipSimulator(RoundSimulator):
         When set, the attacker re-draws its satiated target set every
         this many rounds — the paper's rotating variant that spreads
         intermittent starvation over the whole population.
-    shard_pool:
-        Worker processes for sharded execution (requires
-        ``execution.shards >= 2``).  None runs the shards in-process;
-        either way the trace is bit-identical — the pool only changes
-        where the shard slices execute.
     execution:
         The :class:`~repro.bargossip.scenario.ExecutionConfig` deciding
-        backend, memory placement and sharding.  Never changes results.
+        the backend and phase blocking (never change results) and, via
+        ``shards``, the partner model (0 = the paper's uniform draws,
+        1 = the 4-node-cell pairing).
     network:
         The :class:`~repro.bargossip.network.NetworkModel` between the
         nodes; a non-ideal model requires ``schedule="event"``.
@@ -991,7 +967,6 @@ class GossipSimulator(RoundSimulator):
         reporting: Optional[ReportingPolicy] = None,
         measure_from_round: Optional[int] = None,
         rotate_targets_every: Optional[int] = None,
-        shard_pool: Optional[ShardPool] = None,
         execution: Optional["ExecutionConfig"] = None,
         network: Optional[NetworkModel] = None,
         schedule: str = "rounds",
@@ -1013,18 +988,12 @@ class GossipSimulator(RoundSimulator):
             )
         if schedule == "event" and self.execution.shards:
             raise ConfigurationError(
-                "schedule='event' runs unsharded; got "
+                "schedule='event' runs the uniform partner draws; got "
                 f"ExecutionConfig(shards={self.execution.shards})"
             )
         self.schedule = schedule
         self.attack = attack if attack is not None else AttackerCoalition(AttackKind.NONE)
         self._validate_attack()
-        if shard_pool is not None and self.execution.shards < 2:
-            raise ConfigurationError(
-                "shard_pool requires a sharded configuration (shards >= 2), "
-                f"got shards={self.execution.shards}"
-            )
-        self._shard_pool = shard_pool
         self._streams = RngStreams(seed)
         partner_rng = self._streams.get("partners")
         self._partners = (
@@ -1052,9 +1021,8 @@ class GossipSimulator(RoundSimulator):
         self.rotate_targets_every = rotate_targets_every
         self._rotation_rng = self._streams.get("rotation")
         #: The dense population store on the packed backends (bitset
-        #: rows of Python ints, or fixed-width word rows — optionally
-        #: in a shared-memory block); None on the reference set
-        #: backend.  Owned by the simulator: node stores are
+        #: rows of Python ints, or fixed-width word rows); None on the
+        #: reference set backend.  Owned by the simulator: node stores are
         #: lightweight views into it.
         if self.execution.backend == "bitset":
             self._pool = BitsetPopulationStore(
@@ -1062,45 +1030,17 @@ class GossipSimulator(RoundSimulator):
             )
         elif self.execution.backend == "words":
             self._pool = WordPopulationStore(
-                config.n_nodes,
-                config.updates_per_round,
-                config.update_lifetime,
-                memory=self.execution.memory,
-                # memory="shared": reserve the counter columns in the
-                # same segment, right after the word rows, so shard
-                # workers bump the live tallies in place.
-                extra_int64=(
-                    config.n_nodes * N_COUNTER_COLS
-                    if self.execution.memory == "shared"
-                    else 0
-                ),
+                config.n_nodes, config.updates_per_round, config.update_lifetime
             )
         else:
             self._pool = None
         #: The columnar per-node state (counters matrix, group /
         #: behaviour codes, eviction flags) — every backend uses it;
         #: node objects are views into its columns.
-        if (
-            isinstance(self._pool, WordPopulationStore)
-            and self.execution.memory == "shared"
-        ):
-            self.population = Population(
-                config.n_nodes,
-                counters=self._pool.extra.reshape(config.n_nodes, -1),
-            )
-        else:
-            self.population = Population(config.n_nodes)
+        self.population = Population(config.n_nodes)
         self.nodes: List[GossipNode] = [
             self._make_node(node_id) for node_id in range(config.n_nodes)
         ]
-        #: Byzantine membership and evicted ids, maintained so shard
-        #: extraction can skip per-node scans in the common case (the
-        #: Byzantine split is fixed at construction; evictions in
-        #: sharded mode only ever land through merge_shard).
-        self._byzantine = frozenset(
-            node.node_id for node in self.nodes if node.is_attacker
-        )
-        self._evicted_ids: set = set()
         # Per-node (delivered, missed) tallies over the measured window
         # (see the `per_node_delivered` property): plain lists on the
         # set backend (cheap scalar increments), arrays on the bitset
@@ -1118,10 +1058,8 @@ class GossipSimulator(RoundSimulator):
             self._windows_by_node = {
                 node_id: {} for node_id in range(config.n_nodes)
             }
-        #: The full-population interaction engine.  The classic round
-        #: loop (and the sharded k=1 "unsharded execution") runs the
-        #: phases through it directly; k >= 2 replays shard slices
-        #: through per-shard engines built by the worker body.
+        #: The full-population interaction engine: both partner models
+        #: run their phases through it.
         self._engine = InteractionEngine(
             self.nodes,
             config,
@@ -1130,19 +1068,6 @@ class GossipSimulator(RoundSimulator):
             pool=self._pool,
             population=self.population,
             chunk_pairs=self.execution.phase_chunk_pairs,
-        )
-        self._shard_static = (
-            ShardStatic(
-                config=config,
-                behaviors=tuple(node.behavior for node in self.nodes),
-                shm_name=(
-                    self._pool.shm_name
-                    if isinstance(self._pool, WordPopulationStore)
-                    else None
-                ),
-            )
-            if self.execution.shards
-            else None
         )
         #: Event-schedule state.  The network and churn RNGs are
         #: dedicated streams, so enabling the event engine (or any of
@@ -1186,10 +1111,7 @@ class GossipSimulator(RoundSimulator):
         """Per-component bytes of the flat population state (words backend).
 
         The scaling budget: word rows (have + missing), the counters
-        matrix, and the per-node role/eviction code columns.  The
-        store's reserved ``extra`` tail is never added separately — on
-        ``memory="shared"`` it *is* the counter region the population
-        views, so counting both would double the tally.
+        matrix, and the per-node role/eviction code columns.
         """
         if not isinstance(self._pool, WordPopulationStore):
             raise SimulationError(
@@ -1208,39 +1130,11 @@ class GossipSimulator(RoundSimulator):
         return breakdown
 
     def close(self) -> None:
-        """Release backing resources (the shared-memory block, if any).
+        """Nothing to release: every backend lives on the process heap.
 
-        Idempotent.  Heap-backed simulators have nothing to release;
-        on ``memory="shared"`` this closes and unlinks the store's
-        segment, after which the simulator's stores are unusable
-        (aggregate metrics — stats, counters, groups — stay readable:
-        the population re-homes its shared counter columns onto the
-        heap before the segment goes away).
+        Kept for callers that release a simulator when they are done
+        with it.
         """
-        if isinstance(self._pool, WordPopulationStore):
-            self.population.materialize()
-            self._pool.release()
-
-    def _release_after_failure(self) -> None:
-        """Failure path of a sharded round: leak nothing.
-
-        A raising dispatch or merge leaves the round half-done; the
-        contract is that the worker pool is torn down and any
-        shared-memory segment is unlinked before the exception
-        propagates (an ``atexit`` sweep backstops even this).
-        """
-        if self._shard_pool is not None:
-            try:
-                self._shard_pool.terminate()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        self.close()
-
-    def __enter__(self) -> "GossipSimulator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Setup
@@ -1343,7 +1237,7 @@ class GossipSimulator(RoundSimulator):
         self._broadcast(round_now)
         self._attack_out_of_band()
         if self.execution.shards:
-            self._step_sharded(round_now)
+            self._step_cells(round_now)
         else:
             order = [
                 int(i) for i in self._order_rng.permutation(self.config.n_nodes)
@@ -1361,184 +1255,34 @@ class GossipSimulator(RoundSimulator):
         self._expire(round_now)
         self._round += 1
 
-    def _step_sharded(self, round_now: int) -> None:
-        """Exchange and push phases of one round in sharded mode.
+    def _step_cells(self, round_now: int) -> None:
+        """Exchange and push phases of one round on the cell pairing.
 
-        ``shards == 1`` is the unsharded execution of the sharded
-        schedule: the full-population engine runs both phases directly
-        — in canonical (permutation) order per pair, or as whole-phase
-        batched sweeps on the words backend.  ``shards >= 2`` cuts the
-        round's cells into shard slices and merges the outcomes in
-        shard order; on ``memory="shared"`` the slices carry no rows
-        (workers mutate the shared block in place) and the coordinator
-        barriers the two phases.  The shard-parity suite pins all of
-        these paths to bit-identical traces.
+        The full-population engine runs both phases directly: as
+        whole-phase batched sweeps on the words backend, or per pair in
+        canonical (permutation) order on the others.  The shard-parity
+        suite pins the two to bit-identical traces.
         """
         schedule = self._partners
-        if self.execution.shards == 1:
-            if isinstance(self._pool, WordPopulationStore):
-                self._engine.run_exchanges_batched(
-                    round_now, schedule.round_pairs(round_now, Purpose.EXCHANGE)
-                )
-                self._engine.run_pushes_batched(
-                    round_now, schedule.round_pairs(round_now, Purpose.PUSH)
-                )
-                return
-            order = schedule.round_order(round_now)
-            self._engine.run_exchanges(
-                round_now,
-                order,
-                schedule.partners_for_round(round_now, Purpose.EXCHANGE),
+        if isinstance(self._pool, WordPopulationStore):
+            self._engine.run_exchanges_batched(
+                round_now, schedule.round_pairs(round_now, Purpose.EXCHANGE)
             )
-            self._engine.run_pushes(
-                round_now,
-                order,
-                schedule.partners_for_round(round_now, Purpose.PUSH),
+            self._engine.run_pushes_batched(
+                round_now, schedule.round_pairs(round_now, Purpose.PUSH)
             )
             return
-        shards = [
-            cells
-            for cells in schedule.shard_cells(round_now, self.execution.shards)
-            if cells
-        ]
-        try:
-            if self.execution.memory == "shared":
-                self._dispatch_shards_shared(round_now, shards)
-            else:
-                states = [
-                    extract_shard(self, cells, round_now) for cells in shards
-                ]
-                if self._shard_pool is not None:
-                    outcomes = self._shard_pool.run(self._shard_static, states)
-                else:
-                    outcomes = [
-                        run_shard(self._shard_static, state) for state in states
-                    ]
-                for state, outcome in zip(states, outcomes):
-                    merge_shard(self, state, outcome)
-        except Exception:
-            self._release_after_failure()
-            raise
-
-    def _dispatch_shards_shared(self, round_now: int, shards) -> None:
-        """One round's phases over in-place shared-memory shard state.
-
-        Each phase is dispatched separately with a coordinator-side
-        barrier between them (``ShardPool.run_shared`` returns only
-        when every shard's phase finished), because a node's push
-        behaviour depends on its post-exchange state.  The per-phase
-        messages carry cells, the evicted mask and the coalition /
-        authority slices out — and counters, evictions and reports
-        back; rows never travel.
-
-        Crash safety: shared phases mutate the segment in place, so a
-        worker killed mid-phase leaves half-applied rows behind.  The
-        coordinator snapshots the full round state (segment + the
-        coalition/authority/eviction state a merge touches) at the
-        round boundary; on :class:`WorkerCrash` — the pool has already
-        stopped every surviving worker, so nothing races the restore —
-        it rewrites the snapshot in place and re-runs the round from
-        the exchange phase on a fresh pool.  Rounds are pure functions
-        of the boundary state, so the re-run is bit-identical to an
-        undisturbed round (pinned by the chaos suite).
-        """
-        if self._shard_pool is None:
-            for phase in ("exchange", "push"):
-                states = [
-                    extract_shard(self, cells, round_now, phase=phase)
-                    for cells in shards
-                ]
-                for state in states:
-                    merge_shard_shared(
-                        self,
-                        state,
-                        run_shard_shared(self._shard_static, state, self._pool),
-                    )
-            return
-
-        budget = self._shard_pool.retries
-        attempt = 0
-        snapshot = self._shared_round_snapshot()
-        while True:
-            try:
-                for phase in ("exchange", "push"):
-                    states = [
-                        extract_shard(self, cells, round_now, phase=phase)
-                        for cells in shards
-                    ]
-                    outcomes = self._shard_pool.run_shared(
-                        self._shard_static, states, self._pool
-                    )
-                    for state, outcome in zip(states, outcomes):
-                        merge_shard_shared(self, state, outcome)
-                return
-            except WorkerCrash:
-                attempt += 1
-                if attempt > budget:
-                    raise
-                self._restore_shared_round(snapshot)
-
-    def _shared_round_snapshot(self) -> Dict[str, object]:
-        """Copy everything a shared round mutates, at the round boundary.
-
-        The word rows and counter columns live in the shared segment
-        (``have_words``/``missing_words``/``extra`` are views over it);
-        eviction flags, the attacker coalition and the reporting
-        authority live on the coordinator's heap but are written to by
-        the per-phase merges.  Together these are the entire mutable
-        round state — nodes read everything else through views of the
-        same arrays.
-        """
-        pool = self._pool
-        snapshot: Dict[str, object] = {
-            "have_words": pool.have_words.copy(),
-            "missing_words": pool.missing_words.copy(),
-            "extra": pool.extra.copy(),
-            "evicted": self.population.evicted.copy(),
-            "evicted_ids": set(self._evicted_ids),
-            "attack_nodes": set(self.attack.nodes),
-            "attack_pool": set(self.attack.pool),
-            "attack_satiated": self.attack.satiated_targets,
-            "updates_served": self.attack.updates_served,
-        }
-        if self.authority is not None:
-            snapshot["authority_reports"] = {
-                offender: set(reporters)
-                for offender, reporters in self.authority.reports.items()
-            }
-            snapshot["authority_evicted"] = set(self.authority.evicted)
-        return snapshot
-
-    def _restore_shared_round(self, snapshot: Dict[str, object]) -> None:
-        """Rewrite the round-boundary snapshot in place (crash recovery).
-
-        In-place (``arr[:] = ...``, ``set.clear()`` + update) because
-        nodes, the population and the engine all hold live views/
-        references into these structures — replacing the objects would
-        orphan them.  The satiated targets are the exception: they go
-        back through ``retarget``, so the caches keyed on the target
-        set's version rebuild.
-        """
-        pool = self._pool
-        pool.have_words[:] = snapshot["have_words"]
-        pool.missing_words[:] = snapshot["missing_words"]
-        pool.extra[:] = snapshot["extra"]
-        self.population.evicted[:] = snapshot["evicted"]
-        self._evicted_ids.clear()
-        self._evicted_ids.update(snapshot["evicted_ids"])
-        attack = self.attack
-        attack.nodes.clear()
-        attack.nodes.update(snapshot["attack_nodes"])
-        attack.pool.clear()
-        attack.pool.update(snapshot["attack_pool"])
-        attack.retarget(snapshot["attack_satiated"])
-        attack.updates_served = snapshot["updates_served"]
-        if self.authority is not None:
-            self.authority.reports.clear()
-            for offender, reporters in snapshot["authority_reports"].items():
-                self.authority.reports[offender] = set(reporters)
-            self.authority.evicted.clear()
-            self.authority.evicted.update(snapshot["authority_evicted"])
+        order = schedule.round_order(round_now)
+        self._engine.run_exchanges(
+            round_now,
+            order,
+            schedule.partners_for_round(round_now, Purpose.EXCHANGE),
+        )
+        self._engine.run_pushes(
+            round_now,
+            order,
+            schedule.partners_for_round(round_now, Purpose.PUSH),
+        )
 
     # ------------------------------------------------------------------
     # Event schedule (virtual time)

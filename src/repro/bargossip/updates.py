@@ -28,9 +28,7 @@ Three views of update state are kept:
   ints.  The fixed layout buys two things the bitset backend cannot
   offer: whole-phase numpy sweeps over many rows at once (see the
   batched :class:`~repro.bargossip.simulator.InteractionEngine`
-  dispatch) and the option to place the buffer in a
-  ``multiprocessing.shared_memory`` block so shard workers mutate
-  their rows in place instead of shipping them per round.
+  dispatch).
 * :class:`UpdateLedger` — global: which updates are currently live and
   when each expires, used to drive per-round expiry and the delivery
   metric ("fraction of updates received ... " in Figures 1-3).
@@ -38,15 +36,12 @@ Three views of update state are kept:
 
 from __future__ import annotations
 
-import atexit
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
-from ..core.errors import ConfigurationError, SimulationError
-from ..faults import fault_point
+from ..core.errors import SimulationError
 
 __all__ = [
     "update_id",
@@ -67,7 +62,6 @@ __all__ = [
     "word_rows_any",
     "lowest_word_bits",
     "truncate_word_rows",
-    "shared_memory_available",
     "WORD_BITS",
 ]
 
@@ -678,35 +672,6 @@ def _truncate_word_rows_scalar(
             )
 
 
-def shared_memory_available() -> bool:
-    """Whether a ``multiprocessing.shared_memory`` block can be created.
-
-    Containers without a usable ``/dev/shm`` raise at creation time;
-    callers (bench passes, the CI parity matrix) skip the shared-memory
-    path gracefully instead of failing.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        probe = shared_memory.SharedMemory(create=True, size=_WORD_BYTES)
-    except (ImportError, OSError):
-        return False
-    # The probe segment must not outlive this call on any exit path: a
-    # failing close() may not skip the unlink, and a failing unlink()
-    # (e.g. another probe raced us on a shared tmpfs) must not leak out
-    # of a capability check.
-    usable = True
-    try:
-        probe.close()
-    except (BufferError, OSError):
-        usable = False
-    try:
-        probe.unlink()
-    except (FileNotFoundError, OSError):
-        usable = False
-    return usable
-
-
 class _WordRows:
     """Int-compatible view over packed word rows.
 
@@ -714,7 +679,7 @@ class _WordRows:
     ``have_bits[i] -> int`` / ``have_bits[i] = int`` protocol of
     :class:`BitsetPopulationStore`, so every arbitrary-precision
     consumer — :class:`BitsetUpdateStore` views, the per-pair
-    exchange/push planners, shard extraction — works unchanged against
+    exchange/push planners — works unchanged against
     the word-array backend.  The hot paths bypass this view and sweep
     the underlying array directly.
 
@@ -751,24 +716,6 @@ class _WordRows:
             yield int.from_bytes(flat[start : start + stride], "little") >> offset
 
 
-def _release_shared_block(shm: object, owner: bool) -> None:
-    """Best-effort close (+ unlink for the creator) of one shm block.
-
-    Runs from ``weakref.finalize`` — possibly at interpreter exit,
-    possibly after another process already unlinked the segment — so
-    every failure is swallowed.
-    """
-    try:
-        shm.close()
-    except (BufferError, OSError):
-        pass
-    if owner:
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
 class WordPopulationStore:
     """Dense live-update state as fixed-width word rows.
 
@@ -781,159 +728,32 @@ class WordPopulationStore:
     ``offset = base % 64`` bits into the row (the ring scheme of
     :meth:`advance_to`).  The fixed layout is what enables
 
-    * whole-population numpy sweeps (window slide, broadcast, expiry
-      scoring and the batched exchange/push phases are array
-      operations over all rows at once), and
-    * ``memory="shared"``: the buffer lives in a
-      ``multiprocessing.shared_memory`` block, so shard workers attach
-      once and mutate their rows in place — per-round messages carry
-      counters and eviction decisions, never rows.
-
-    Lifecycle of the shared block is explicit: the creating process
-    owns the segment (``close`` + ``unlink``), attached processes only
-    ``close``.  A ``weakref.finalize`` guard (and an ``atexit`` sweep)
-    releases whatever a crashed round leaves behind.
+    whole-population numpy sweeps: window slide, broadcast, expiry
+    scoring and the batched exchange/push phases are array operations
+    over all rows at once.
     """
 
-    def __init__(
-        self,
-        n_nodes: int,
-        updates_per_round: int,
-        lifetime: int,
-        memory: str = "heap",
-        shm_name: Optional[str] = None,
-        extra_int64: int = 0,
-    ) -> None:
+    def __init__(self, n_nodes: int, updates_per_round: int, lifetime: int) -> None:
         if n_nodes < 1:
             raise SimulationError(f"n_nodes must be >= 1, got {n_nodes}")
-        if memory not in ("heap", "shared"):
-            raise ConfigurationError(
-                f"memory must be 'heap' or 'shared', got {memory!r}"
-            )
-        if shm_name is not None and memory != "shared":
-            raise ConfigurationError("shm_name requires memory='shared'")
-        if extra_int64 < 0:
-            raise ConfigurationError(
-                f"extra_int64 must be >= 0, got {extra_int64}"
-            )
         self.n_nodes = n_nodes
         self.updates_per_round = updates_per_round
         self.lifetime = lifetime
         self.capacity = updates_per_round * lifetime
         self.base = 0
         self.full_mask = (1 << self.capacity) - 1
-        self.memory = memory
         # One slack word beyond ceil(capacity / 64): under the ring
         # scheme the live window floats up to 63 bits into the row
         # (``offset``), so a row must hold ``capacity + 63`` bits.
         self.words_per_row = (self.capacity + 2 * (WORD_BITS - 1)) // WORD_BITS
-        #: Extra int64 slots reserved at the tail of the flat buffer —
-        #: the columnar counter region when ``memory == "shared"``
-        #: (attaching processes must pass the creator's count so the
-        #: row/extra split lands on the same offsets).
-        self.extra_int64 = extra_int64
-        n_words = 2 * n_nodes * self.words_per_row + extra_int64
-        self.owns_shm = memory == "shared" and shm_name is None
-        shm = None
-        if memory == "shared":
-            from multiprocessing import shared_memory
-
-            if shm_name is None:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=n_words * _WORD_BYTES
-                )
-            else:
-                # Injection site sits *before* the attach so a faulted
-                # attach (chaos tests) leaves no segment handle behind.
-                fault_point("shm:attach")
-                # Attaching re-registers the name with the resource
-                # tracker; pool workers share the coordinator's tracker
-                # (fork and POSIX spawn both inherit its fd), so the
-                # duplicate collapses and the creator's unlink settles
-                # the books.
-                shm = shared_memory.SharedMemory(name=shm_name)
-            flat = np.frombuffer(shm.buf, dtype=np.uint64, count=n_words)
-            if self.owns_shm:
-                flat[:] = 0
-        else:
-            flat = np.zeros(n_words, dtype=np.uint64)
         rows = n_nodes * self.words_per_row
+        flat = np.zeros(2 * rows, dtype=np.uint64)
         #: Packed have/missing rows, ``(n_nodes, words_per_row)`` uint64.
         self.have_words = flat[:rows].reshape(n_nodes, self.words_per_row)
-        self.missing_words = flat[rows : 2 * rows].reshape(
-            n_nodes, self.words_per_row
-        )
-        #: The reserved tail region viewed as int64 (empty when
-        #: ``extra_int64 == 0``); zeroed with the rest of the buffer.
-        self.extra = flat[2 * rows :].view(np.int64)
+        self.missing_words = flat[rows:].reshape(n_nodes, self.words_per_row)
         #: Int-compatible row views (the BitsetPopulationStore protocol).
         self.have_bits = _WordRows(self.have_words, self)
         self.missing_bits = _WordRows(self.missing_words, self)
-        # _shm enters the instance dict after the array views so an
-        # un-closed store tears down views first, letting the segment's
-        # own __del__ close its mmap without exported-buffer errors.
-        self._shm = shm
-        self._finalizer = (
-            weakref.finalize(self, _release_shared_block, shm, self.owns_shm)
-            if shm is not None
-            else None
-        )
-        if shm is not None:
-            _LIVE_SHARED_STORES.add(self)
-
-    # -- shared-block lifecycle ----------------------------------------
-
-    @property
-    def shm_name(self) -> Optional[str]:
-        """Name of the backing shared block (None on the heap)."""
-        return self._shm.name if self._shm is not None else None
-
-    def close(self) -> None:
-        """Release this process's mapping of the shared block.
-
-        Idempotent; a heap store is a no-op.  The arrays die with the
-        mapping, so the store must not be used afterwards.  A creator
-        keeps its unlink responsibility (and its crash-safety
-        finalizer) until :meth:`unlink` runs.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        self._pending_unlink = shm if self.owns_shm else None
-        self.have_words = self.missing_words = self.extra = None
-        self.have_bits = self.missing_bits = None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - stray exported views
-            pass
-        if not self.owns_shm:
-            self._detach_guard()
-
-    def unlink(self) -> None:
-        """Destroy the shared segment (creator only; idempotent)."""
-        if not self.owns_shm:
-            return
-        if self._shm is not None:
-            self.close()
-        shm = getattr(self, "_pending_unlink", None)
-        self._pending_unlink = None
-        if shm is not None:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._detach_guard()
-
-    def _detach_guard(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _LIVE_SHARED_STORES.discard(self)
-
-    def release(self) -> None:
-        """Close and, when this process created the block, unlink it."""
-        self.close()
-        self.unlink()
 
     # -- BitsetPopulationStore protocol --------------------------------
 
@@ -972,10 +792,8 @@ class WordPopulationStore:
     def offset(self) -> int:
         """Physical bit position of logical column 0 (ring scheme).
 
-        A pure function of ``base``, so shard slices that copy rows and
-        adopt the coordinator's ``base`` land on the same layout with
-        no extra bookkeeping: update ``u`` always lives at physical bit
-        ``u - WORD_BITS * (base // WORD_BITS)`` of its row.
+        A pure function of ``base``: update ``u`` always lives at
+        physical bit ``u - WORD_BITS * (base // WORD_BITS)`` of its row.
         """
         return self.base % WORD_BITS
 
@@ -1049,32 +867,15 @@ class WordPopulationStore:
         return word_popcounts(self.have_words & self.mask_words(mask))
 
     def memory_breakdown(self) -> Dict[str, int]:
-        """Exact flat-buffer bytes, split by role.
+        """Exact flat-buffer bytes of both packed row matrices.
 
-        ``word_row_bytes`` covers both packed row matrices (have +
-        missing); ``extra_bytes`` is the reserved tail — the columnar
-        counter region when ``memory == "shared"``, empty otherwise.
-        The budget is the scaling headline: bytes here grow linearly
-        with ``n_nodes`` and are independent of run length.
+        ``word_row_bytes`` covers have + missing.  The budget is the
+        scaling headline: bytes here grow linearly with ``n_nodes`` and
+        are independent of run length.
         """
-        word_row_bytes = 2 * self.n_nodes * self.words_per_row * _WORD_BYTES
-        extra_bytes = self.extra_int64 * _WORD_BYTES
         return {
-            "word_row_bytes": word_row_bytes,
-            "extra_bytes": extra_bytes,
-            "total_bytes": word_row_bytes + extra_bytes,
+            "word_row_bytes": 2 * self.n_nodes * self.words_per_row * _WORD_BYTES
         }
-
-
-#: Live shared-memory stores, swept by ``atexit`` so a crashed run
-#: cannot leak segments (normal exits release explicitly first).
-_LIVE_SHARED_STORES: "weakref.WeakSet[WordPopulationStore]" = weakref.WeakSet()
-
-
-@atexit.register
-def _release_live_shared_stores() -> None:  # pragma: no cover - exit hook
-    for store in list(_LIVE_SHARED_STORES):
-        store.release()
 
 
 @dataclass

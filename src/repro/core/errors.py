@@ -33,26 +33,5 @@ class SimulationError(ReproError):
     """The simulation reached an internally inconsistent state."""
 
 
-class WorkerCrash(SimulationError):
-    """A pool worker died or wedged while holding dispatched work.
-
-    Raised by the supervised execution layer when a worker process
-    exits (OOM kill, ``os._exit``, unhandled signal) or misses its
-    dispatch deadline and the caller asked for fail-fast semantics
-    (shared-memory phases, where surviving workers must be stopped
-    before the coordinator can restore the segment).  The supervising
-    pool is already terminated when this propagates.
-    """
-
-    def __init__(self, label: str, fate: str, error: str) -> None:
-        super().__init__(f"worker {fate} while running {label}: {error}")
-        #: Which task the lost worker held (caller-supplied label).
-        self.label = label
-        #: How the attempt ended: "crashed", "timeout" or "raised".
-        self.fate = fate
-        #: Exit code / exception text of the final attempt.
-        self.error = error
-
-
 class AnalysisError(ReproError):
     """Requested analysis cannot be computed from the given results."""

@@ -30,9 +30,6 @@ The registered sites (checked statically by lotus-lint rule FLW014):
 
 ===================  ====================================================
 ``worker:cell``      per sweep cell, inside the pool chunk body
-``worker:shard``     per heap-mode shard slice, in the pool worker
-``worker:shard-shared``  per shared-memory phase slice, in the worker
-``shm:attach``       before a worker attaches a shared-memory segment
 ``cache:record``     after a cache record write commits (corruption)
 ===================  ====================================================
 """
@@ -66,9 +63,6 @@ __all__ = [
 FAULT_SITES = frozenset(
     {
         "worker:cell",
-        "worker:shard",
-        "worker:shard-shared",
-        "shm:attach",
         "cache:record",
     }
 )

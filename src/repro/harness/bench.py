@@ -23,10 +23,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import platform
-import shutil
-import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -34,18 +31,8 @@ from ..bargossip.attacker import AttackKind
 from ..bargossip.config import GossipConfig
 from ..bargossip.network import NetworkModel
 from ..bargossip.scenario import ExecutionConfig, Scenario, run_experiment
-from ..bargossip.sharding import (
-    ShardPool,
-    _init_shard_worker,
-    _run_shard_in_worker,
-    extract_shard,
-    run_shard,
-    run_shard_shared,
-)
 from ..bargossip.simulator import GossipSimulator
-from ..bargossip.updates import shared_memory_available
 from ..core.metrics import USABILITY_THRESHOLD, TimeSeries
-from ..faults import FaultPlan, FaultSpec
 from .figures import DEFAULT_FRACTIONS, FAST_FRACTIONS, crossovers, figure1, figure2, figure3
 from .parallel import SweepExecutor, resolve_jobs
 from .tables import baseline_check
@@ -54,11 +41,8 @@ __all__ = [
     "BENCH_FIGURES",
     "SCALE_BENCH_POINTS",
     "run_backend_bench",
-    "run_shard_bench",
-    "run_memory_bench",
     "run_counters_bench",
     "run_event_bench",
-    "run_fault_bench",
     "run_scale_bench",
     "run_bench",
     "render_bench_summary",
@@ -66,16 +50,6 @@ __all__ = [
     "write_bench_summary",
 ]
 
-
-def _pool_undersubscribed(workers: int) -> bool:
-    """Whether pooled timings on this host are hardware-meaningless.
-
-    With fewer CPUs than workers the pooled pass measures
-    oversubscription, not parallel speedup; the bench records the flag
-    in the artifact (and the CLI warns) so a 1-CPU container's
-    "speedup" is never mistaken for a regression or an improvement.
-    """
-    return workers > (os.cpu_count() or 1)
 
 #: The figure builders exercised by the benchmark, in report order.
 BENCH_FIGURES: Dict[str, Callable[..., Dict[str, TimeSeries]]] = {
@@ -146,97 +120,14 @@ def run_backend_bench(
     }
 
 
-def run_shard_bench(
-    n_nodes: int = 50000,
-    rounds: int = 50,
-    workers: int = 4,
-    seed: int = 0,
-    backend: str = "bitset",
-) -> Dict[str, Any]:
-    """Time one huge sharded gossip round sequence, three ways.
-
-    The sharded executor's scaling axis is *within one run*: a single
-    50,000-node round sequence partitioned across worker processes.
-    Three passes over the identical computation (the sharded schedule
-    makes all of them bit-identical, which the returned ``parity_ok``
-    asserts on delivery stats and per-node tallies):
-
-    * ``serial_seconds`` — ``shards=1``, the unsharded execution: the
-      full-population engine runs the round loop directly.
-    * ``inprocess_seconds`` — ``shards=workers`` without a pool:
-      measures the slice extract/merge overhead in isolation.
-    * ``parallel_seconds`` — ``shards=workers`` on a
-      :class:`~repro.bargossip.sharding.ShardPool` of ``workers``
-      processes; ``speedup`` is ``serial / parallel``.
-
-    The speedup is hardware-honest: it needs at least ``workers``
-    physical cores to exceed 1 (``environment.cpu_count`` in the bench
-    summary records what the run actually had), and per-round slice
-    serialization bounds it from above — see the README's sharding
-    section for the measured breakdown.
-    """
-    passes: Dict[str, float] = {}
-    reference: Optional[GossipSimulator] = None
-    parity_ok = True
-    for name, shards, use_pool in (
-        ("serial_seconds", 1, False),
-        ("inprocess_seconds", workers, False),
-        ("parallel_seconds", workers, True),
-    ):
-        # A single worker has no pool to speak of (and the simulator
-        # rejects a pool on an unsharded config): all three passes
-        # then legitimately measure the same serial execution.
-        pool = ShardPool(workers) if use_pool and workers >= 2 else None
-        simulator = GossipSimulator(
-            GossipConfig(n_nodes=n_nodes),
-            seed=seed,
-            shard_pool=pool,
-            execution=ExecutionConfig(backend=backend, shards=shards),
-        )
-        start = time.perf_counter()
-        for _ in range(rounds):
-            simulator.step()
-        passes[name] = time.perf_counter() - start
-        if pool is not None:
-            pool.close()
-        if reference is None:
-            reference = simulator
-        else:
-            parity_ok = parity_ok and (
-                simulator.stats.delivered == reference.stats.delivered
-                and simulator.stats.missed == reference.stats.missed
-                and simulator.per_node_delivered == reference.per_node_delivered
-                and simulator.per_node_missed == reference.per_node_missed
-            )
-    return {
-        "n_nodes": n_nodes,
-        "rounds": rounds,
-        "shards": workers,
-        "workers": workers,
-        "backend": backend,
-        **passes,
-        "speedup": (
-            passes["serial_seconds"] / passes["parallel_seconds"]
-            if passes["parallel_seconds"] > 0
-            else None
-        ),
-        "pool_undersubscribed": _pool_undersubscribed(workers),
-        "parity_ok": parity_ok,
-        "delivery_fraction": reference.delivery_fraction("correct"),
-    }
-
-
 def _time_rounds(
     config: GossipConfig,
     execution: ExecutionConfig,
     rounds: int,
     seed: int,
-    pool=None,
 ):
-    """(seconds, simulator-after-close aggregates) of one timed run."""
-    simulator = GossipSimulator(
-        config, seed=seed, shard_pool=pool, execution=execution
-    )
+    """(seconds, end-of-run aggregates) of one timed run."""
+    simulator = GossipSimulator(config, seed=seed, execution=execution)
     start = time.perf_counter()
     for _ in range(rounds):
         simulator.step()
@@ -248,205 +139,26 @@ def _time_rounds(
         tuple(simulator.per_node_missed),
         simulator.delivery_fraction("correct"),
     )
-    simulator.close()
     return seconds, aggregates
-
-
-def _round_traffic_bytes(
-    config: GossipConfig,
-    execution: ExecutionConfig,
-    workers: int,
-    seed: int,
-    warm_rounds: int = 2,
-) -> Dict[str, int]:
-    """Measured pickled payload of one round's shard dispatch.
-
-    Builds one simulator, warms it past the first broadcasts, then
-    extracts (and, for byte-accounting, executes in-process) exactly
-    what a pooled round would ship.  This is the artifact's evidence
-    that ``memory="shared"`` cuts per-round cross-process traffic from
-    O(nodes) rows to O(counters): the states/outcomes are the literal
-    objects ``ShardPool`` would pickle.
-    """
-    simulator = GossipSimulator(
-        config, seed=seed, execution=execution.replace(shards=workers)
-    )
-    try:
-        for _ in range(warm_rounds):
-            simulator.step()
-        round_now = simulator._round
-        simulator._maybe_rotate_targets(round_now)
-        simulator._broadcast(round_now)
-        simulator._attack_out_of_band()
-        shards = [
-            cells
-            for cells in simulator._partners.shard_cells(round_now, workers)
-            if cells
-        ]
-        state_bytes = 0
-        outcome_bytes = 0
-        if execution.memory == "shared":
-            for phase in ("exchange", "push"):
-                states = [
-                    extract_shard(simulator, cells, round_now, phase=phase)
-                    for cells in shards
-                ]
-                outcomes = [
-                    run_shard_shared(simulator._shard_static, state, simulator._pool)
-                    for state in states
-                ]
-                state_bytes += sum(len(pickle.dumps(s)) for s in states)
-                outcome_bytes += sum(len(pickle.dumps(o)) for o in outcomes)
-        else:
-            states = [
-                extract_shard(simulator, cells, round_now) for cells in shards
-            ]
-            outcomes = [
-                run_shard(simulator._shard_static, state) for state in states
-            ]
-            state_bytes = sum(len(pickle.dumps(s)) for s in states)
-            outcome_bytes = sum(len(pickle.dumps(o)) for o in outcomes)
-        return {"state_bytes": state_bytes, "outcome_bytes": outcome_bytes}
-    finally:
-        simulator.close()
-
-
-def run_memory_bench(
-    n_nodes: int = 20000,
-    rounds: int = 30,
-    workers: int = 4,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Time the population-store memory layouts head to head.
-
-    One no-attack gossip run per pass, all over the sharded schedule so
-    every pass computes the bit-identical trace (asserted on delivery
-    stats and per-node tallies):
-
-    * ``serial_*`` — ``shards=1``: the full-population engine, per-pair
-      dispatch on the bitset backend, batched word sweeps on words.
-    * ``inprocess_*`` — ``shards=workers``, no pool: slice
-      extract/execute/merge overhead in isolation.
-    * ``pooled_*`` — ``shards=workers`` on a worker-process pool;
-      ``heap`` ships rows per round, ``shared`` mutates a shared-memory
-      block in place and ships only counters.
-
-    ``round_traffic`` records the measured pickled bytes of one
-    round's dispatch for the pooled paths — the O(nodes)-rows versus
-    O(counters) comparison the shared layout exists for.  Shared
-    passes are skipped (``None`` timings, ``shared_available`` False)
-    where no shared-memory segment can be created.
-    """
-    shared_ok = shared_memory_available()
-    passes = (
-        ("serial_bitset_seconds", "bitset", "heap", 1, False),
-        ("serial_words_seconds", "words", "heap", 1, False),
-        ("inprocess_bitset_seconds", "bitset", "heap", workers, False),
-        ("inprocess_words_seconds", "words", "heap", workers, False),
-        ("pooled_bitset_seconds", "bitset", "heap", workers, True),
-        ("pooled_words_heap_seconds", "words", "heap", workers, True),
-        ("pooled_words_shared_seconds", "words", "shared", workers, True),
-    )
-    seconds: Dict[str, Optional[float]] = {}
-    reference = None
-    parity_ok = True
-    delivery = None
-    for name, backend, memory, shards, use_pool in passes:
-        if memory == "shared" and not shared_ok:
-            seconds[name] = None
-            continue
-        execution = ExecutionConfig(backend=backend, memory=memory, shards=shards)
-        pool = ShardPool(workers) if use_pool and workers >= 2 else None
-        try:
-            elapsed, aggregates = _time_rounds(
-                GossipConfig(n_nodes=n_nodes), execution, rounds, seed, pool=pool
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-        seconds[name] = elapsed
-        if reference is None:
-            reference = aggregates
-            delivery = aggregates[-1]
-        else:
-            parity_ok = parity_ok and aggregates == reference
-
-    def _ratio(numerator: Optional[float], denominator: Optional[float]):
-        if numerator is None or denominator is None or denominator <= 0:
-            return None
-        return numerator / denominator
-
-    traffic: Dict[str, Any] = {
-        "words_heap": _round_traffic_bytes(
-            GossipConfig(n_nodes=n_nodes),
-            ExecutionConfig(backend="words"),
-            workers,
-            seed,
-        )
-    }
-    if shared_ok:
-        traffic["words_shared"] = _round_traffic_bytes(
-            GossipConfig(n_nodes=n_nodes),
-            ExecutionConfig(backend="words", memory="shared"),
-            workers,
-            seed,
-        )
-        heap_total = sum(traffic["words_heap"].values())
-        shared_total = sum(traffic["words_shared"].values())
-        traffic["heap_over_shared"] = _ratio(heap_total, shared_total)
-    return {
-        "n_nodes": n_nodes,
-        "rounds": rounds,
-        "workers": workers,
-        "pool_undersubscribed": _pool_undersubscribed(workers),
-        "shared_available": shared_ok,
-        **seconds,
-        "serial_words_vs_bitset_speedup": _ratio(
-            seconds["serial_bitset_seconds"], seconds["serial_words_seconds"]
-        ),
-        "inprocess_words_vs_bitset_speedup": _ratio(
-            seconds["inprocess_bitset_seconds"], seconds["inprocess_words_seconds"]
-        ),
-        "pooled_shared_speedup_vs_serial": _ratio(
-            seconds["serial_words_seconds"], seconds["pooled_words_shared_seconds"]
-        ),
-        "round_traffic": traffic,
-        "parity_ok": parity_ok,
-        "delivery_fraction": delivery,
-    }
 
 
 def run_counters_bench(
     n_nodes: int = 20000,
     rounds: int = 10,
-    workers: int = 4,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """Measure what the columnar counter refactor changed, per round.
+    """Per-round cost of the columnar counters, words against bitset.
 
-    Two numbers, both deliberately at the ``memory_bench`` headline
-    scale (20,000 nodes) so consecutive artifacts — and the PR-4
-    baseline — stay directly comparable:
-
-    * ``words_round_seconds`` / ``bitset_round_seconds`` — wall-clock
-      per round of one serial no-attack run on the sharded schedule
-      (``shards=1``).  The words backend's phases are whole-population
-      sweeps whose counter updates are scatter-adds on the columnar
-      matrix; the bitset backend keeps the per-pair scalar dispatch and
-      therefore pays the column-view tax on every interaction — the
-      recorded ratio is the honest price of the trade.
-    * ``dispatch`` — the measured pickled bytes of one pooled round's
-      shard messages (states out, outcomes back) on the words backend,
-      heap versus shared.  Heap outcomes now carry sparse narrowed
-      counter columns instead of per-node tuples; shared outcomes carry
-      no counter payload at all (workers bump the segment's columns in
-      place), so ``outcome_bytes`` is where the lean-delta re-cut
-      shows up.
-
-    Shared rows are skipped (``None``) where no shared-memory segment
-    can be created.
+    ``words_round_seconds`` / ``bitset_round_seconds`` are the
+    wall-clock per round of one serial no-attack run on the cell
+    pairing (``shards=1``), at the 20,000-node headline scale so
+    consecutive artifacts stay comparable.  The words backend's phases
+    are whole-population sweeps whose counter updates are scatter-adds
+    on the columnar matrix; the bitset backend keeps the per-pair
+    scalar dispatch and therefore pays the column-view tax on every
+    interaction — the recorded ratio is the honest price of the trade.
     """
-    per_round: Dict[str, Optional[float]] = {}
+    per_round: Dict[str, float] = {}
     reference = None
     parity_ok = True
     delivery = None
@@ -466,44 +178,15 @@ def run_counters_bench(
             delivery = aggregates[-1]
         else:
             parity_ok = parity_ok and aggregates == reference
-
-    shared_ok = shared_memory_available()
-    dispatch: Dict[str, Any] = {
-        "words_heap": _round_traffic_bytes(
-            GossipConfig(n_nodes=n_nodes),
-            ExecutionConfig(backend="words"),
-            workers,
-            seed,
-        ),
-        "words_shared": (
-            _round_traffic_bytes(
-                GossipConfig(n_nodes=n_nodes),
-                ExecutionConfig(backend="words", memory="shared"),
-                workers,
-                seed,
-            )
-            if shared_ok
-            else None
-        ),
-    }
-    if shared_ok:
-        heap_out = dispatch["words_heap"]["outcome_bytes"]
-        shared_out = dispatch["words_shared"]["outcome_bytes"]
-        dispatch["outcome_bytes_heap_over_shared"] = (
-            heap_out / shared_out if shared_out else None
-        )
     return {
         "n_nodes": n_nodes,
         "rounds": rounds,
-        "workers": workers,
-        "shared_available": shared_ok,
         **per_round,
         "words_vs_bitset_round_speedup": (
             per_round["bitset_round_seconds"] / per_round["words_round_seconds"]
             if per_round["words_round_seconds"]
             else None
         ),
-        "dispatch": dispatch,
         "parity_ok": parity_ok,
         "delivery_fraction": delivery,
     }
@@ -551,7 +234,7 @@ def run_event_bench(
       and what fraction of measured updates ever get there, as latency,
       loss and churn are layered on.
 
-    Like the memory bench this runs at the 20,000-node headline scale
+    Like the counters bench this runs at the 20,000-node headline scale
     in both profiles so consecutive CI artifacts stay comparable.
 
     ``rounds`` must comfortably exceed twice the update lifetime:
@@ -614,159 +297,6 @@ def run_event_bench(
         "points": points,
         "parity_ok": parity_ok,
         "delivery_fraction": classic.correct_fraction,
-    }
-
-
-class _UnsupervisedShardPool:
-    """A raw ``multiprocessing.Pool`` with the ShardPool interface.
-
-    Exists only as the fault bench's baseline: the pre-supervision
-    execution path (plain ``Pool.map``, no liveness checks, no
-    deadlines, no retry bookkeeping), so ``supervised_overhead_ratio``
-    measures exactly what the supervision layer costs when nothing
-    fails.  Heap mode only — never use this outside the bench; it hangs
-    forever if a worker dies.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._pool = None
-        self._static = None
-
-    def run(self, static, states):
-        if self._pool is None or self._static is not static:
-            self.close()
-            self._pool = multiprocessing.Pool(
-                processes=self.workers,
-                initializer=_init_shard_worker,
-                initargs=(static, None),
-            )
-            self._static = static
-        return self._pool.map(_run_shard_in_worker, states)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._static = None
-
-    def terminate(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._static = None
-
-
-def run_fault_bench(
-    n_nodes: int = 20000,
-    rounds: int = 10,
-    workers: int = 4,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Measure what fault tolerance costs, and what recovery costs.
-
-    Three timed passes of the same sharded no-attack run (words
-    backend, 20,000-node headline scale), asserting bit-identical
-    delivery aggregates across all of them:
-
-    * ``unsupervised_seconds`` — heap-mode shards on a raw
-      ``multiprocessing.Pool`` (the pre-supervision execution path);
-    * ``supervised_seconds`` — the same run on the supervised
-      :class:`ShardPool`; ``supervised_overhead_ratio`` is the price of
-      liveness checks, deadlines and retry bookkeeping when nothing
-      fails (target: ≤ 1.02);
-    * ``faulted_seconds`` — shared-memory mode (heap where no segment
-      is available) with a :class:`~repro.faults.FaultPlan` killing one
-      worker mid-round; ``recovery_seconds`` is the wall-clock the
-      crash + respawn + snapshot-restore + round re-run added over the
-      matching clean pass.
-
-    ``parity_ok`` covers every pass against the first — the bench-level
-    restatement of the chaos suite's bit-exactness pin.
-    """
-    config = GossipConfig(n_nodes=n_nodes)
-    heap = ExecutionConfig(backend="words", memory="heap", shards=workers)
-    reference = None
-    parity_ok = True
-
-    def _check(aggregates) -> None:
-        nonlocal reference, parity_ok
-        if reference is None:
-            reference = aggregates
-        else:
-            parity_ok = parity_ok and aggregates == reference
-
-    plain = _UnsupervisedShardPool(workers)
-    try:
-        unsupervised_seconds, aggregates = _time_rounds(
-            config, heap, rounds, seed, pool=plain
-        )
-    finally:
-        plain.close()
-    _check(aggregates)
-
-    supervised = ShardPool(workers)
-    try:
-        supervised_seconds, aggregates = _time_rounds(
-            config, heap, rounds, seed, pool=supervised
-        )
-    finally:
-        supervised.close()
-    _check(aggregates)
-
-    shared_ok = shared_memory_available()
-    faulted_execution = (
-        ExecutionConfig(backend="words", memory="shared", shards=workers)
-        if shared_ok
-        else heap
-    )
-    clean_pool = ShardPool(workers)
-    try:
-        clean_seconds, aggregates = _time_rounds(
-            config, faulted_execution, rounds, seed, pool=clean_pool
-        )
-    finally:
-        clean_pool.close()
-    _check(aggregates)
-
-    token_dir = tempfile.mkdtemp(prefix="lotus-fault-bench-")
-    site = "worker:shard-shared" if shared_ok else "worker:shard"
-    plan = FaultPlan(
-        seed=seed,
-        specs=(FaultSpec(site=site, kind="crash", when=2),),
-        token_dir=token_dir,
-    )
-    faulted_pool = ShardPool(workers, fault_plan=plan)
-    try:
-        faulted_seconds, aggregates = _time_rounds(
-            config, faulted_execution, rounds, seed, pool=faulted_pool
-        )
-    finally:
-        faulted_pool.close()
-        shutil.rmtree(token_dir, ignore_errors=True)
-    _check(aggregates)
-
-    return {
-        "n_nodes": n_nodes,
-        "rounds": rounds,
-        "workers": workers,
-        "pool_undersubscribed": _pool_undersubscribed(workers),
-        "shared_available": shared_ok,
-        "faulted_memory": faulted_execution.memory,
-        "unsupervised_seconds": unsupervised_seconds,
-        "supervised_seconds": supervised_seconds,
-        "supervised_overhead_ratio": (
-            supervised_seconds / unsupervised_seconds
-            if unsupervised_seconds > 0
-            else None
-        ),
-        "clean_seconds": clean_seconds,
-        "faulted_seconds": faulted_seconds,
-        "recovery_seconds": max(0.0, faulted_seconds - clean_seconds),
-        "parity_ok": parity_ok,
-        "delivery_fraction": reference[-1] if reference else None,
     }
 
 
@@ -838,7 +368,6 @@ def _scale_point_worker(n_nodes: int, rounds: int, seed: int) -> Dict[str, Any]:
             simulator.attack.updates_served,
         ],
     }
-    simulator.close()
     return point
 
 
@@ -873,6 +402,7 @@ def run_scale_bench(
         "rounds": rounds,
         "attacker_fraction": SCALE_BENCH_ATTACKER_FRACTION,
         "backend": "words",
+        "pairing": "cells",
         "isolated": isolate,
         "points": results,
         "parity_ok": parity_ok,
@@ -885,11 +415,7 @@ def run_bench(
     repetitions: int = 1,
     root_seed: int = 0,
     executor: Optional[SweepExecutor] = None,
-    shard_workers: int = 4,
-    shard_nodes: int = 50000,
-    shard_rounds: int = 50,
-    memory_nodes: int = 20000,
-    memory_rounds: int = 30,
+    headline_nodes: int = 20000,
     scale_points=None,
     scale_rounds: int = 12,
     scale_isolate: bool = True,
@@ -903,12 +429,10 @@ def run_bench(
     pass would report cache speedup, not executor speedup (the CLI's
     ``bench`` command always benches uncached for this reason).
 
-    ``shard_workers`` / ``shard_nodes`` / ``shard_rounds`` parameterize
-    the ``shard_bench`` section (:func:`run_shard_bench`), and
-    ``memory_nodes`` / ``memory_rounds`` the ``memory_bench`` section
-    (:func:`run_memory_bench`); like the backend bench these
-    deliberately run at the same headline scale in both profiles so
-    consecutive CI artifacts stay comparable.
+    ``headline_nodes`` sizes the ``counters_bench`` and
+    ``event_bench`` sections; like the backend bench these deliberately
+    run at the same headline scale in both profiles so consecutive CI
+    artifacts stay comparable.
 
     ``scale_points`` parameterizes the ``scale_bench`` section
     (:func:`run_scale_bench`); None keeps the tracked defaults — the
@@ -962,29 +486,8 @@ def run_bench(
 
     baseline = baseline_check(rounds=rounds, seed=root_seed, executor=executor)
     backend_bench = run_backend_bench(seed=root_seed)
-    shard_bench = run_shard_bench(
-        n_nodes=shard_nodes,
-        rounds=shard_rounds,
-        workers=shard_workers,
-        seed=root_seed,
-    )
-    memory_bench = run_memory_bench(
-        n_nodes=memory_nodes,
-        rounds=memory_rounds,
-        workers=shard_workers,
-        seed=root_seed,
-    )
-    counters_bench = run_counters_bench(
-        n_nodes=memory_nodes,
-        workers=shard_workers,
-        seed=root_seed,
-    )
-    event_bench = run_event_bench(n_nodes=memory_nodes, seed=root_seed)
-    fault_bench = run_fault_bench(
-        n_nodes=memory_nodes,
-        workers=shard_workers,
-        seed=root_seed,
-    )
+    counters_bench = run_counters_bench(n_nodes=headline_nodes, seed=root_seed)
+    event_bench = run_event_bench(n_nodes=headline_nodes, seed=root_seed)
     scale_bench = run_scale_bench(
         points=scale_points,
         rounds=scale_rounds,
@@ -1010,11 +513,8 @@ def run_bench(
         },
         "executor": executor_stats,
         "backend_bench": backend_bench,
-        "shard_bench": shard_bench,
-        "memory_bench": memory_bench,
         "counters_bench": counters_bench,
         "event_bench": event_bench,
-        "fault_bench": fault_bench,
         "scale_bench": scale_bench,
         "figures": figures,
         "totals": {
@@ -1062,49 +562,6 @@ def render_bench_summary(summary: Dict[str, Any]) -> str:
             f"bitset {backend['bitset_seconds']:.2f}s "
             f"({backend['speedup']:.2f}x, parity {parity})"
         )
-    shard = summary.get("shard_bench")
-    if shard:
-        parity = "ok" if shard["parity_ok"] else "MISMATCH"
-        undersubscribed = (
-            ", POOL UNDERSUBSCRIBED" if shard.get("pool_undersubscribed") else ""
-        )
-        lines.append(
-            f"shards ({shard['n_nodes']} nodes, {shard['rounds']} rounds, "
-            f"{shard['workers']} workers): serial {shard['serial_seconds']:.2f}s, "
-            f"in-process {shard['inprocess_seconds']:.2f}s, "
-            f"parallel {shard['parallel_seconds']:.2f}s "
-            f"({shard['speedup']:.2f}x, parity {parity}{undersubscribed})"
-        )
-    memory = summary.get("memory_bench")
-    if memory:
-        parity = "ok" if memory["parity_ok"] else "MISMATCH"
-        undersubscribed = (
-            ", POOL UNDERSUBSCRIBED" if memory.get("pool_undersubscribed") else ""
-        )
-        lines.append(
-            f"memory ({memory['n_nodes']} nodes, {memory['rounds']} rounds, "
-            f"{memory['workers']} workers): "
-            f"serial bitset {memory['serial_bitset_seconds']:.2f}s, "
-            f"words {memory['serial_words_seconds']:.2f}s; "
-            f"in-process bitset {memory['inprocess_bitset_seconds']:.2f}s, "
-            f"words {memory['inprocess_words_seconds']:.2f}s "
-            f"(parity {parity}{undersubscribed})"
-        )
-        shared_seconds = memory.get("pooled_words_shared_seconds")
-        heap_seconds = memory.get("pooled_words_heap_seconds")
-        if shared_seconds is not None and heap_seconds is not None:
-            traffic = memory.get("round_traffic", {})
-            heap_traffic = traffic.get("words_heap", {})
-            shared_traffic = traffic.get("words_shared", {})
-            heap_bytes = sum(heap_traffic.values())
-            shared_bytes = sum(shared_traffic.values())
-            lines.append(
-                f"  pooled: heap rows {heap_seconds:.2f}s "
-                f"({heap_bytes} B/round), shared in-place "
-                f"{shared_seconds:.2f}s ({shared_bytes} B/round)"
-            )
-        elif not memory.get("shared_available", True):
-            lines.append("  pooled shared: skipped (no shared memory available)")
     counters = summary.get("counters_bench")
     if counters:
         parity = "ok" if counters["parity_ok"] else "MISMATCH"
@@ -1115,21 +572,6 @@ def render_bench_summary(summary: Dict[str, Any]) -> str:
             f"({counters['words_vs_bitset_round_speedup']:.2f}x, "
             f"parity {parity})"
         )
-        dispatch = counters.get("dispatch", {})
-        heap = dispatch.get("words_heap") or {}
-        shared = dispatch.get("words_shared")
-        if shared is not None:
-            ratio = dispatch.get("outcome_bytes_heap_over_shared")
-            ratio_text = f" ({ratio:.2f}x leaner)" if ratio else ""
-            lines.append(
-                f"  dispatch/round: heap {heap.get('outcome_bytes', 0)} B "
-                f"out, shared {shared['outcome_bytes']} B out{ratio_text}"
-            )
-        else:
-            lines.append(
-                f"  dispatch/round: heap {heap.get('outcome_bytes', 0)} B out "
-                "(shared skipped: no shared memory available)"
-            )
     event = summary.get("event_bench")
     if event:
         parity = "ok" if event["parity_ok"] else "MISMATCH"
@@ -1157,27 +599,6 @@ def render_bench_summary(summary: Dict[str, Any]) -> str:
     scale = summary.get("scale_bench")
     if scale:
         lines.extend(render_scale_bench(scale))
-    fault = summary.get("fault_bench")
-    if fault:
-        parity = "ok" if fault["parity_ok"] else "MISMATCH"
-        undersubscribed = (
-            ", POOL UNDERSUBSCRIBED" if fault.get("pool_undersubscribed") else ""
-        )
-        overhead = fault["supervised_overhead_ratio"]
-        overhead_text = f"{overhead:.3f}x" if overhead is not None else "n/a"
-        lines.append(
-            f"fault ({fault['n_nodes']} nodes, {fault['rounds']} rounds, "
-            f"{fault['workers']} workers): unsupervised "
-            f"{fault['unsupervised_seconds']:.2f}s, supervised "
-            f"{fault['supervised_seconds']:.2f}s (overhead "
-            f"{overhead_text}, parity {parity}{undersubscribed})"
-        )
-        lines.append(
-            f"  one worker kill ({fault['faulted_memory']} memory): clean "
-            f"{fault['clean_seconds']:.2f}s, faulted "
-            f"{fault['faulted_seconds']:.2f}s (recovery "
-            f"{fault['recovery_seconds']:.2f}s)"
-        )
     return "\n".join(lines)
 
 
@@ -1187,7 +608,7 @@ def render_scale_bench(scale: Dict[str, Any]) -> List[str]:
     parity = "ok" if scale["parity_ok"] else "MISMATCH"
     isolation = "" if scale.get("isolated", True) else ", IN-PROCESS RSS"
     lines = [
-        f"scale (figure-1 trade, words backend, {scale['rounds']} "
+        f"scale (figure-1 trade, cell pairing, words backend, {scale['rounds']} "
         f"rounds/point): determinism {parity}{isolation}"
     ]
     for key in sorted(scale["points"], key=int):

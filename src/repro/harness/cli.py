@@ -13,8 +13,7 @@ Installed as ``lotus-eater`` (see ``pyproject.toml``)::
     lotus-eater sweep-scrip --grid 0,4,8,16 --metric free_service_share
     lotus-eater sweep-token --grid 0,0.1,0.2,0.4
     lotus-eater sweep-swarm --grid 0,1,2,4 --jobs 0
-    lotus-eater figure1 --shards 4
-    lotus-eater figure1 --backend words --memory shared --shards 4
+    lotus-eater figure1 --shards 1
     lotus-eater figure1 --schedule event
     lotus-eater figure1 --schedule event --latency exponential:0.3 --loss 0.05
     lotus-eater sweep-gossip --schedule event --churn 0.002:0.05
@@ -34,15 +33,12 @@ content-addressed under ``--cache-dir`` (default
 skip every already-computed simulation.  ``--no-cache`` disables the
 store; parallel output is bit-identical to ``--jobs 1``.  The gossip
 commands run on the fixed-width word-array store by default
-(``--backend words``: every round's phases run as batched sweeps, and
-it is the only backend supporting ``--memory shared``, which places the
-rows in a shared-memory block so sharded workers mutate them in
-place); ``--backend sets`` runs the per-node set reference oracle and
+(``--backend words``: every round's phases run as batched sweeps);
+``--backend sets`` runs the per-node set reference oracle and
 ``--backend bitset`` the packed-int store, with identical results.
-``--shards k`` switches the gossip commands to the sharded round
-schedule (one simulation partitioned into k independent shards per
-round — results identical for every k; combine with ``--jobs`` freely:
-jobs split the sweep grid, shards split one run).  ``--schedule
+``--shards`` picks the partner model: 0 (the default) is the paper's
+uniform partner draws, 1 the 4-node-cell pairing — a different model
+with different results, cached separately.  ``--schedule
 event`` replays the gossip commands on the virtual-time event engine
 (bit-identical to the rounds schedule when the network is ideal), and
 ``--latency`` / ``--loss`` / ``--churn`` describe the asynchronous
@@ -176,10 +172,9 @@ def network_from_args(args: argparse.Namespace) -> NetworkModel:
 
 
 def execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
-    """The ExecutionConfig implied by --backend / --memory / --shards."""
+    """The ExecutionConfig implied by --backend / --shards."""
     return ExecutionConfig(
         backend=args.backend,
-        memory=args.memory,
         shards=args.shards,
         jobs=1 if args.jobs is None else args.jobs,
     )
@@ -227,10 +222,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repetitions=args.repetitions,
             root_seed=args.seed,
             executor=executor,
-            # --shards 0 (the default elsewhere) means "the standard
-            # shard bench" here: the section always runs so trend
-            # artifacts stay comparable across runs.
-            shard_workers=args.shards or 4,
             scale_points=args.scale_nodes,
             scale_rounds=args.scale_rounds,
         )
@@ -244,29 +235,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ]
     if not summary["backend_bench"]["parity_ok"]:
         mismatched.append("backend_bench")
-    if not summary["shard_bench"]["parity_ok"]:
-        mismatched.append("shard_bench")
-    if not summary["memory_bench"]["parity_ok"]:
-        mismatched.append("memory_bench")
     if not summary["counters_bench"]["parity_ok"]:
         mismatched.append("counters_bench")
     if not summary["event_bench"]["parity_ok"]:
         mismatched.append("event_bench")
-    if not summary["fault_bench"]["parity_ok"]:
-        mismatched.append("fault_bench")
     if not summary["scale_bench"]["parity_ok"]:
         mismatched.append("scale_bench")
-    if summary["shard_bench"].get("pool_undersubscribed") or summary[
-        "memory_bench"
-    ].get("pool_undersubscribed"):
-        workers = summary["shard_bench"]["workers"]
-        print(
-            f"warning: pool undersubscribed ({workers} workers > "
-            f"{os.cpu_count()} CPU(s)) — pooled timings measure "
-            "oversubscription, not parallel speedup (flagged in the "
-            "artifact as pool_undersubscribed)",
-            file=sys.stderr,
-        )
     if mismatched:
         print(
             f"parallel/serial mismatch in: {', '.join(mismatched)}",
@@ -543,8 +517,8 @@ def _build_lint_parser() -> argparse.ArgumentParser:
             "analyzer.  Rejects the known ways a change silently breaks "
             "the bit-exact parity invariants (global-state randomness, "
             "unsorted set iteration, wall-clock reads, protocol draws "
-            "from the network/churn streams, leaked SharedMemory "
-            "segments, unguarded counter writes, unpicklable task specs)."
+            "from the network/churn streams, unguarded counter writes, "
+            "unpicklable task specs)."
         ),
     )
     parser.add_argument(
@@ -563,9 +537,9 @@ def _build_lint_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flow",
         action="store_true",
-        help="also run the interprocedural flow tier (FLW010-FLW013: "
-        "shard-write disjointness, RNG-stream taint, SHM lifecycle, "
-        "transitive picklability)",
+        help="also run the interprocedural flow tier (FLW010, FLW011, "
+        "FLW013, FLW014: batched-write disjointness, RNG-stream taint, "
+        "transitive picklability, fault-site discipline)",
     )
     parser.add_argument(
         "--no-flow",
@@ -788,32 +762,20 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["sets", "bitset", "words"],
         default="words",
         help="gossip update-store backend (words, the default: "
-        "fixed-width word arrays whose rounds run as batched sweeps, "
-        "required for --memory shared; sets: per-node Python sets, the "
+        "fixed-width word arrays whose rounds run as batched sweeps; "
+        "sets: per-node Python sets, the "
         "reference oracle; bitset: packed int rows). Results are "
         "identical on every backend",
     )
     parser.add_argument(
-        "--memory",
-        choices=["heap", "shared"],
-        default="heap",
-        help="where the words backend keeps its rows: process-private "
-        "heap, or a multiprocessing shared-memory block that sharded "
-        "worker processes mutate in place (requires --backend words; "
-        "results are identical either way)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
+        choices=[0, 1],
         default=0,
-        help="sharded gossip execution: partition each round's "
-        "exchange/push phases into this many shards (0 = classic "
-        "unsharded schedule; results are identical for any k >= 1). "
-        "Unlike --jobs, which splits the sweep grid across processes, "
-        "--shards splits one simulation's rounds; 'bench' also uses it "
-        "as the shard_bench worker count (default 4 — changing it "
-        "changes the shard_bench timings, so keep it fixed across "
-        "runs you intend to bench-diff)",
+        help="gossip partner model: 0 = the paper's uniform partner "
+        "draws (default), 1 = the 4-node-cell pairing. The two give "
+        "different results; the cache fingerprints the choice as "
+        "'pairing'",
     )
     parser.add_argument(
         "--schedule",

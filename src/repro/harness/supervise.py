@@ -3,32 +3,27 @@
 ``multiprocessing.Pool`` cannot survive worker loss: an OOM-killed (or
 ``os._exit``-ed) worker leaves ``Pool.map`` waiting forever for a
 result that will never arrive, and a wedged worker is indistinguishable
-from a slow one.  :class:`SupervisedPool` replaces it for the sweep and
-shard execution paths with explicit dispatch the coordinator can
-reason about:
+from a slow one.  :class:`SupervisedPool` replaces it for the sweep
+execution path with explicit dispatch the coordinator can reason
+about:
 
 * **one in-flight task per worker** — when a worker dies, exactly one
   task is known lost; only that task re-runs;
 * **liveness checks** — ``Process.is_alive()`` polled between reaps, so
   a dead worker is *detected* (and respawned through the same
-  initializer, which re-attaches shared memory) instead of hanging the
-  dispatch loop;
+  initializer) instead of hanging the dispatch loop;
 * **per-task deadlines** — a wedged worker misses its deadline, is
   terminated, and its task re-runs elsewhere;
 * **seeded exponential backoff and a retry budget** — transient
   failures retry with deterministic jitter; budget exhaustion produces
-  a terminal :class:`TaskFailure` record (or, with
-  ``abort_on_failure``, tears the pool down and raises
-  :class:`~repro.core.errors.WorkerCrash` — the fail-fast mode the
-  shared-memory phases need, where surviving workers must be stopped
-  before the coordinator restores the segment);
+  a terminal :class:`TaskFailure` record;
 * **attempt tags** — every dispatch carries its attempt number, so a
   stale result from a superseded attempt is discarded, never merged.
 
 Determinism note: supervision decides *where and when* work runs,
 never *what* it computes.  Tasks must be pure functions of their
-payload (the repository's cells and shard slices are — pinned by the
-parity suites), which is exactly why a retried task is guaranteed to
+payload (the repository's sweep cells are — pinned by the parity
+suites), which is exactly why a retried task is guaranteed to
 reproduce the lost result bit-for-bit.
 
 This module also owns the live-pool registry: every started pool is
@@ -50,14 +45,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import AnalysisError, WorkerCrash
+from ..core.errors import AnalysisError
 
 __all__ = [
     "SupervisionPolicy",
     "TaskFailure",
     "CellFailure",
     "SupervisedPool",
-    "WorkerCrash",
 ]
 
 #: How long one outbox reap waits before the liveness sweep runs.
@@ -248,14 +242,12 @@ class SupervisedPool:
 
     Parameters mirror ``multiprocessing.Pool`` where they overlap:
     ``initializer(*initargs)`` runs once per worker (and again in every
-    *respawned* worker — this is what re-attaches shared memory after a
-    crash); ``mp_context`` picks the start method.
+    *respawned* worker); ``mp_context`` picks the start method.
 
     The pool is deliberately single-dispatcher: :meth:`run` owns the
-    workers for its duration.  That matches both call sites (a sweep
-    executes one batch of chunks at a time; a sharded round executes
-    one phase at a time) and is what makes worker loss attributable to
-    exactly one task.
+    workers for its duration.  That matches the sweep executor, which
+    runs one batch of chunks at a time, and is what makes worker loss
+    attributable to exactly one task.
     """
 
     def __init__(
@@ -380,7 +372,6 @@ class SupervisedPool:
         policy: Optional[SupervisionPolicy] = None,
         labels: Optional[Sequence[str]] = None,
         timeouts: Optional[Sequence[Optional[float]]] = None,
-        abort_on_failure: bool = False,
     ) -> Tuple[List[Any], List[TaskFailure]]:
         """Execute ``func(task)`` for every task, surviving worker loss.
 
@@ -389,10 +380,6 @@ class SupervisedPool:
         failed), ``failures`` the terminal :class:`TaskFailure`
         records.  ``timeouts`` overrides the policy deadline per task
         (chunked callers scale the deadline by chunk size).
-
-        With ``abort_on_failure`` the first failed *attempt* of any
-        task terminates the whole pool and raises
-        :class:`WorkerCrash` — no retry, no surviving workers.
         """
         policy = policy if policy is not None else SupervisionPolicy()
         n = len(tasks)
@@ -427,9 +414,6 @@ class SupervisedPool:
 
         def record_failure(task_id: int, fate: str, error: str) -> None:
             nonlocal completed
-            if abort_on_failure:
-                self.terminate()
-                raise WorkerCrash(label_of(task_id), fate, error)
             if attempts[task_id] <= policy.retries:
                 not_before = time.monotonic() + policy.backoff_delay(
                     attempts[task_id], rng
@@ -463,9 +447,6 @@ class SupervisedPool:
                         error=error,
                     )
                 )
-            if abort_on_failure and pending:
-                self.terminate()
-                raise WorkerCrash(label_of(pending[0]), "crashed", error)
 
         while completed < n:
             now = time.monotonic()
@@ -553,8 +534,8 @@ class SupervisedPool:
 
 #: Pools with live workers, swept at interpreter exit so an abandoned
 #: pool (coordinator exception, forgotten close) cannot leak children.
-#: The sweep executor and the shard pool both live here: their backing
-#: pools register on start and deregister on close/terminate.
+#: The sweep executor's backing pools register on start and deregister
+#: on close/terminate.
 _LIVE_POOLS: "weakref.WeakSet[SupervisedPool]" = weakref.WeakSet()
 
 

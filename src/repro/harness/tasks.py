@@ -68,10 +68,10 @@ class GossipSweepTask:
     run_experiment`.  ``execution`` decides only *how* cells run and
     is absent from the fingerprint (execution strategy never changes
     results — pinned by the parity suites), with one exception: the
-    partner model it resolves to.  ``shards == 0`` runs the paper's
-    uniform partner draws and any ``shards >= 1`` the 4-node-cell
-    pairing, two different models, so the fingerprint carries
-    ``"pairing"`` and the two never share cached cells.
+    partner model ``shards`` picks.  ``shards == 0`` runs the paper's
+    uniform partner draws and ``shards == 1`` the 4-node-cell pairing,
+    two different models, so the fingerprint carries ``"pairing"`` and
+    the two never share cached cells.
     """
 
     scenario: Scenario
@@ -305,13 +305,10 @@ def _build_swarm_task(
 
 #: ``lotus-eater sweep-<name>`` builders: ``name -> (fast, metric,
 #: execution, network, schedule) -> (task, x-axis label)``.
-#: ``execution`` is the gossip :class:`ExecutionConfig` (backend,
-#: memory, shards), ``network``/``schedule`` the gossip scenario's
-#: asynchronous-network knobs; the other models take them for
-#: interface uniformity and ignore them.  Sweep cells already fan out
-#: across executor workers, so gossip shards run in-process within
-#: each cell (sharding changes the schedule, not the cell's results
-#: ownership).
+#: ``execution`` is the gossip :class:`ExecutionConfig` (backend and
+#: the ``shards`` partner-model switch), ``network``/``schedule`` the
+#: gossip scenario's asynchronous-network knobs; the other models take
+#: them for interface uniformity and ignore them.
 TASK_BUILDERS = {
     "gossip": _build_gossip_task,
     "scrip": _build_scrip_task,

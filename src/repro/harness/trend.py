@@ -54,37 +54,16 @@ _TRACKED: List = [
     (("backend_bench", "sets_seconds"), "set-backend wall-clock", "lower"),
     (("backend_bench", "bitset_seconds"), "bitset-backend wall-clock", "lower"),
     (("backend_bench", "speedup"), "bitset speedup", "higher"),
-    # The shard_bench section is newer than the artifacts CI already
-    # holds: summaries missing it must diff cleanly ("no baseline,
-    # skipped"), which _lookup's None-on-missing handling guarantees.
-    (("shard_bench", "serial_seconds"), "sharded serial wall-clock", "lower"),
-    (("shard_bench", "parallel_seconds"), "sharded parallel wall-clock", "lower"),
-    (("shard_bench", "speedup"), "shard speedup", "higher"),
-    # memory_bench landed after shard_bench; older artifacts diff as
-    # "no baseline, skipped" exactly like the comment above describes.
-    (("memory_bench", "serial_words_seconds"), "word-backend serial wall-clock", "lower"),
-    (("memory_bench", "inprocess_words_seconds"), "word-backend in-process wall-clock", "lower"),
-    (("memory_bench", "pooled_words_shared_seconds"), "shared-memory pooled wall-clock", "lower"),
-    (("memory_bench", "serial_words_vs_bitset_speedup"), "word-backend speedup vs bitset", "higher"),
-    # counters_bench landed after memory_bench (columnar population
-    # refactor); older artifacts diff as "no baseline, skipped".
+    # Sections newer than the artifacts CI already holds must diff
+    # cleanly ("no baseline, skipped"), which _lookup's
+    # None-on-missing handling guarantees.
     (("counters_bench", "words_round_seconds"), "word-backend serial per-round", "lower"),
     (("counters_bench", "words_vs_bitset_round_speedup"), "per-round words speedup vs bitset", "higher"),
-    (("counters_bench", "dispatch", "words_shared", "outcome_bytes"), "shared shard outcome bytes/round", "lower"),
-    # event_bench landed after counters_bench (Scenario API / event
-    # engine); older artifacts diff as "no baseline, skipped".
     (("event_bench", "ideal_seconds"), "event-engine ideal-network wall-clock", "lower"),
     (("event_bench", "latency_loss_churn_seconds"), "event-engine churny-network wall-clock", "lower"),
     (("event_bench", "event_overhead_vs_rounds"), "event-engine overhead vs rounds", "lower"),
-    # fault_bench landed after event_bench (supervised execution
-    # layer); older artifacts diff as "no baseline, skipped".
-    (("fault_bench", "supervised_seconds"), "supervised sharded wall-clock", "lower"),
-    (("fault_bench", "supervised_overhead_ratio"), "supervision overhead ratio", "lower"),
-    (("fault_bench", "recovery_seconds"), "worker-kill recovery wall-clock", "lower"),
-    # scale_bench landed after fault_bench (million-node rounds);
-    # older artifacts diff as "no baseline, skipped".  The 10^6 point
-    # only exists in full-profile artifacts — fast-profile runs skip
-    # those three rows the same way.
+    # The 10^6 scale point only exists in full-profile artifacts —
+    # fast-profile runs skip those three rows the same way.
     (("scale_bench", "points", "100000", "round_ms"), "scale 100k ms/round", "lower"),
     (("scale_bench", "points", "100000", "bytes_per_node"), "scale 100k bytes/node", "lower"),
     (("scale_bench", "points", "100000", "peak_rss_bytes"), "scale 100k peak RSS", "lower"),

@@ -30,19 +30,19 @@ def rules_fired(sources, config=None):
 class TestFLW010Fixtures:
     def test_constant_index_write_in_root_fires(self):
         sources = {
-            "src/repro/shardfix.py": """
-            def run_shard(state):
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(state):
                 state.counters[0, 3] += 1
             """
         }
         found = findings_for(sources)
         assert [f.rule for f in found] == ["FLW010"]
-        assert found[0].path == "src/repro/shardfix.py"
+        assert found[0].path == "src/repro/sweepfix.py"
 
     def test_row_guarded_write_is_clean(self):
         sources = {
-            "src/repro/shardfix.py": """
-            def run_shard(state, rows):
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(state, rows):
                 state.counters[rows, 3] += 1
             """
         }
@@ -50,8 +50,8 @@ class TestFLW010Fixtures:
 
     def test_local_factory_store_is_exempt(self):
         sources = {
-            "src/repro/shardfix.py": """
-            def run_shard(n):
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(n):
                 pop = Population(n)
                 pop.counters[0, 3] += 1
             """
@@ -60,7 +60,7 @@ class TestFLW010Fixtures:
 
     def test_unreachable_function_is_ignored(self):
         sources = {
-            "src/repro/shardfix.py": """
+            "src/repro/sweepfix.py": """
             def offline_report(state):
                 state.counters[0, 3] += 1
             """
@@ -69,8 +69,8 @@ class TestFLW010Fixtures:
 
     def test_escape_two_calls_deep_fires_with_trace(self):
         sources = {
-            "src/repro/shardfix.py": """
-            def run_shard(state):
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(state):
                 level1(state.counters)
 
             def level1(arr):
@@ -86,10 +86,10 @@ class TestFLW010Fixtures:
 
     def test_derived_row_index_is_clean(self):
         sources = {
-            "src/repro/shardfix.py": """
+            "src/repro/sweepfix.py": """
             import numpy as np
 
-            def run_shard(state, active):
+            def run_exchanges_batched(state, active):
                 rows = np.flatnonzero(active)
                 state.counters[rows, 3] += 1
             """
@@ -140,96 +140,6 @@ class TestFLW011Fixtures:
             """
         }
         assert rules_fired(sources) == ["FLW011"]
-
-
-class TestFLW012Fixtures:
-    def test_leak_on_one_return_path_fires(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            def run_shard(size):
-                seg = shared_memory.SharedMemory(create=True, size=size)
-                if size > 4096:
-                    return False
-                seg.close()
-                seg.unlink()
-                return True
-            """
-        }
-        assert rules_fired(sources) == ["FLW012"]
-
-    def test_try_finally_release_is_clean(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            def run_shard(size):
-                seg = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    work(seg)
-                finally:
-                    seg.close()
-                    seg.unlink()
-                return True
-            """
-        }
-        assert rules_fired(sources) == []
-
-    def test_returned_handle_is_callers_problem(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            def run_shard(size):
-                seg = shared_memory.SharedMemory(create=True, size=size)
-                return seg
-            """
-        }
-        assert rules_fired(sources) == []
-
-    def test_attach_without_create_is_clean(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            def run_shard(name):
-                seg = shared_memory.SharedMemory(name=name)
-                value = seg.buf[0]
-                seg.close()
-                return value
-            """
-        }
-        assert rules_fired(sources) == []
-
-    def test_stored_on_self_released_elsewhere_is_clean(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            class Store:
-                def run_shard(self, size):
-                    self._shm = shared_memory.SharedMemory(create=True, size=size)
-
-                def close(self):
-                    shm, self._shm = self._shm, None
-                    shm.close()
-                    shm.unlink()
-            """
-        }
-        assert rules_fired(sources) == []
-
-    def test_stored_on_self_never_released_fires(self):
-        sources = {
-            "src/repro/shmfix.py": """
-            from multiprocessing import shared_memory
-
-            class Store:
-                def run_shard(self, size):
-                    self._shm = shared_memory.SharedMemory(create=True, size=size)
-            """
-        }
-        assert rules_fired(sources) == ["FLW012"]
 
 
 class TestFLW013Fixtures:
@@ -361,7 +271,7 @@ class TestFLW014Fixtures:
     def test_retry_path_calling_protocol_sink_fires(self):
         sources = {
             "src/repro/retryfix.py": """
-            def _restore_shared_round(snapshot, engine):
+            def _quarantine(snapshot, engine):
                 run_exchanges(engine, snapshot)
             """
         }
@@ -401,6 +311,13 @@ def tree_findings(sources):
     return [(f.rule, f.path, f.line) for f in run_flow(sources, LintConfig())]
 
 
+class TestFlowRegistry:
+    def test_all_four_flow_rules_registered(self):
+        from repro.analysis import flow_rule_codes
+
+        assert set(flow_rule_codes()) == {"FLW010", "FLW011", "FLW013", "FLW014"}
+
+
 class TestSeededMutations:
     def test_shipped_tree_is_flow_clean(self, tree_sources):
         assert tree_findings(tree_sources) == []
@@ -437,32 +354,9 @@ class TestSeededMutations:
         assert fired, "a network-stream draw feeding a protocol sink must surface FLW011"
         assert all(rule == "FLW011" for rule, _, _ in fired)
 
-    def test_flw012_missing_unlink_on_one_path(self, tree_sources):
-        mutated = dict(tree_sources)
-        mutated["src/repro/bargossip/updates.py"] = tree_sources[
-            "src/repro/bargossip/updates.py"
-        ] + textwrap.dedent(
-            '''
-
-            def _mut_probe_segment(size: int) -> bool:
-                from multiprocessing import shared_memory
-
-                seg = shared_memory.SharedMemory(create=True, size=size)
-                if size > 4096:
-                    return False
-                seg.close()
-                seg.unlink()
-                return True
-            '''
-        )
-        fired = tree_findings(mutated)
-        assert fired, "a leaked segment on an early return must surface FLW012"
-        assert all(rule == "FLW012" for rule, _, _ in fired)
-        assert all(path == "src/repro/bargossip/updates.py" for _, path, _ in fired)
-
-    def test_flw013_callable_nested_in_shard_static(self, tree_sources):
-        shd = tree_sources["src/repro/bargossip/sharding.py"]
-        assert "class ShardStatic:" in shd
+    def test_flw013_callable_nested_in_sweep_task(self, tree_sources):
+        tasks = tree_sources["src/repro/harness/tasks.py"]
+        assert "class GossipSweepTask:" in tasks
         inject = textwrap.dedent(
             '''
 
@@ -477,15 +371,15 @@ class TestSeededMutations:
             '''
         )
         mutated = dict(tree_sources)
-        mutated["src/repro/bargossip/sharding.py"] = (shd + inject).replace(
-            "class ShardStatic:",
-            'class ShardStatic:\n    payload: "_MutPayload" = None',
+        mutated["src/repro/harness/tasks.py"] = (tasks + inject).replace(
+            "class GossipSweepTask:",
+            'class GossipSweepTask:\n    payload: "_MutPayload" = None',
             1,
         )
         fired = tree_findings(mutated)
         assert fired, "a Callable two dataclasses deep must surface FLW013"
         assert all(rule == "FLW013" for rule, _, _ in fired)
-        assert all(path == "src/repro/bargossip/sharding.py" for _, path, _ in fired)
+        assert all(path == "src/repro/harness/tasks.py" for _, path, _ in fired)
 
     def test_flw014_typoed_fault_site(self, tree_sources):
         cache = tree_sources["src/repro/harness/cache.py"]

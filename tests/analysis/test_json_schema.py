@@ -71,7 +71,7 @@ def repo(tmp_path):
                 return random.random()
 
 
-            def run_shard(state):
+            def run_exchanges_batched(state):
                 state.counters[0, 3] += 1
             """
         )
@@ -117,7 +117,7 @@ class TestJsonSchema:
         flow_findings = [
             f for f in payload["findings"] if f["rule"].startswith("FLW")
         ]
-        assert flow_findings, "fixture run_shard write must fire FLW010"
+        assert flow_findings, "fixture run_exchanges_batched write must fire FLW010"
         for finding in flow_findings:
             assert_matches(finding, FINDING_SCHEMA)
             assert finding["trace"], "flow findings must explain their call chain"

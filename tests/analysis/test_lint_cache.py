@@ -120,7 +120,7 @@ class TestFlowCache:
         (repo / "src" / "repro" / "proto.py").write_text(
             textwrap.dedent(
                 """
-                def run_shard(state):
+                def run_exchanges_batched(state):
                     state.counters[0, 3] += 1
                 """
             )

@@ -193,7 +193,7 @@ class TestCli:
         # Only visible interprocedurally: the raw write is to a plain
         # name, so the per-file tier (API006) cannot see it.
         proto.write_text(
-            "def run_shard(state):\n"
+            "def run_exchanges_batched(state):\n"
             "    bump(state.counters)\n"
             "\n"
             "\n"

@@ -372,89 +372,6 @@ class TestRng004:
 
 
 # ---------------------------------------------------------------------------
-# SHM005 — SharedMemory lifecycle
-# ---------------------------------------------------------------------------
-
-
-class TestShm005:
-    def test_unreleased_segment_fires(self):
-        assert "SHM005" in codes(
-            """
-            from multiprocessing import shared_memory
-
-            def leak():
-                block = shared_memory.SharedMemory(create=True, size=64)
-                return block.buf[0]
-            """
-        )
-
-    def test_positional_create_fires(self):
-        assert "SHM005" in codes(
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def leak():
-                block = SharedMemory(None, True, 64)
-                return block
-            """
-        )
-
-    def test_close_unlink_in_scope_is_clean(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-
-            def probe():
-                block = shared_memory.SharedMemory(create=True, size=64)
-                try:
-                    return True
-                finally:
-                    block.close()
-                    block.unlink()
-            """
-        ) == []
-
-    def test_finalizer_in_class_is_clean(self):
-        assert codes(
-            """
-            import weakref
-            from multiprocessing import shared_memory
-
-            class Store:
-                def __init__(self):
-                    self._shm = shared_memory.SharedMemory(create=True, size=64)
-                    self._finalizer = weakref.finalize(self, self._shm.close)
-            """
-        ) == []
-
-    def test_release_in_sibling_method_is_clean(self):
-        # close() lives in another method of the same class: reachable.
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-
-            class Store:
-                def __init__(self):
-                    self._shm = shared_memory.SharedMemory(create=True, size=64)
-
-                def close(self):
-                    self._shm.close()
-                    self._shm.unlink()
-            """
-        ) == []
-
-    def test_attach_without_create_is_clean(self):
-        assert codes(
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """
-        ) == []
-
-
-# ---------------------------------------------------------------------------
 # API006 — counter columns mutated only through the guarded APIs
 # ---------------------------------------------------------------------------
 
@@ -547,7 +464,7 @@ class TestPkl008:
             import numpy as np
 
             @dataclass(frozen=True)
-            class ShardStatic:
+            class ShardTask:
                 rng: np.random.Generator
             """
         )
@@ -567,7 +484,7 @@ class TestPkl008:
         assert "PKL008" in codes(
             """
             def build():
-                return ShardStatic(metric=lambda x: x)
+                return ShardTask(metric=lambda x: x)
             """
         )
 
@@ -670,7 +587,7 @@ class TestFramework:
         assert len(calls) == 2
         assert calls[0].fingerprint != calls[1].fingerprint
 
-    def test_all_seven_rules_registered(self):
+    def test_all_six_rules_registered(self):
         from repro.analysis import rule_codes
 
         assert set(rule_codes()) == {
@@ -678,7 +595,34 @@ class TestFramework:
             "DET002",
             "DET003",
             "RNG004",
-            "SHM005",
             "API006",
             "PKL008",
         }
+
+
+class TestRetiredRules:
+    """SHM005 and FLW012 guarded ``SharedMemory`` segment lifecycles.
+
+    They were retired together with the last shared-memory code under
+    ``src/``; if a segment ever comes back, so must its rules.
+    """
+
+    @pytest.mark.parametrize("code", ["SHM005", "FLW012"])
+    def test_retired_rule_not_registered(self, code):
+        from repro.analysis import flow_rule_codes, rule_codes
+
+        assert code not in rule_codes()
+        assert code not in flow_rule_codes()
+
+    def test_no_shared_memory_under_src(self):
+        import re
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        pattern = re.compile(r"SharedMemory|shared_memory")
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []

@@ -72,7 +72,9 @@ class TestExperimentParity:
             attacker_fraction=fraction,
             rounds=25,
         )
-        reference = run_experiment(scenario, seed=5)
+        reference = run_experiment(
+            scenario, execution=ExecutionConfig(backend="sets"), seed=5
+        )
         vectorized = run_experiment(
             scenario, execution=ExecutionConfig(backend="bitset"), seed=5
         )

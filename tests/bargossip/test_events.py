@@ -285,7 +285,7 @@ class TestEventModeGuards:
                 GossipConfig.small(),
                 seed=0,
                 schedule="event",
-                execution=ExecutionConfig(shards=2),
+                execution=ExecutionConfig(shards=1),
             )
 
     def test_unknown_schedule_rejected(self):

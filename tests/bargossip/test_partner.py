@@ -92,7 +92,7 @@ class TestPartnerSchedule:
 
 class TestSlidingWindowContract:
     """The exact window semantics the simulator (and any schedule
-    implementation — the sharded one included) must preserve: one
+    implementation — the cell pairing included) must preserve: one
     round of look-back survives, two rounds back raises, and the batch
     accessor is the same draw as repeated scalar queries."""
 

@@ -1,11 +1,11 @@
 """Unit tests for the columnar population state.
 
-The end-to-end guarantees (bit-exact parity across backends, shard
-counts and memory placements with the columnar counters in place) live
-in the parity suites; this module pins the pieces: the counters matrix
-and its views, the code columns behind ``group``/``behavior``/
-``evicted``, the overflow guards, the sparse shard deltas, and the
-shared-memory re-homing that keeps counters readable after release.
+The end-to-end guarantees (bit-exact parity across backends and
+partner models with the columnar counters in place) live in the parity
+suites; this module pins the pieces: the counters matrix and its
+views, the code columns behind ``group``/``behavior``/``evicted``, the
+overflow guards, and the sparse counter deltas the batched sweeps fold
+in.
 """
 
 import numpy as np
@@ -20,10 +20,6 @@ from repro.bargossip.node import (
     TargetGroup,
 )
 from repro.bargossip.population import N_COUNTER_COLS, Population
-from repro.bargossip.updates import (
-    WordPopulationStore,
-    shared_memory_available,
-)
 from repro.core.behaviors import Behavior
 from repro.core.errors import SimulationError
 
@@ -166,65 +162,19 @@ class TestNodeViews:
 
 
 class TestSparseDeltas:
-    def test_only_moved_rows_ship(self):
-        population = Population(5)
-        population.counters_view(1).add(updates_sent=3)
-        population.counters_view(4).add(pushes_nonempty=1)
-        rows, deltas = population.sparse_counter_deltas()
-        assert rows.tolist() == [1, 4]
-        assert deltas.dtype == np.int16
-        assert deltas[0].tolist() == [3, 0, 0, 0, 0, 0, 0, 0]
-
-    def test_wide_deltas_widen_dtype(self):
-        population = Population(2)
-        population.counters_view(0).add(updates_sent=40000)
-        rows, deltas = population.sparse_counter_deltas()
-        assert deltas.dtype == np.int32
-        assert int(deltas[0, 0]) == 40000
-
-    def test_empty_population_ships_nothing(self):
-        rows, deltas = Population(3).sparse_counter_deltas()
-        assert len(rows) == 0 and deltas.size == 0
-
     def test_roundtrip_through_add(self):
-        source = Population(4)
-        source.counters_view(0).add(updates_sent=2, junk_sent=1)
-        source.counters_view(3).add(exchanges_initiated=5)
         target = Population(4)
         target.counters_view(3).add(exchanges_initiated=1)
-        target.add_counter_deltas(*source.sparse_counter_deltas())
-        assert target.counters[0].tolist() == source.counters[0].tolist()
+        deltas = np.zeros((2, N_COUNTER_COLS), dtype=np.int16)
+        deltas[0, 0] = 2
+        deltas[1, 4] = 5
+        target.add_counter_deltas(np.array([0, 3], dtype=np.int32), deltas)
+        assert target.counters[0].tolist() == [2, 0, 0, 0, 0, 0, 0, 0]
         assert int(target.counters[3, 4]) == 6
 
-
-class TestSharedCounterColumns:
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_materialize_survives_store_release(self):
-        store = WordPopulationStore(
-            3, 2, 2, memory="shared", extra_int64=3 * N_COUNTER_COLS
+    def test_empty_rows_fold_nothing(self):
+        target = Population(2)
+        target.add_counter_deltas(
+            np.zeros(0, dtype=np.int32), np.zeros((0, N_COUNTER_COLS))
         )
-        population = Population(
-            3, counters=store.extra.reshape(3, N_COUNTER_COLS)
-        )
-        view = population.counters_view(2)
-        view.add(updates_sent=9)
-        # A second attachment sees the in-place write.
-        attached = WordPopulationStore(
-            3, 2, 2, memory="shared", shm_name=store.shm_name,
-            extra_int64=3 * N_COUNTER_COLS,
-        )
-        assert int(attached.extra.reshape(3, N_COUNTER_COLS)[2, 0]) == 9
-        attached.close()
-        population.materialize()
-        store.release()
-        # Views re-resolve the re-homed matrix: still readable.
-        assert view.updates_sent == 9
-        assert view == ServiceCounters(updates_sent=9)
-
-    def test_materialize_is_noop_on_heap(self):
-        population = Population(2)
-        matrix = population.counters
-        population.materialize()
-        assert population.counters is matrix
+        assert not target.counters.any()

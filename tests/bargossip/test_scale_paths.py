@@ -421,8 +421,8 @@ class TestTargetSetCaches:
 
     ``InteractionEngine._satiated_row_mask`` (which the ideal attack's
     out-of-band sweep also reads) is cached on the coalition's
-    ``targets_version``; a rotation and a shared-round snapshot restore
-    must each yield what a fresh build from the target set gives.
+    ``targets_version``; a rotation must yield what a fresh build from
+    the target set gives.
     """
 
     WORDS = ExecutionConfig(backend="words", shards=1)
@@ -446,27 +446,13 @@ class TestTargetSetCaches:
         assert len(seen) > 1  # the rotation really moved the targets
         simulator.close()
 
-    def test_snapshot_restore_rebuilds(self):
-        simulator = _run(GossipConfig.small(), AttackKind.TRADE, self.WORDS, rounds=2)
-        snapshot = simulator._shared_round_snapshot()
-        targets = simulator.attack.satiated_targets
-        self._assert_fresh(simulator)
-        # What a rotated round that then crashed would leave behind.
-        correct = [node.node_id for node in simulator.nodes if node.is_correct]
-        simulator.attack.retarget(correct[: len(correct) // 3])
-        self._assert_fresh(simulator)
-        simulator._restore_shared_round(snapshot)
-        assert simulator.attack.satiated_targets == targets
-        self._assert_fresh(simulator)
-        simulator.close()
-
 
 class TestRingBudget:
     """The word buffer's fixed-width ring and its byte accounting."""
 
     def test_offset_is_pure_function_of_base(self):
-        # Shard slices adopt the coordinator's base and must land on
-        # the identical bit layout; nothing else may feed the offset.
+        # The layout is a function of the window base alone; nothing
+        # else may feed the offset.
         store = WordPopulationStore(4, updates_per_round=10, lifetime=10)
         for round_now in range(0, 40):
             store.advance_to(round_now)

@@ -26,12 +26,11 @@ class TestExecutionConfig:
     def test_defaults(self):
         execution = ExecutionConfig()
         assert execution.backend == "words"
-        assert execution.memory == "heap"
         assert execution.shards == 0
         assert execution.jobs == 1
 
     def test_round_trip(self):
-        execution = ExecutionConfig(backend="words", memory="shared", shards=4)
+        execution = ExecutionConfig(backend="bitset", shards=1, phase_chunk_pairs=7)
         assert ExecutionConfig.from_dict(execution.to_dict()) == execution
         # and through JSON, which is what specs and caches store
         payload = json.loads(json.dumps(execution.to_dict()))
@@ -42,30 +41,54 @@ class TestExecutionConfig:
             ExecutionConfig.from_dict({"backend": "sets", "n_nodes": 60})
 
     def test_fingerprint_empty_by_design(self):
-        assert ExecutionConfig(backend="words", shards=8).cache_fingerprint() == {}
+        assert ExecutionConfig(backend="words", shards=1).cache_fingerprint() == {}
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"backend": "tries"},
-            {"memory": "flash"},
-            {"memory": "shared", "backend": "bitset"},
             {"shards": -1},
             {"jobs": -1},
+            {"phase_chunk_pairs": -1},
+            {"shards": 2, "backend": "words"},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ConfigurationError):
             ExecutionConfig(**bad)
 
+    @pytest.mark.parametrize("shards", [2, 4, 64])
+    def test_shards_is_a_partner_model_switch(self, shards):
+        with pytest.raises(ConfigurationError, match="partner model"):
+            ExecutionConfig(shards=shards)
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    @pytest.mark.parametrize("backend", ["sets", "bitset", "words"])
+    def test_round_trip_whole_execution_space(self, backend, shards):
+        """Every valid (backend, partner model) survives the JSON trip."""
+        execution = ExecutionConfig(backend=backend, shards=shards)
+        payload = json.loads(json.dumps(execution.to_dict()))
+        assert payload["shards"] == shards
+        assert ExecutionConfig.from_dict(payload) == execution
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigurationError, match="partner model"):
+            ExecutionConfig(shards=1).replace(shards=2)
+
+    def test_memory_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            ExecutionConfig(memory="heap")
+        with pytest.raises(ConfigurationError, match="unknown ExecutionConfig"):
+            ExecutionConfig.from_dict({"memory": "heap"})
+
 
 class TestGossipConfigMigration:
     """Old execution kwargs get a pointed error naming ExecutionConfig."""
 
-    @pytest.mark.parametrize("moved", ["backend", "memory", "shards"])
+    @pytest.mark.parametrize("moved", ["backend", "shards"])
     def test_moved_keys_point_at_execution_config(self, moved):
         with pytest.raises(ConfigurationError, match="ExecutionConfig"):
-            GossipConfig(**{moved: "words" if moved != "shards" else 2})
+            GossipConfig(**{moved: "words" if moved != "shards" else 1})
 
     def test_moved_keys_in_replace(self):
         with pytest.raises(ConfigurationError, match="ExecutionConfig"):

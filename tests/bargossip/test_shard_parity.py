@@ -1,25 +1,14 @@
-"""Exact-equality parity suite for sharded execution.
+"""Exact-equality parity suite for the 4-node-cell pairing (``shards=1``).
 
-The sharded schedule's cells are mutually independent, so the shard
-count can only decide *where* interactions run, never what they
-compute: for every ``k`` the trace must be bit-identical to the
-unsharded execution of the same schedule (``shards=1``, where the
-full-population engine runs the round loop directly with no slicing).
-This mirrors ``test_bitset_parity.py``: delivery fractions, per-node
-tallies, per-epoch windows, service counters, evictions, and the final
-stores must all be equal — on the figure-1/2/3 configurations, on
-every store backend (``sets == bitset == words``, asserted across
-backends too), and whether shards run in-process or on a worker pool.
-
-CI runs this suite per shard count and memory mode: set
-``LOTUS_SHARD_K`` to a comma list (e.g. ``LOTUS_SHARD_K=4``) to
-restrict the compared ``k`` values, and ``LOTUS_MEMORY`` (e.g.
-``LOTUS_MEMORY=shared``) to restrict the word backend's row placement.
-A requested ``shared`` mode degrades gracefully to nothing where the
-host cannot create shared-memory segments.
+On the cell pairing the words backend runs each phase as whole-phase
+batched sweeps, while the sets and bitset backends walk the pairs one
+at a time in permutation order.  The traces must be bit-identical
+across backends (``sets == bitset == words``): delivery fractions,
+per-node tallies, per-epoch windows, service counters, evictions, and
+the final stores must all be equal — on the figure-1/2/3
+configurations, under the defenses and rotation, and under adversarial
+load.  This mirrors ``test_bitset_parity.py`` for the paper's schedule.
 """
-
-import os
 
 import pytest
 
@@ -31,35 +20,16 @@ from repro.bargossip.defenses import (
     with_larger_pushes,
 )
 from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
-from repro.bargossip.sharding import ShardPool
 from repro.bargossip.simulator import GossipSimulator
-from repro.bargossip.updates import shared_memory_available
 from repro.core.rng import RngStreams
 
-#: Shard counts compared against the unsharded (shards=1) execution.
-SHARD_KS = tuple(
-    int(k)
-    for k in os.environ.get("LOTUS_SHARD_K", "1,2,4").split(",")
-    if k.strip()
-)
-
-#: Memory placements exercised for the words backend ("shared" is
-#: dropped, not failed, where no shared-memory block can be created).
-MEMORY_MODES = tuple(
-    memory
-    for memory in os.environ.get("LOTUS_MEMORY", "heap,shared").split(",")
-    if memory.strip() and (memory != "shared" or shared_memory_available())
-)
-
-#: (backend, memory) variants; every one must produce the identical
-#: trace, which _check_config asserts both within and across variants.
-BACKENDS = (("sets", "heap"), ("bitset", "heap")) + tuple(
-    ("words", memory) for memory in MEMORY_MODES
-)
+#: Store backends; every one must produce the identical trace, which
+#: _check_config asserts across backends with ``sets`` as the oracle.
+BACKENDS = ("sets", "bitset", "words")
 
 
-def _run_sharded(config, kind, k, seed=7, rounds=15, attacker_fraction=0.2,
-                 shard_pool=None, execution=ExecutionConfig(), **sim_kwargs):
+def _run_cells(config, kind, seed=7, rounds=15, attacker_fraction=0.2,
+               execution=ExecutionConfig(), **sim_kwargs):
     streams = RngStreams(seed)
     coalition = AttackerCoalition.build(
         kind,
@@ -71,8 +41,7 @@ def _run_sharded(config, kind, k, seed=7, rounds=15, attacker_fraction=0.2,
         config,
         attack=coalition,
         seed=seed,
-        shard_pool=shard_pool,
-        execution=execution.replace(shards=k),
+        execution=execution.replace(shards=1),
         **sim_kwargs,
     )
     for _ in range(rounds):
@@ -80,45 +49,38 @@ def _run_sharded(config, kind, k, seed=7, rounds=15, attacker_fraction=0.2,
     return simulator
 
 
-def _assert_full_parity(reference, sharded):
-    assert reference.stats.delivered == sharded.stats.delivered
-    assert reference.stats.missed == sharded.stats.missed
-    assert reference.per_node_delivered == sharded.per_node_delivered
-    assert reference.per_node_missed == sharded.per_node_missed
-    assert reference.per_node_windows == sharded.per_node_windows
-    for node_ref, node_shard in zip(reference.nodes, sharded.nodes):
-        assert node_ref.counters == node_shard.counters
-        assert node_ref.evicted == node_shard.evicted
-        assert node_ref.group == node_shard.group
-        assert node_ref.store.have == node_shard.store.have
-        assert node_ref.store.missing == node_shard.store.missing
-    assert reference.attack.updates_served == sharded.attack.updates_served
+def _assert_full_parity(reference, other):
+    assert reference.stats.delivered == other.stats.delivered
+    assert reference.stats.missed == other.stats.missed
+    assert reference.per_node_delivered == other.per_node_delivered
+    assert reference.per_node_missed == other.per_node_missed
+    assert reference.per_node_windows == other.per_node_windows
+    for node_ref, node_other in zip(reference.nodes, other.nodes):
+        assert node_ref.counters == node_other.counters
+        assert node_ref.evicted == node_other.evicted
+        assert node_ref.group == node_other.group
+        assert node_ref.store.have == node_other.store.have
+        assert node_ref.store.missing == node_other.store.missing
+    assert reference.attack.updates_served == other.attack.updates_served
     if reference.authority is not None:
-        assert reference.authority.reports == sharded.authority.reports
-        assert reference.authority.evicted == sharded.authority.evicted
+        assert reference.authority.reports == other.authority.reports
+        assert reference.authority.evicted == other.authority.evicted
 
 
 def _check_config(config, kind, **sim_kwargs):
     baseline = None
-    for backend, memory in BACKENDS:
-        execution = ExecutionConfig(backend=backend, memory=memory)
-        reference = _run_sharded(
-            config, kind, 1, execution=execution, **sim_kwargs
+    for backend in BACKENDS:
+        run = _run_cells(
+            config, kind, execution=ExecutionConfig(backend=backend), **sim_kwargs
         )
         if baseline is None:
-            baseline = reference
+            baseline = run
         else:
-            # Cross-backend: sets == bitset == words (heap and shared).
-            _assert_full_parity(baseline, reference)
-        for k in SHARD_KS:
-            _assert_full_parity(
-                reference,
-                _run_sharded(config, kind, k, execution=execution, **sim_kwargs),
-            )
+            _assert_full_parity(baseline, run)
 
 
 class TestFigureConfigParity:
-    """k in {1, 2, 4} vs the unsharded execution, Figures 1-3 configs."""
+    """sets == bitset == words on the Figures 1-3 configs."""
 
     @pytest.mark.parametrize(
         "kind", [AttackKind.CRASH, AttackKind.IDEAL, AttackKind.TRADE]
@@ -168,7 +130,7 @@ class TestAdversarialLoadParity:
     majority of the traffic — attacker-majority coalitions, a
     hair-trigger eviction policy, and caps tight enough that almost
     every transfer truncates — and must still reproduce the scalar
-    backends bit for bit at every shard count.
+    backends bit for bit.
     """
 
     @pytest.mark.parametrize("fraction", [0.5, 0.6])
@@ -183,8 +145,8 @@ class TestAdversarialLoadParity:
         # imbalance beyond 1 draws a report, one report evicts.
         policy = ReportingPolicy(excess_threshold=1, reports_to_evict=1)
         config = GossipConfig.small().replace(obedient_fraction=1.0)
-        storm = _run_sharded(
-            config, AttackKind.TRADE, 1, rounds=20, reporting=policy,
+        storm = _run_cells(
+            config, AttackKind.TRADE, rounds=20, reporting=policy,
             attacker_fraction=0.3,
             execution=ExecutionConfig(backend="words"),
         )
@@ -201,50 +163,8 @@ class TestAdversarialLoadParity:
         _check_config(config, AttackKind.TRADE, rounds=12)
 
 
-class TestWorkerPoolParity:
-    """Processes are an execution detail: pooled == in-process == serial."""
-
-    @pytest.mark.parametrize("backend,memory", BACKENDS)
-    def test_pooled_matches_unsharded(self, backend, memory):
-        config = GossipConfig.small()
-        execution = ExecutionConfig(backend=backend, memory=memory)
-        reference = _run_sharded(
-            config, AttackKind.TRADE, 1, rounds=25, execution=execution
-        )
-        with ShardPool(2) as pool:
-            pooled = _run_sharded(
-                config, AttackKind.TRADE, 4, rounds=25, shard_pool=pool,
-                execution=execution,
-            )
-        _assert_full_parity(reference, pooled)
-
-    @pytest.mark.parametrize(
-        "backend,memory",
-        [
-            ("bitset", "heap"),
-            *(("words", memory) for memory in MEMORY_MODES),
-        ],
-    )
-    def test_pooled_with_reporting_defense(self, backend, memory):
-        policy = ReportingPolicy(excess_threshold=2, reports_to_evict=2)
-        config = GossipConfig.small().replace(obedient_fraction=0.5)
-        execution = ExecutionConfig(backend=backend, memory=memory)
-        reference = _run_sharded(
-            config, AttackKind.TRADE, 1, rounds=30,
-            attacker_fraction=0.25, reporting=policy, execution=execution,
-        )
-        assert any(node.evicted for node in reference.nodes)  # defense bites
-        with ShardPool(3) as pool:
-            pooled = _run_sharded(
-                config, AttackKind.TRADE, 4, rounds=30,
-                attacker_fraction=0.25, reporting=policy, shard_pool=pool,
-                execution=execution,
-            )
-        _assert_full_parity(reference, pooled)
-
-
 class TestExperimentParity:
-    """run_experiment headline metrics agree across shard counts."""
+    """run_experiment headline metrics agree across backends."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
     def test_small_config_trade(self, fraction):
@@ -255,15 +175,33 @@ class TestExperimentParity:
             rounds=25,
         )
         reference = run_experiment(
-            scenario, execution=ExecutionConfig(shards=1), seed=5
+            scenario, execution=ExecutionConfig(backend="sets", shards=1), seed=5
         )
-        for k in SHARD_KS:
-            sharded = run_experiment(
-                scenario, execution=ExecutionConfig(shards=k), seed=5
+        for backend in ("bitset", "words"):
+            result = run_experiment(
+                scenario, execution=ExecutionConfig(backend=backend, shards=1), seed=5
             )
-            assert reference.isolated_fraction == sharded.isolated_fraction
-            assert reference.satiated_fraction == sharded.satiated_fraction
-            assert reference.correct_fraction == sharded.correct_fraction
-            assert reference.pool_coverage == sharded.pool_coverage
-            assert reference.group_sizes == sharded.group_sizes
-            assert reference.evicted_attackers == sharded.evicted_attackers
+            assert reference.isolated_fraction == result.isolated_fraction
+            assert reference.satiated_fraction == result.satiated_fraction
+            assert reference.correct_fraction == result.correct_fraction
+            assert reference.pool_coverage == result.pool_coverage
+            assert reference.group_sizes == result.group_sizes
+            assert reference.evicted_attackers == result.evicted_attackers
+
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_every_attack_under_reporting(self, kind):
+        scenario = Scenario(
+            config=GossipConfig.small().replace(obedient_fraction=0.5),
+            kind=kind,
+            attacker_fraction=0.0 if kind is AttackKind.NONE else 0.25,
+            rounds=25,
+            reporting=ReportingPolicy(excess_threshold=2, reports_to_evict=2),
+        )
+        reference = run_experiment(
+            scenario, execution=ExecutionConfig(backend="sets", shards=1), seed=3
+        )
+        for backend in ("bitset", "words"):
+            result = run_experiment(
+                scenario, execution=ExecutionConfig(backend=backend, shards=1), seed=3
+            )
+            assert result == reference, backend

@@ -1,27 +1,23 @@
-"""Unit tests for the sharded schedule and the shard slice machinery.
+"""Unit tests for the 4-node-cell partner pairing.
 
 The end-to-end bit-parity guarantees live in ``test_shard_parity.py``;
 this module pins the pieces: the permutation-pairing schedule's
-structure and window contract, shard grouping, and the worker pool.
+structure and window contract.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.scenario import ExecutionConfig
-from repro.bargossip.partner import Purpose
+from repro.bargossip.partner import PartnerSchedule, Purpose
 from repro.bargossip.sharding import (
     CELL_SIZE,
-    ShardPool,
     ShardedPartnerSchedule,
     cell_exchange_pairs,
     cell_push_pairs,
 )
 from repro.bargossip.simulator import GossipSimulator
-from repro.bargossip.updates import shared_memory_available
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RngStreams
 
@@ -73,20 +69,6 @@ class TestShardedSchedule:
         assert all(len(cell) <= CELL_SIZE for cell in cells)
         assert schedule.round_order(0) == tuple(flat)
 
-    def test_shard_grouping_never_changes_draws(self):
-        """k only groups cells; every k observes the same schedule."""
-        schedule = make_schedule(n=50, seed=4)
-        cells = schedule.cells_for_round(0)
-        for k in (1, 2, 3, 5, 40):
-            shards = schedule.shard_cells(0, k)
-            assert len(shards) == k
-            regrouped = tuple(cell for shard in shards for cell in shard)
-            assert regrouped == cells
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_schedule().shard_cells(0, 0)
-
     def test_deterministic_across_instances(self):
         a, b = make_schedule(seed=9), make_schedule(seed=9)
         assert a.cells_for_round(2) == b.cells_for_round(2)
@@ -106,6 +88,25 @@ class TestShardedSchedule:
             assert counts[0] == 0  # never self (n divisible by 4)
             expected = rounds / (n - 1)
             assert (np.abs(counts[1:] - expected) < 5 * np.sqrt(expected)).all()
+
+
+class TestTailCells:
+    """Every population size modulo the cell size, from the smallest."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+    def test_pairing_covers_everyone_but_the_tail(self, n):
+        schedule = make_schedule(n=n, seed=n)
+        for round_now in range(3):
+            cells = schedule.cells_for_round(round_now)
+            assert sorted(node for cell in cells for node in cell) == list(range(n))
+            assert [len(cell) for cell in cells[:-1]] == [CELL_SIZE] * (len(cells) - 1)
+            for purpose in Purpose:
+                partners = schedule.partners_for_round(round_now, purpose)
+                assert (partners[partners] == np.arange(n)).all()
+                # Only a 1- or 3-node tail leaves anyone without a mate,
+                # and then exactly one node per phase.
+                idle = int((partners == np.arange(n)).sum())
+                assert idle == (1 if n % 2 else 0)
 
 
 class TestShardedWindowContract:
@@ -153,136 +154,35 @@ class TestShardedWindowContract:
             make_schedule(n=1)
 
 
-class TestShardPool:
-    def test_single_worker_runs_in_process(self):
-        with ShardPool(1) as pool:
-            assert pool._pool is None
-            # run() falls back in-process for a single state too
-            simulator = GossipSimulator(
-                GossipConfig.small(),
-                seed=0,
-                shard_pool=pool,
-                execution=ExecutionConfig(shards=2),
-            )
-            simulator.step()
-            assert pool._pool is None  # workers=1 never spawns
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            ShardPool(0)
-
-    def test_pool_requires_sharded_config(self):
-        with ShardPool(2) as pool:
-            with pytest.raises(ConfigurationError):
-                GossipSimulator(GossipConfig.small(), seed=0, shard_pool=pool)
-
-    def test_pool_reused_across_rounds_and_closed(self):
-        execution = ExecutionConfig(backend="bitset", shards=3)
-        with ShardPool(2) as pool:
-            simulator = GossipSimulator(
-                GossipConfig.small(), seed=1, shard_pool=pool, execution=execution
-            )
-            for _ in range(3):
-                simulator.step()
-            live = pool._pool
-            assert live is not None
-            simulator.step()
-            assert pool._pool is live  # same workers, not respawned
-        assert pool._pool is None
-
-
-class TestFailureRelease:
-    """A failing round must leak neither workers nor shared memory."""
-
-    def _fail_mid_round(self, execution, monkeypatch):
-        import repro.bargossip.simulator as simulator_module
-
-        pool = ShardPool(2)
-        simulator = GossipSimulator(
-            GossipConfig.small(), seed=3, shard_pool=pool, execution=execution
-        )
-        simulator.step()  # pool spins up, a full round completes
-        assert pool._pool is not None
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("mid-round failure")
-
-        monkeypatch.setattr(simulator_module, "merge_shard", explode)
-        monkeypatch.setattr(simulator_module, "merge_shard_shared", explode)
-        with pytest.raises(RuntimeError, match="mid-round failure"):
-            simulator.step()
-        return pool, simulator
-
-    def test_failing_round_terminates_workers(self, monkeypatch):
-        execution = ExecutionConfig(backend="bitset", shards=4)
-        pool, _ = self._fail_mid_round(execution, monkeypatch)
-        assert pool._pool is None
-        assert not multiprocessing.active_children()
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_failing_round_unlinks_shared_segment(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        execution = ExecutionConfig(backend="words", memory="shared", shards=4)
-        pool, simulator = self._fail_mid_round(execution, monkeypatch)
-        assert pool._pool is None
-        assert not multiprocessing.active_children()
-        name = simulator._shard_static.shm_name
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_normal_exit_releases_shared_segment(self):
-        from multiprocessing import shared_memory
-
-        execution = ExecutionConfig(backend="words", memory="shared", shards=2)
-        with GossipSimulator(
-            GossipConfig.small(), seed=0, execution=execution
-        ) as simulator:
-            simulator.step()
-            name = simulator._pool.shm_name
-            shared_memory.SharedMemory(name=name).close()  # alive mid-run
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_terminate_is_idempotent(self):
-        pool = ShardPool(2)
-        simulator = GossipSimulator(
-            GossipConfig.small(),
-            seed=1,
-            shard_pool=pool,
-            execution=ExecutionConfig(backend="bitset", shards=3),
-        )
-        simulator.step()
-        assert pool._pool is not None
-        pool.terminate()
-        assert pool._pool is None
-        pool.terminate()
-        assert not multiprocessing.active_children()
-
-
 class TestShardedSimulatorBasics:
     def test_unpaired_tail_sits_out(self):
         """With n % 4 != 0 some node sits a phase out each round; the
         round must still complete and deliver."""
         config = GossipConfig.small().replace(n_nodes=61)
         simulator = GossipSimulator(
-            config, seed=0, execution=ExecutionConfig(shards=2)
+            config, seed=0, execution=ExecutionConfig(shards=1)
         )
         for _ in range(25):
             simulator.step()
         fraction = simulator.delivery_fraction("correct")
         assert fraction is not None and fraction > 0.9
 
-    def test_shards_beyond_cells_are_skipped(self):
-        config = GossipConfig.small().replace(n_nodes=10)
+    @pytest.mark.parametrize(
+        "shards,schedule_type", [(0, PartnerSchedule), (1, ShardedPartnerSchedule)]
+    )
+    def test_shards_picks_the_partner_model(self, shards, schedule_type):
         simulator = GossipSimulator(
-            config, seed=0, execution=ExecutionConfig(shards=64)
+            GossipConfig.small(), seed=0, execution=ExecutionConfig(shards=shards)
         )
-        for _ in range(20):
+        assert type(simulator._partners) is schedule_type
+
+    @pytest.mark.parametrize("n", [62, 63])
+    def test_other_tails_complete_and_deliver(self, n):
+        config = GossipConfig.small().replace(n_nodes=n)
+        simulator = GossipSimulator(
+            config, seed=0, execution=ExecutionConfig(shards=1)
+        )
+        for _ in range(25):
             simulator.step()
-        assert simulator.delivery_fraction("correct") is not None
+        fraction = simulator.delivery_fraction("correct")
+        assert fraction is not None and fraction > 0.9

@@ -12,10 +12,18 @@ through the batched word sweeps.  Two layers of properties pin it:
   permutation of the non-self entries.
 * **Whole runs**: the wave path equals the per-pair ``sets`` oracle on
   generated scenarios (populations of 2 to 200 nodes, every attack,
-  mid-phase evictions, rotating targets, capped pushes and exchanges,
-  both memory placements), ``run_experiment`` gives the same result on
-  both backends, and the event schedule (per-pair on every backend)
-  replays the wave path.
+  mid-phase evictions, rotating targets, capped pushes and exchanges),
+  ``run_experiment`` gives the same result on both backends, and the
+  event schedule (per-pair on every backend) replays the wave path.
+* **Protocol invariants** on generated scenarios, for both partner
+  models and the event schedule under the ideal network: each correct
+  node's delivered + missed equals the updates released over the
+  measured window, every counter is non-negative, and no node holds an
+  update it is also missing.
+* **The cache-key contract**: over generated ``(Scenario,
+  ExecutionConfig)`` pairs, equal ``GossipSweepTask.cache_fingerprint()``
+  means equal ``task(x, seed)``.  The execution side is enumerable:
+  ``backend`` x ``shards`` x a few ``phase_chunk_pairs``.
 
 CI runs the event comparison per backend: set ``LOTUS_BACKEND`` to a
 comma list (e.g. ``LOTUS_BACKEND=sets``) to restrict the event-side
@@ -35,8 +43,9 @@ from repro.bargossip.partner import PartnerSchedule, Purpose, dependency_waves
 from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
 from repro.bargossip.simulator import GossipSimulator
 from repro.core.rng import RngStreams
+from repro.harness.tasks import GossipSweepTask
 
-from .test_word_parity import MEMORY_MODES, _snapshot
+from .test_word_parity import _snapshot
 
 #: Event-side backends of the event-vs-waves comparison.
 BACKENDS = tuple(
@@ -193,12 +202,11 @@ def _assert_waves_match_oracle(config, kind, fraction, seed, kwargs, rounds=12):
         _run(config, kind, ExecutionConfig(backend="sets"), seed, rounds,
              fraction, **kwargs)
     )
-    for memory in MEMORY_MODES:
-        waves = _snapshot(
-            _run(config, kind, ExecutionConfig(backend="words", memory=memory),
-                 seed, rounds, fraction, **kwargs)
-        )
-        assert waves == reference, f"memory={memory}"
+    waves = _snapshot(
+        _run(config, kind, ExecutionConfig(backend="words"), seed, rounds,
+             fraction, **kwargs)
+    )
+    assert waves == reference
 
 
 class TestWavesMatchOracle:
@@ -299,3 +307,134 @@ class TestEventReplaysWaves:
                  fraction, schedule="event", **kwargs)
         )
         assert event == waves
+
+
+# ---------------------------------------------------------------------------
+# Protocol invariants
+# ---------------------------------------------------------------------------
+
+#: (schedule, shards) of every run the invariants cover under the ideal
+#: network: the paper's uniform draws and the cell pairing on rounds,
+#: and the event schedule (uniform draws only).
+_SCHEDULES = (("rounds", 0), ("rounds", 1), ("event", 0))
+
+
+def _assert_protocol_invariants(simulator, rounds):
+    config = simulator.config
+    # Updates released in round r expire at the end of round
+    # r + lifetime - 1; those created at or after measure_from_round are
+    # scored for every correct node, as delivered or as missed.
+    last_expired = rounds - config.update_lifetime
+    measured_rounds = max(0, last_expired - simulator.measure_from_round + 1)
+    released = config.updates_per_round * measured_rounds
+    delivered = simulator.per_node_delivered
+    missed = simulator.per_node_missed
+    for node in simulator.nodes:
+        if node.is_correct:
+            assert delivered[node.node_id] + missed[node.node_id] == released
+        assert not (node.store.have & node.store.missing)
+    assert (simulator.population.counters >= 0).all()
+
+
+class TestProtocolInvariants:
+    @pytest.mark.parametrize("schedule,shards", _SCHEDULES)
+    @pytest.mark.parametrize("backend", ["sets", "bitset", "words"])
+    @settings(max_examples=15, deadline=None)
+    @given(case=_cases())
+    def test_generated(self, schedule, shards, backend, case):
+        config, kind, fraction, seed, kwargs = case
+        rounds = 2 * config.update_lifetime + 3
+        simulator = _run(
+            config, kind, ExecutionConfig(backend=backend, shards=shards),
+            seed, rounds, fraction, schedule=schedule, **kwargs,
+        )
+        _assert_protocol_invariants(simulator, rounds)
+
+    def test_measured_window_is_not_empty(self):
+        """The invariant compares against a positive release count."""
+        config = GossipConfig.small()
+        rounds = 2 * config.update_lifetime + 3
+        simulator = _run(
+            config, AttackKind.TRADE, ExecutionConfig(), 1, rounds, 0.3
+        )
+        assert sum(simulator.per_node_delivered) > 0
+        _assert_protocol_invariants(simulator, rounds)
+
+
+# ---------------------------------------------------------------------------
+# The cache-key contract
+# ---------------------------------------------------------------------------
+
+#: The whole execution side: backend x partner model x a few blockings.
+_EXECUTIONS = st.builds(
+    ExecutionConfig,
+    backend=st.sampled_from(["sets", "bitset", "words"]),
+    shards=st.sampled_from([0, 1]),
+    phase_chunk_pairs=st.sampled_from([0, 1, 32768]),
+)
+
+#: Sweep tasks per example.  Two partner models times two scenario
+#: variants make four fingerprint classes at most, so five tasks always
+#: put two in one class: no example passes vacuously.
+_TASKS_PER_EXAMPLE = 5
+
+
+class TestCacheKeyContract:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=_cases(),
+        variants=st.lists(
+            st.tuples(st.booleans(), _EXECUTIONS),
+            min_size=_TASKS_PER_EXAMPLE,
+            max_size=_TASKS_PER_EXAMPLE,
+        ),
+        metric=st.sampled_from(
+            ["isolated_fraction", "correct_fraction", "pool_coverage"]
+        ),
+    )
+    def test_equal_fingerprints_mean_equal_results(self, case, variants, metric):
+        config, kind, fraction, seed, kwargs = case
+        base = Scenario(config=config, kind=kind, rounds=12, **kwargs)
+        classes = {}
+        for longer, execution in variants:
+            scenario = base.replace(rounds=13) if longer else base
+            task = GossipSweepTask(scenario, execution, metric)
+            key = repr(sorted(task.cache_fingerprint().items()))
+            classes.setdefault(key, []).append(task)
+        assert any(len(tasks) > 1 for tasks in classes.values())
+        for tasks in classes.values():
+            results = {repr(task(fraction, seed)) for task in tasks}
+            assert len(results) == 1, [task.execution for task in tasks]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ExecutionConfig(backend="bitset"),
+            ExecutionConfig(backend="words"),
+            ExecutionConfig(backend="words", phase_chunk_pairs=1),
+        ],
+        ids=["bitset", "words", "words-chunked"],
+    )
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_results_blind_fields_share_a_key(self, shards, other):
+        """Named examples: only ``shards`` may split a key, and fields
+        that share one give the ``sets`` oracle's result."""
+        scenario = Scenario(
+            config=GossipConfig.small(), kind=AttackKind.TRADE, rounds=25
+        )
+        oracle = GossipSweepTask(scenario, ExecutionConfig(backend="sets", shards=shards))
+        task = GossipSweepTask(scenario, other.replace(shards=shards))
+        assert task.cache_fingerprint() == oracle.cache_fingerprint()
+        assert task(0.3, 5) == oracle(0.3, 5)
+
+    def test_partner_models_fingerprint_apart(self):
+        """``shards`` is the one results-bearing execution field."""
+        scenario = Scenario(
+            config=GossipConfig.small(), kind=AttackKind.TRADE, rounds=25
+        )
+        uniform = GossipSweepTask(scenario, ExecutionConfig(shards=0))
+        cells = GossipSweepTask(scenario, ExecutionConfig(shards=1))
+        assert uniform.cache_fingerprint() != cells.cache_fingerprint()
+        assert uniform.cache_fingerprint()["pairing"] == "uniform"
+        assert cells.cache_fingerprint()["pairing"] == "cells"
+        assert uniform(0.3, 5) != cells(0.3, 5)

@@ -15,13 +15,12 @@ from repro.bargossip.updates import (
     int_to_words,
     iter_bits,
     popcount,
-    shared_memory_available,
     top_bits,
     update_id,
     word_popcounts,
     words_to_int,
 )
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import SimulationError
 
 
 class TestIdArithmetic:
@@ -240,72 +239,6 @@ class TestWordPopulationStore:
         assert view.receive(2) is False
         assert 2 in view.have and 2 not in view.missing
         assert not view.is_satiated
-
-    def test_bad_memory_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WordPopulationStore(2, 4, 3, memory="flash")
-        with pytest.raises(ConfigurationError):
-            WordPopulationStore(2, 4, 3, memory="heap", shm_name="x")
-
-    def test_extra_region_heap(self):
-        store = WordPopulationStore(3, 4, 3, extra_int64=6)
-        assert store.extra.shape == (6,)
-        assert store.extra.dtype == np.int64
-        assert not store.extra.any()
-        store.extra[4] = -7  # int64, not uint64: signed round-trips
-        assert int(store.extra[4]) == -7
-        # The rows are unaffected by extra-slot writes.
-        assert store.have_bits[2] == 0 and store.missing_bits[2] == 0
-        plain = WordPopulationStore(3, 4, 3)
-        assert plain.extra.shape == (0,)
-        with pytest.raises(ConfigurationError):
-            WordPopulationStore(3, 4, 3, extra_int64=-1)
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_extra_region_shared_attach(self):
-        creator = WordPopulationStore(
-            2, 4, 3, memory="shared", extra_int64=4
-        )
-        creator.have_bits[1] = 0b11
-        creator.extra[3] = 42
-        attached = WordPopulationStore(
-            2, 4, 3, memory="shared", shm_name=creator.shm_name, extra_int64=4
-        )
-        # Same layout on both sides: rows and extra land on the same
-        # offsets, so neither view bleeds into the other.
-        assert attached.have_bits[1] == 0b11
-        assert int(attached.extra[3]) == 42
-        attached.extra[0] = 7
-        assert int(creator.extra[0]) == 7
-        attached.close()
-        creator.release()
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this host"
-    )
-    def test_shared_lifecycle(self):
-        creator = WordPopulationStore(4, 10, 10, memory="shared")
-        name = creator.shm_name
-        assert name is not None and creator.owns_shm
-        creator.have_bits[2] = 0b1011
-        attached = WordPopulationStore(
-            4, 10, 10, memory="shared", shm_name=name
-        )
-        assert not attached.owns_shm
-        assert attached.have_bits[2] == 0b1011
-        attached.have_words[2, 0] |= np.uint64(1 << 5)
-        assert creator.have_bits[2] == 0b101011
-        attached.close()
-        attached.unlink()  # non-owner unlink: no-op
-        from multiprocessing import shared_memory
-
-        shared_memory.SharedMemory(name=name).close()  # still alive
-        creator.release()
-        creator.release()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestUpdateLedger:

@@ -4,11 +4,8 @@ Mirrors ``test_bitset_parity.py`` for ``backend="words"``: the
 fixed-width word rows consume exactly the same RNG draws as the other
 backends, so delivery fractions, per-node tallies, per-epoch windows,
 service counters, evictions, and the final stores must all be *equal*
-for the same seed — on the classic (unsharded) schedule here; the
-sharded and shared-memory paths are pinned by ``test_shard_parity.py``.
-
-Both memory placements are covered: ``heap`` always, ``shared`` when
-the host can create a ``multiprocessing.shared_memory`` block.
+for the same seed — on the paper's uniform schedule here; the cell
+pairing is pinned by ``test_shard_parity.py``.
 """
 
 import pytest
@@ -18,13 +15,7 @@ from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import ReportingPolicy, with_larger_pushes
 from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
 from repro.bargossip.simulator import GossipSimulator
-from repro.bargossip.updates import shared_memory_available
-from repro.core.errors import ConfigurationError
 from repro.core.rng import RngStreams
-
-MEMORY_MODES = ("heap",) + (
-    ("shared",) if shared_memory_available() else ()
-)
 
 
 def _run(
@@ -46,8 +37,8 @@ def _run(
 
 
 def _snapshot(simulator):
-    """Everything parity pins, materialized before the store may close."""
-    snapshot = (
+    """Everything parity pins, as one comparable value."""
+    return (
         simulator.stats.delivered,
         simulator.stats.missed,
         simulator.per_node_delivered,
@@ -60,24 +51,16 @@ def _snapshot(simulator):
         ],
         simulator.attack.updates_served,
     )
-    simulator.close()
-    return snapshot
 
 
 def _assert_parity(config, kind, **kwargs):
     reference = _snapshot(
         _run(config, kind, ExecutionConfig(backend="sets"), **kwargs)
     )
-    for memory in MEMORY_MODES:
-        vectorized = _snapshot(
-            _run(
-                config,
-                kind,
-                ExecutionConfig(backend="words", memory=memory),
-                **kwargs,
-            )
-        )
-        assert vectorized == reference, f"memory={memory}"
+    vectorized = _snapshot(
+        _run(config, kind, ExecutionConfig(backend="words"), **kwargs)
+    )
+    assert vectorized == reference
 
 
 class TestExperimentParity:
@@ -92,14 +75,13 @@ class TestExperimentParity:
             attacker_fraction=fraction,
             rounds=25,
         )
-        reference = run_experiment(scenario, seed=5)
-        for memory in MEMORY_MODES:
-            vectorized = run_experiment(
-                scenario,
-                execution=ExecutionConfig(backend="words", memory=memory),
-                seed=5,
-            )
-            assert reference == vectorized
+        reference = run_experiment(
+            scenario, execution=ExecutionConfig(backend="sets"), seed=5
+        )
+        vectorized = run_experiment(
+            scenario, execution=ExecutionConfig(backend="words"), seed=5
+        )
+        assert reference == vectorized
 
 
 class TestFigureConfigParity:
@@ -147,7 +129,7 @@ class TestDefenseAndRotationParity:
 class TestAdversarialLoadParity:
     """sets == bitset == words under attacker-heavy, mass-eviction and
     tightly-capped configurations (the cell classes the batched word
-    sweeps special-case), on the classic schedule."""
+    sweeps special-case), on the paper's uniform schedule."""
 
     @staticmethod
     def _assert_three_backend_parity(config, kind, **kwargs):
@@ -158,16 +140,10 @@ class TestAdversarialLoadParity:
             _run(config, kind, ExecutionConfig(backend="bitset"), **kwargs)
         )
         assert bitset == reference
-        for memory in MEMORY_MODES:
-            vectorized = _snapshot(
-                _run(
-                    config,
-                    kind,
-                    ExecutionConfig(backend="words", memory=memory),
-                    **kwargs,
-                )
-            )
-            assert vectorized == reference, f"memory={memory}"
+        vectorized = _snapshot(
+            _run(config, kind, ExecutionConfig(backend="words"), **kwargs)
+        )
+        assert vectorized == reference
 
     @pytest.mark.parametrize("fraction", [0.5, 0.6])
     def test_attacker_heavy_coalitions(self, fraction):
@@ -197,13 +173,3 @@ class TestAdversarialLoadParity:
             rounds=12,
         )
 
-
-class TestMemoryConfigValidation:
-    def test_shared_requires_words_backend(self):
-        for backend in ("sets", "bitset"):
-            with pytest.raises(ConfigurationError):
-                ExecutionConfig(backend=backend, memory="shared")
-
-    def test_unknown_memory_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(backend="words", memory="flash")

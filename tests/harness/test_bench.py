@@ -12,20 +12,17 @@ from repro.harness.bench import (
     run_bench,
     run_counters_bench,
     run_event_bench,
-    run_memory_bench,
     run_scale_bench,
-    run_shard_bench,
     write_bench_summary,
 )
 from repro.harness.cli import main
 from repro.harness.parallel import SweepExecutor
 
-#: Shrunk shard/memory-bench profile for tests: the real sections run
-#: tens of thousands of nodes for dozens of rounds, which belongs in
-#: ``lotus-eater bench``, not the unit suite.
-SMALL_SHARD_BENCH = dict(
-    shard_nodes=400, shard_rounds=25, shard_workers=2,
-    memory_nodes=400, memory_rounds=10,
+#: Shrunk bench profile for tests: the real sections run tens of
+#: thousands of nodes, which belongs in ``lotus-eater bench``, not the
+#: unit suite.
+SMALL_BENCH = dict(
+    headline_nodes=400,
     # In-process scale points: the real sweep spawns a subprocess per
     # point for honest peak-RSS numbers, which the unit suite skips.
     scale_points=(300,), scale_rounds=3, scale_isolate=False,
@@ -35,25 +32,7 @@ SMALL_SHARD_BENCH = dict(
 @pytest.fixture(scope="module")
 def summary():
     """One fast bench run shared by the assertions below."""
-    return run_bench(fast=True, executor=SweepExecutor(jobs=1), **SMALL_SHARD_BENCH)
-
-
-def _minimal_summary():
-    """The smallest dict ``render_bench_summary`` accepts."""
-    return {
-        "profile": "fast",
-        "rounds": 5,
-        "repetitions": 1,
-        "executor": {"jobs": 1, "cells_executed": 0, "cells_cached": 0},
-        "figures": {},
-        "totals": {
-            "wall_clock_serial_s": 1.0,
-            "wall_clock_parallel_s": 1.0,
-            "speedup_vs_serial": 1.0,
-        },
-        "baseline_delivery_fraction": 0.99,
-        "usability_threshold": 0.93,
-    }
+    return run_bench(fast=True, executor=SweepExecutor(jobs=1), **SMALL_BENCH)
 
 
 class TestRunBench:
@@ -100,58 +79,11 @@ class TestRunBench:
         assert backend["speedup"] > 1.0
         assert 0.0 <= backend["delivery_fraction"] <= 1.0
 
-    def test_shard_bench_section(self, summary):
-        shard = summary["shard_bench"]
-        assert shard["n_nodes"] == 400
-        assert shard["rounds"] == 25
-        assert shard["workers"] == 2
-        # The sharded executor's core guarantee: serial, in-process
-        # sharded, and pooled sharded runs agree exactly.
-        assert shard["parity_ok"] is True
-        assert shard["serial_seconds"] > 0
-        assert shard["inprocess_seconds"] > 0
-        assert shard["parallel_seconds"] > 0
-        assert shard["speedup"] > 0
-        assert 0.0 <= shard["delivery_fraction"] <= 1.0
-
-    def test_shard_bench_standalone(self):
-        report = run_shard_bench(n_nodes=300, rounds=6, workers=3)
-        assert report["parity_ok"] is True
-        assert report["shards"] == 3
-        assert report["backend"] == "bitset"
-
-    def test_shard_bench_single_worker(self):
-        """Regression: ``--shards 1`` must degrade to three serial
-        passes, not crash on a pool over an unsharded config."""
-        report = run_shard_bench(n_nodes=300, rounds=6, workers=1)
-        assert report["parity_ok"] is True
-        assert report["workers"] == 1
-        assert report["parallel_seconds"] > 0
-
-    def test_memory_bench_section(self, summary):
-        memory = summary["memory_bench"]
-        assert memory["n_nodes"] == 400
-        assert memory["rounds"] == 10
-        # Every layout computes the bit-identical trace.
-        assert memory["parity_ok"] is True
-        for name in (
-            "serial_bitset_seconds", "serial_words_seconds",
-            "inprocess_bitset_seconds", "inprocess_words_seconds",
-            "pooled_bitset_seconds", "pooled_words_heap_seconds",
-        ):
-            assert memory[name] > 0
-        assert isinstance(memory["pool_undersubscribed"], bool)
-        traffic = memory["round_traffic"]
-        assert traffic["words_heap"]["state_bytes"] > 0
-        assert traffic["words_heap"]["outcome_bytes"] > 0
-        if memory["shared_available"]:
-            assert memory["pooled_words_shared_seconds"] > 0
-            # The shared layout's raison d'etre: rows stay in place, so
-            # the per-round dispatch ships measurably fewer bytes.
-            heap_bytes = sum(traffic["words_heap"].values())
-            shared_bytes = sum(traffic["words_shared"].values())
-            assert shared_bytes < heap_bytes
-            assert traffic["heap_over_shared"] > 1.0
+    @pytest.mark.parametrize("section", ["shard_bench", "memory_bench", "fault_bench"])
+    def test_retired_sections_absent(self, summary, section):
+        # Their subjects (pooled shards, shared memory, shard-worker
+        # chaos) are gone from the program.
+        assert section not in summary
 
     def test_counters_bench_section(self, summary):
         counters = summary["counters_bench"]
@@ -160,30 +92,6 @@ class TestRunBench:
         assert counters["words_round_seconds"] > 0
         assert counters["bitset_round_seconds"] > 0
         assert counters["words_vs_bitset_round_speedup"] > 0
-        dispatch = counters["dispatch"]
-        assert dispatch["words_heap"]["outcome_bytes"] > 0
-        if counters["shared_available"]:
-            # The lean-delta re-cut: shared outcomes carry no counter
-            # columns at all, so they ship strictly fewer bytes than
-            # heap outcomes (which still carry rows + sparse deltas).
-            assert (
-                dispatch["words_shared"]["outcome_bytes"]
-                < dispatch["words_heap"]["outcome_bytes"]
-            )
-            assert dispatch["outcome_bytes_heap_over_shared"] > 1.0
-
-    def test_counters_bench_without_shared_memory(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.harness.bench.shared_memory_available", lambda: False
-        )
-        report = run_counters_bench(n_nodes=120, rounds=4, workers=2)
-        assert report["shared_available"] is False
-        assert report["dispatch"]["words_shared"] is None
-        assert report["parity_ok"] is True
-        rendered = render_bench_summary(
-            {**_minimal_summary(), "counters_bench": report}
-        )
-        assert "shared skipped" in rendered
 
     def test_event_bench_section(self, summary):
         event = summary["event_bench"]
@@ -218,6 +126,7 @@ class TestRunBench:
     def test_scale_bench_section(self, summary):
         scale = summary["scale_bench"]
         assert scale["backend"] == "words"
+        assert scale["pairing"] == "cells"
         assert scale["parity_ok"] is True
         assert scale["isolated"] is False
         assert set(scale["points"]) == {"300"}
@@ -255,57 +164,18 @@ class TestRunBench:
         rerun = run_scale_bench(points=(200,), rounds=4, isolate=False)
         assert rerun["points"]["200"]["aggregates"] == fingerprint
 
-    def test_undersubscription_flag(self, monkeypatch):
-        monkeypatch.setattr("repro.harness.bench.os.cpu_count", lambda: 1)
-        report = run_shard_bench(n_nodes=120, rounds=4, workers=2)
-        assert report["pool_undersubscribed"] is True
-        monkeypatch.setattr("repro.harness.bench.os.cpu_count", lambda: 64)
-        report = run_shard_bench(n_nodes=120, rounds=4, workers=2)
-        assert report["pool_undersubscribed"] is False
-
-    def test_memory_bench_without_shared_memory(self, monkeypatch):
-        """Hosts without /dev/shm skip the shared passes gracefully."""
-        monkeypatch.setattr(
-            "repro.harness.bench.shared_memory_available", lambda: False
-        )
-        report = run_memory_bench(n_nodes=120, rounds=4, workers=2)
-        assert report["shared_available"] is False
-        assert report["pooled_words_shared_seconds"] is None
-        assert report["pooled_shared_speedup_vs_serial"] is None
-        assert "words_shared" not in report["round_traffic"]
-        assert report["parity_ok"] is True
-        rendered = render_bench_summary(
-            {**_minimal_summary(), "memory_bench": report}
-        )
-        assert "skipped (no shared memory available)" in rendered
-
-
 class TestBenchCli:
     def test_bench_writes_artifact(self, tmp_path, capsys, monkeypatch):
         # One figure is enough to exercise the CLI path; the module
-        # fixture above already benches the full suite.  The shard
-        # bench likewise runs at a unit-test scale here.
+        # fixture above already benches the full suite.  The other
+        # sections likewise run at a unit-test scale here.
         monkeypatch.setattr(
             "repro.harness.bench.BENCH_FIGURES",
             {"figure1": BENCH_FIGURES["figure1"]},
         )
         monkeypatch.setattr(
-            "repro.harness.bench.run_shard_bench",
-            lambda **kwargs: run_shard_bench(
-                n_nodes=300, rounds=6, workers=kwargs.get("workers", 2)
-            ),
-        )
-        monkeypatch.setattr(
-            "repro.harness.bench.run_memory_bench",
-            lambda **kwargs: run_memory_bench(
-                n_nodes=200, rounds=4, workers=kwargs.get("workers", 2)
-            ),
-        )
-        monkeypatch.setattr(
             "repro.harness.bench.run_counters_bench",
-            lambda **kwargs: run_counters_bench(
-                n_nodes=200, rounds=4, workers=kwargs.get("workers", 2)
-            ),
+            lambda **kwargs: run_counters_bench(n_nodes=200, rounds=4),
         )
         monkeypatch.setattr(
             "repro.harness.bench.run_event_bench",
@@ -323,12 +193,10 @@ class TestBenchCli:
         assert out.exists()
         loaded = json.loads(out.read_text())
         assert set(loaded["figures"]) == {"figure1"}
-        assert "memory_bench" in loaded
         assert "counters_bench" in loaded
         assert "event_bench" in loaded
         captured = capsys.readouterr()
         assert "total" in captured.out
-        assert "memory (" in captured.out
         assert "counters (" in captured.out
         assert "event (" in captured.out
         assert "scale (" in captured.out

@@ -102,7 +102,7 @@ class TestBackendFlag:
     def test_sweep_words_backend_matches_sets(self, capsys):
         args = [
             "--fast", "--no-cache", "--grid", "0.1,0.3",
-            "--shards", "2", "sweep-gossip",
+            "--shards", "1", "sweep-gossip",
         ]
         assert main(args + ["--backend", "sets"]) == 0
         sets_out = capsys.readouterr().out
@@ -110,17 +110,20 @@ class TestBackendFlag:
         words_out = capsys.readouterr().out
         assert sets_out == words_out
 
-    def test_memory_flag_requires_words_backend(self, capsys):
-        code = main([
-            "--fast", "--no-cache", "--grid", "0.1", "--backend", "sets",
-            "--memory", "shared", "sweep-gossip",
-        ])
-        assert code == 2
-        assert "backend='words'" in capsys.readouterr().err
-
-    def test_unknown_memory_rejected(self):
+    def test_memory_flag_is_gone(self):
         with pytest.raises(SystemExit):
-            main(["--memory", "flash", "figure1"])
+            main(["--memory", "heap", "figure1"])
+
+    def test_shards_is_a_partner_model_switch(self):
+        with pytest.raises(SystemExit):
+            main(["--shards", "2", "figure1"])
+
+    def test_shards_help_names_the_partner_model(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--memory" not in help_text
+        assert "uniform" in help_text and "cell" in help_text
 
 
 class TestBenchTrendCommand:

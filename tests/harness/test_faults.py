@@ -16,11 +16,7 @@ import time
 
 import pytest
 
-from repro.core.errors import (
-    AnalysisError,
-    ConfigurationError,
-    WorkerCrash,
-)
+from repro.core.errors import AnalysisError, ConfigurationError
 from repro.faults import (
     CRASH_EXIT_CODE,
     FAULT_SITES,
@@ -96,16 +92,19 @@ class TestFaultSpecValidation:
         plan = FaultPlan(specs=(FaultSpec(site="worker:cell", kind="raise"),))
         assert plan.cache_fingerprint() == {}
 
+    @pytest.mark.parametrize(
+        "site", ["worker:shard", "worker:shard-shared", "shm:attach"]
+    )
+    def test_retired_sites_rejected(self, site):
+        # Their pooled-shard and shared-memory call sites are gone; a
+        # stale plan naming them must fail loudly, not silently never fire.
+        with pytest.raises(ConfigurationError, match="unknown fault site"):
+            FaultSpec(site=site, kind="crash")
+
     def test_every_registered_site_is_wired(self):
         # The lint registry mirrors this set (pinned in tests/analysis);
         # here: the runtime set itself is what the execution layer uses.
-        assert FAULT_SITES == {
-            "worker:cell",
-            "worker:shard",
-            "worker:shard-shared",
-            "shm:attach",
-            "cache:record",
-        }
+        assert FAULT_SITES == {"worker:cell", "cache:record"}
 
 
 class TestFaultPoint:
@@ -233,16 +232,6 @@ class TestSupervisedPool:
         assert failures[0].attempts == 2  # first try + one retry
         assert failures[0].label == "doomed"
         assert str(CRASH_EXIT_CODE) in failures[0].error
-        assert_no_leaked_children()
-
-    def test_abort_on_failure_tears_the_pool_down(self):
-        pool = SupervisedPool(2)
-        with pytest.raises(WorkerCrash) as excinfo:
-            pool.run(
-                _always_crash, [0, 1], abort_on_failure=True
-            )
-        assert excinfo.value.fate == "crashed"
-        assert not pool.alive
         assert_no_leaked_children()
 
     def test_close_deadline_falls_back_to_terminate(self):

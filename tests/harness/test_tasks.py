@@ -126,24 +126,31 @@ class TestTaskContracts:
         )
         assert sets_task.cache_fingerprint() == bitset_task.cache_fingerprint()
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"backend": "words"}, {"phase_chunk_pairs": 7}, {"jobs": 2}],
+        ids=["backend", "phase_chunk_pairs", "jobs"],
+    )
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_fingerprint_ignores_results_blind_fields(self, shards, change):
+        scenario = Scenario(
+            config=GossipConfig.small(), kind=AttackKind.TRADE, rounds=5
+        )
+        base = ExecutionConfig(backend="sets", shards=shards)
+        plain = GossipSweepTask(scenario, base)
+        changed = GossipSweepTask(scenario, base.replace(**change))
+        assert plain.cache_fingerprint() == changed.cache_fingerprint()
+
     def test_fingerprint_distinguishes_partner_model(self):
-        # shards == 0 runs the paper's uniform partner draws, shards >= 1
+        # shards == 0 runs the paper's uniform partner draws, shards == 1
         # the 4-node-cell pairing: different results, so different keys.
         uniform = GossipSweepTask(Scenario(), ExecutionConfig())
         cells = GossipSweepTask(
-            Scenario(), ExecutionConfig(backend="words", shards=4)
+            Scenario(), ExecutionConfig(backend="words", shards=1)
         )
         assert uniform.cache_fingerprint() != cells.cache_fingerprint()
         assert uniform.cache_fingerprint()["pairing"] == "uniform"
         assert cells.cache_fingerprint()["pairing"] == "cells"
-
-    def test_fingerprint_ignores_shard_count(self):
-        # Any k >= 1 is the same cell pairing, split differently.
-        one = GossipSweepTask(Scenario(), ExecutionConfig(shards=1))
-        four = GossipSweepTask(
-            Scenario(), ExecutionConfig(backend="words", shards=4)
-        )
-        assert one.cache_fingerprint() == four.cache_fingerprint()
 
     def test_fingerprint_distinguishes_network_and_schedule(self):
         from repro.bargossip.network import NetworkModel

@@ -92,32 +92,50 @@ class TestCompare:
         assert diff["metric_drift"] == []
         assert diff["malformed_figures"] == []
 
-    def test_missing_shard_bench_section_skipped(self):
-        """First run after the shard_bench section landed: the previous
+    def test_missing_section_skipped(self):
+        """First run after a bench section landed: the previous
         artifact has no such section and must diff cleanly."""
         current = _summary()
-        current["shard_bench"] = {
-            "serial_seconds": 10.0,
-            "parallel_seconds": 4.0,
-            "speedup": 2.5,
+        current["counters_bench"] = {
+            "words_round_seconds": 0.04,
+            "words_vs_bitset_round_speedup": 2.5,
         }
         diff = compare_bench_summaries(_summary(), current)
         assert diff["regressions"] == []
         rendered = render_bench_diff(diff)
-        assert "shard speedup: no baseline, skipped" in rendered
+        assert (
+            "per-round words speedup vs bitset: no baseline, skipped" in rendered
+        )
 
-    def test_shard_bench_regression_flags(self):
+    def test_section_regression_flags(self):
         previous = _summary()
-        previous["shard_bench"] = {
-            "serial_seconds": 10.0, "parallel_seconds": 4.0, "speedup": 2.5,
+        previous["counters_bench"] = {
+            "words_round_seconds": 0.04, "words_vs_bitset_round_speedup": 2.5,
         }
         current = _summary()
-        current["shard_bench"] = {
-            "serial_seconds": 10.0, "parallel_seconds": 8.0, "speedup": 1.25,
+        current["counters_bench"] = {
+            "words_round_seconds": 0.08, "words_vs_bitset_round_speedup": 1.25,
         }
         diff = compare_bench_summaries(previous, current)
-        assert "sharded parallel wall-clock" in diff["regressions"]
-        assert "shard speedup" in diff["regressions"]
+        assert "word-backend serial per-round" in diff["regressions"]
+        assert "per-round words speedup vs bitset" in diff["regressions"]
+
+    @pytest.mark.parametrize(
+        "section,row",
+        [
+            ("shard_bench", {"serial_seconds": 1.0, "speedup": 2.0}),
+            ("memory_bench", {"pooled_words_shared_seconds": 1.0}),
+            ("fault_bench", {"supervised_seconds": 1.0, "recovery_seconds": 0.5}),
+        ],
+    )
+    def test_retired_sections_in_old_baselines_ignored(self, section, row):
+        """Artifacts recorded before the pooled-shard benches were
+        retired still carry their sections; they must diff cleanly."""
+        previous = _summary()
+        previous[section] = row
+        diff = compare_bench_summaries(previous, _summary())
+        assert diff["regressions"] == []
+        assert section not in render_bench_diff(diff)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(AnalysisError):
@@ -185,7 +203,7 @@ class TestHistory:
     def test_missing_metrics_are_informational(self):
         report = compare_bench_history(self._window([10.0] * 5))
         rendered = render_bench_history(report)
-        assert "shard speedup: no data in window" in rendered
+        assert "per-round words speedup vs bitset: no data in window" in rendered
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(AnalysisError):
