@@ -40,7 +40,7 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--backend",
-        choices=["sets", "bitset", "words"],
+        choices=["sets", "words"],
         default="words",
         help="gossip update-store backend (default: words; sets is the "
         "reference oracle)",

@@ -138,7 +138,6 @@ class LintConfig:
     flw010_local_factories: Tuple[str, ...] = (
         "Population",
         "WordPopulationStore",
-        "BitsetPopulationStore",
         "UpdateStore",
         "BitsetUpdateStore",
     )

@@ -34,7 +34,6 @@ from .simulator import (
     InteractionEngine,
 )
 from .updates import (
-    BitsetPopulationStore,
     BitsetUpdateStore,
     UpdateLedger,
     UpdateStore,
@@ -79,7 +78,6 @@ __all__ = [
     "InteractionEngine",
     "Purpose",
     "UpdateStore",
-    "BitsetPopulationStore",
     "BitsetUpdateStore",
     "UpdateLedger",
     "update_id",

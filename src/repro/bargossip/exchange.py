@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from .updates import (
-    BitsetPopulationStore,
     UpdateStore,
     WordPopulationStore,
     bottom_bits,
@@ -148,14 +147,14 @@ def apply_exchange(
 
 
 def bitset_exchange(
-    pool: BitsetPopulationStore,
+    pool: WordPopulationStore,
     initiator: int,
     responder: int,
     cap: int,
     unbalanced: bool = False,
     prefer_newest: bool = True,
 ) -> Tuple[int, int]:
-    """Fused plan + apply of one balanced exchange on the bitset backend.
+    """Fused plan + apply of one balanced exchange on packed int rows.
 
     Selects exactly the update ids :func:`plan_balanced_exchange` would
     (availability is the same set intersection, expressed as a packed

@@ -36,7 +36,6 @@ import numpy as np
 
 from .config import GossipConfig
 from .updates import (
-    BitsetPopulationStore,
     UpdateStore,
     WordPopulationStore,
     bottom_bits,
@@ -129,7 +128,7 @@ def apply_push(
 
 
 class BitsetPushPlan:
-    """A negotiated push on the bitset backend, as packed bit masks.
+    """A negotiated push on packed int rows, as bit masks.
 
     Planning and applying stay separate (unlike the fused exchange)
     because the responder's accept/decline decision sits between them;
@@ -209,13 +208,13 @@ def batched_push_eligibility(
 
 
 def bitset_plan_push(
-    pool: BitsetPopulationStore,
+    pool: WordPopulationStore,
     initiator: int,
     responder: int,
     config: GossipConfig,
     round_now: int,
 ) -> BitsetPushPlan:
-    """Negotiate one optimistic push on the bitset backend.
+    """Negotiate one optimistic push on packed int rows.
 
     Selects exactly the ids :func:`plan_optimistic_push` would: the
     responder takes the ``push_size`` *oldest* wanted offers (the sets
@@ -240,9 +239,9 @@ def bitset_plan_push(
 
 
 def bitset_apply_push(
-    pool: BitsetPopulationStore, initiator: int, responder: int, plan: BitsetPushPlan
+    pool: WordPopulationStore, initiator: int, responder: int, plan: BitsetPushPlan
 ) -> None:
-    """Apply a negotiated bitset push in place."""
+    """Apply a negotiated packed push in place."""
     pool.have_bits[responder] |= plan.to_responder_mask
     pool.missing_bits[responder] &= ~plan.to_responder_mask
     pool.have_bits[initiator] |= plan.to_initiator_mask

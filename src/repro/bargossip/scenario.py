@@ -5,10 +5,10 @@ config.GossipConfig`: the protocol parameters (Table 1), the execution
 strategy (store backend, partner model, sweep workers), and the
 network scenario (latency, loss, churn).  This module splits them:
 
-* :class:`ExecutionConfig` — *how* to run: backend, jobs, phase
-  blocking, plus ``shards``, which picks the partner model (0 = the
-  paper's uniform draws, 1 = the 4-node-cell pairing) and therefore
-  *does* change results.  Sweep tasks fingerprint that choice as
+* :class:`ExecutionConfig` — *how* to run: backend and jobs, plus
+  ``shards``, which picks the partner model (0 = the paper's uniform
+  draws, 1 = the 4-node-cell pairing) and therefore *does* change
+  results.  Sweep tasks fingerprint that choice as
   ``pairing``; every other field is results-free (pinned by the parity
   suites), so switching backends serves cached cells.
 * :class:`Scenario` — *what* to simulate: the protocol
@@ -45,12 +45,11 @@ SCHEDULES = ("rounds", "event")
 class ExecutionConfig:
     """How a simulation executes, plus the partner-model switch.
 
-    ``backend``, ``jobs`` and ``phase_chunk_pairs`` never change
-    results: every combination produces bit-identical traces for the
-    same seed (pinned by the backend- and schedule-parity suites).
-    ``shards`` is the exception: it picks the partner model, 0 for the
-    paper's uniform draws and 1 for the 4-node-cell pairing, and the
-    two give different traces.  :meth:`cache_fingerprint` stays empty
+    ``backend`` and ``jobs`` never change results: every combination
+    produces bit-identical traces for the same seed (pinned by the
+    backend- and schedule-parity suites).  ``shards`` is the exception:
+    it picks the partner model, 0 for the paper's uniform draws and 1
+    for the 4-node-cell pairing, and the two give different traces.  :meth:`cache_fingerprint` stays empty
     because :class:`~repro.harness.tasks.GossipSweepTask` fingerprints
     that choice itself, as ``pairing``.
     """
@@ -61,8 +60,7 @@ class ExecutionConfig:
     #: sweeps: dependency waves on the paper's uniform partner
     #: schedule and whole-phase sweeps on the cell pairing.  ``"sets"``
     #: keeps per-node Python sets: the reference oracle every parity
-    #: suite compares against.  ``"bitset"`` packs the same rows into
-    #: arbitrary-precision ints.
+    #: suite compares against.
     backend: str = "words"
     #: The partner model: 0 runs the paper's uniform partner draws
     #: (:class:`~repro.bargossip.partner.PartnerSchedule`), 1 the
@@ -72,12 +70,6 @@ class ExecutionConfig:
     shards: int = 0
     #: Worker processes for sweep fan-out (dispatch only; 0 = serial).
     jobs: int = 1
-    #: Cache-blocking for the batched phase sweeps: whole-phase word
-    #: sweeps are cut into blocks of this many pairs so each block's
-    #: gathered rows stay cache-resident at million-node scale
-    #: (0 = one unchunked sweep per phase).  Pure execution knob —
-    #: cells are node-disjoint, so any blocking is trace-identical.
-    phase_chunk_pairs: int = 32768
 
     def replace(self, **changes: Any) -> "ExecutionConfig":
         """A copy of this configuration with ``changes`` applied."""
@@ -105,9 +97,9 @@ class ExecutionConfig:
         return {}
 
     def __post_init__(self) -> None:
-        if self.backend not in ("sets", "bitset", "words"):
+        if self.backend not in ("sets", "words"):
             raise ConfigurationError(
-                f"backend must be 'sets', 'bitset' or 'words', got {self.backend!r}"
+                f"backend must be 'sets' or 'words', got {self.backend!r}"
             )
         if self.shards not in (0, 1):
             raise ConfigurationError(
@@ -117,11 +109,6 @@ class ExecutionConfig:
         if self.jobs < 0:
             raise ConfigurationError(
                 f"jobs must be >= 0 (0 = serial), got {self.jobs}"
-            )
-        if self.phase_chunk_pairs < 0:
-            raise ConfigurationError(
-                "phase_chunk_pairs must be >= 0 (0 = unchunked), "
-                f"got {self.phase_chunk_pairs}"
             )
 
 

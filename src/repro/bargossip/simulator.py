@@ -73,7 +73,6 @@ from .push import (
 )
 from .sharding import ShardedPartnerSchedule
 from .updates import (
-    BitsetPopulationStore,
     UpdateLedger,
     WordPopulationStore,
     creation_round,
@@ -103,6 +102,12 @@ CI_PUSHES_NONEMPTY = COUNTER_INDEX["pushes_nonempty"]
 _BOOK_EXCHANGE = np.zeros(N_COUNTER_COLS, dtype=np.int64)
 _BOOK_EXCHANGE[CI_EXCHANGES_INITIATED] = 1
 
+#: Cache-block size, in pairs, of the batched whole-phase sweeps (see
+#: :meth:`InteractionEngine._pair_chunks`): each block's gathered word
+#: rows stay cache-resident at million-node scale.  Any blocking is
+#: trace-identical, because the pairs of one sweep are node-disjoint.
+PHASE_CHUNK_PAIRS = 32768
+
 
 class InteractionEngine:
     """The exchange and push phases over one population.
@@ -120,8 +125,8 @@ class InteractionEngine:
     config / attack / authority:
         As on :class:`GossipSimulator` (``authority`` may be None).
     pool:
-        The packed population store on the bitset or words backend, or
-        None on the sets backend.
+        The packed word store on the words backend, or None on the sets
+        backend.
     population:
         The columnar :class:`~repro.bargossip.population.
         Population` (row layout identical to ``pool``'s).  Required for
@@ -136,9 +141,8 @@ class InteractionEngine:
         config: GossipConfig,
         attack: AttackerCoalition,
         authority: Optional[EvictionAuthority],
-        pool: Optional[BitsetPopulationStore] = None,
+        pool: Optional[WordPopulationStore] = None,
         population: Optional[Population] = None,
-        chunk_pairs: int = 0,
     ) -> None:
         self.nodes = list(nodes)
         self.config = config
@@ -148,7 +152,7 @@ class InteractionEngine:
         self.population = population
         #: Cache-block size (in pairs) for the batched whole-phase
         #: sweeps; 0 disables chunking.
-        self.chunk_pairs = chunk_pairs
+        self.chunk_pairs = PHASE_CHUNK_PAIRS
         self._node_of: Dict[int, GossipNode] = {
             node.node_id: node for node in self.nodes
         }
@@ -236,10 +240,10 @@ class InteractionEngine:
 
         On the words backend the phase runs as dependency waves
         (:meth:`_run_waves`; ``partners`` must be an array there); the
-        sets and bitset backends walk the pairs one at a time, the
-        reference the waves are pinned to.
+        sets backend walks the pairs one at a time, the reference the
+        waves are pinned to.
         """
-        if isinstance(self.pool, WordPopulationStore):
+        if self.pool is not None:
             self._run_waves(round_now, order, partners, Purpose.EXCHANGE)
             return
         for initiator_id in order:
@@ -275,7 +279,8 @@ class InteractionEngine:
         split itself is one masked array op over the population's
         behaviour/eviction columns, not a Python walk, and *both*
         classes stay on the batched word path: the per-pair scalar
-        methods survive only as the sets/bitset parity oracle.
+        methods survive only as the sets parity oracle and the event
+        schedule's per-pair path.
         """
         ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         return self._split_pair_rows(self._rows_of_ids(ids))
@@ -686,7 +691,7 @@ class InteractionEngine:
 
     def run_pushes(self, round_now: int, order, partners) -> None:
         """One optimistic-push phase (same calling convention as exchanges)."""
-        if isinstance(self.pool, WordPopulationStore):
+        if self.pool is not None:
             self._run_waves(round_now, order, partners, Purpose.PUSH)
             return
         for initiator_id in order:
@@ -874,7 +879,7 @@ class InteractionEngine:
     def _push_bitset(
         self, round_now: int, initiator: GossipNode, partner: GossipNode
     ) -> None:
-        """One correct-correct optimistic push on the bitset backend."""
+        """One correct-correct optimistic push on packed int rows."""
         plan = bitset_plan_push(
             self.pool,
             self._row_of[initiator.node_id],
@@ -1020,20 +1025,16 @@ class GossipSimulator(RoundSimulator):
             )
         self.rotate_targets_every = rotate_targets_every
         self._rotation_rng = self._streams.get("rotation")
-        #: The dense population store on the packed backends (bitset
-        #: rows of Python ints, or fixed-width word rows); None on the
-        #: reference set backend.  Owned by the simulator: node stores are
-        #: lightweight views into it.
-        if self.execution.backend == "bitset":
-            self._pool = BitsetPopulationStore(
+        #: The dense word-row population store on the words backend; None
+        #: on the reference set backend.  Owned by the simulator: node
+        #: stores are lightweight views into it.
+        self._pool: Optional[WordPopulationStore] = (
+            WordPopulationStore(
                 config.n_nodes, config.updates_per_round, config.update_lifetime
             )
-        elif self.execution.backend == "words":
-            self._pool = WordPopulationStore(
-                config.n_nodes, config.updates_per_round, config.update_lifetime
-            )
-        else:
-            self._pool = None
+            if self.execution.backend == "words"
+            else None
+        )
         #: The columnar per-node state (counters matrix, group /
         #: behaviour codes, eviction flags) — every backend uses it;
         #: node objects are views into its columns.
@@ -1043,7 +1044,7 @@ class GossipSimulator(RoundSimulator):
         ]
         # Per-node (delivered, missed) tallies over the measured window
         # (see the `per_node_delivered` property): plain lists on the
-        # set backend (cheap scalar increments), arrays on the bitset
+        # set backend (cheap scalar increments), arrays on the words
         # backend (batch accumulation in the vectorized expiry).  The
         # same split applies to the per-epoch window tallies.
         if self._pool is not None:
@@ -1067,7 +1068,6 @@ class GossipSimulator(RoundSimulator):
             self.authority,
             pool=self._pool,
             population=self.population,
-            chunk_pairs=self.execution.phase_chunk_pairs,
         )
         #: Event-schedule state.  The network and churn RNGs are
         #: dedicated streams, so enabling the event engine (or any of
@@ -1113,7 +1113,7 @@ class GossipSimulator(RoundSimulator):
         The scaling budget: word rows (have + missing), the counters
         matrix, and the per-node role/eviction code columns.
         """
-        if not isinstance(self._pool, WordPopulationStore):
+        if self._pool is None:
             raise SimulationError(
                 "memory_breakdown requires the words backend, "
                 f"got backend={self.execution.backend!r}"
@@ -1183,7 +1183,7 @@ class GossipSimulator(RoundSimulator):
 
         The rotating attack is judged on this distribution (group
         labels lose meaning once targets move around).  On the set
-        backend this is the live mutable list; the bitset backend
+        backend this is the live mutable list; the words backend
         materializes its accumulator array on access.
         """
         if isinstance(self._delivered_by_node, list):
@@ -1260,11 +1260,11 @@ class GossipSimulator(RoundSimulator):
 
         The full-population engine runs both phases directly: as
         whole-phase batched sweeps on the words backend, or per pair in
-        canonical (permutation) order on the others.  The shard-parity
+        canonical (permutation) order on the sets oracle.  The shard-parity
         suite pins the two to bit-identical traces.
         """
         schedule = self._partners
-        if isinstance(self._pool, WordPopulationStore):
+        if self._pool is not None:
             self._engine.run_exchanges_batched(
                 round_now, schedule.round_pairs(round_now, Purpose.EXCHANGE)
             )
@@ -1620,7 +1620,7 @@ class GossipSimulator(RoundSimulator):
             return
         departed = self._departed
         pool = self._pool
-        if isinstance(pool, WordPopulationStore):
+        if pool is not None:
             # The engine's cached mask (row == node id here): rebuilt
             # only when the coalition retargets.
             satiated = self._engine._satiated_row_mask()
@@ -1655,7 +1655,7 @@ class GossipSimulator(RoundSimulator):
             return
         self.attack.expire(due)
         if self._pool is not None:
-            self._expire_bitset(due)
+            self._expire_packed(due)
             return
         tallies: Dict[str, List[int]] = {
             "isolated": [0, 0],
@@ -1689,7 +1689,7 @@ class GossipSimulator(RoundSimulator):
             if delivered or missed:
                 self.stats.record(group, delivered, missed)
 
-    def _expire_bitset(self, due: List[int]) -> None:
+    def _expire_packed(self, due: List[int]) -> None:
         """Batched end-of-life scoring: one popcount per node per round.
 
         All updates expiring in one round share a creation round (they

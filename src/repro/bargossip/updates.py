@@ -12,23 +12,20 @@ Three views of update state are kept:
   and the live updates it is still missing.  Both sets contain live
   (unexpired) updates only, so their sizes stay bounded by
   ``updates_per_round * update_lifetime`` regardless of run length.
-* :class:`BitsetPopulationStore` / :class:`BitsetUpdateStore` — the
-  vectorized equivalent (``GossipConfig.backend == "bitset"``): one
-  dense boolean matrix of shape ``(n_nodes, live_window)`` per side
-  (have/missing), owned by the simulator, with one lightweight
-  per-node view implementing the :class:`UpdateStore` interface.
-  Because an update lives exactly ``update_lifetime`` rounds, the live
-  id window is a sliding interval of at most
-  ``updates_per_round * update_lifetime`` ids; column ``c`` always
-  holds update ``base + c``, so id order equals column order and the
-  round phases become batch array operations.
-* :class:`WordPopulationStore` — the fixed-width word-array backend
-  (``GossipConfig.backend == "words"``): the same packed rows stored
-  as 64-bit words in one flat buffer instead of arbitrary-precision
-  ints.  The fixed layout buys two things the bitset backend cannot
-  offer: whole-phase numpy sweeps over many rows at once (see the
+  This is the ``sets`` backend, the reference oracle.
+* :class:`WordPopulationStore` / :class:`BitsetUpdateStore` — the
+  packed ``words`` backend: one dense bit matrix of shape
+  ``(n_nodes, live_window)`` per side (have/missing), stored as
+  fixed-width 64-bit word rows in one flat buffer owned by the
+  simulator, with one lightweight per-node view implementing the
+  :class:`UpdateStore` interface.  Because an update lives exactly
+  ``update_lifetime`` rounds, the live id window is a sliding interval
+  of at most ``updates_per_round * update_lifetime`` ids; column ``c``
+  always holds update ``base + c``, so id order equals column order
+  and the round phases become whole-population numpy sweeps (see the
   batched :class:`~repro.bargossip.simulator.InteractionEngine`
-  dispatch).
+  dispatch).  Int row views expose each row as an arbitrary-precision
+  bitmask for the per-pair packed planners.
 * :class:`UpdateLedger` — global: which updates are currently live and
   when each expires, used to drive per-round expiry and the delivery
   metric ("fraction of updates received ... " in Figures 1-3).
@@ -47,7 +44,6 @@ __all__ = [
     "update_id",
     "creation_round",
     "UpdateStore",
-    "BitsetPopulationStore",
     "BitsetUpdateStore",
     "WordPopulationStore",
     "UpdateLedger",
@@ -238,145 +234,8 @@ def iter_bits(bits: int) -> Iterable[int]:
         bits ^= lowest
 
 
-class BitsetPopulationStore:
-    """Dense live-update state for the whole population.
-
-    Conceptually a pair of boolean matrices of shape
-    ``(n_nodes, live_window)`` — one row of have/missing flags per
-    node, one column per live update — where ``live_window`` is the
-    maximum number of simultaneously live updates
-    (``updates_per_round * update_lifetime``).  Each row is stored as
-    one packed bitmask (an arbitrary-precision integer, i.e. an array
-    of machine words under the hood), so pairwise row operations in the
-    exchange/push hot path are single C-level AND/OR/popcount calls
-    instead of per-element work, and the per-round phases (broadcast,
-    expiry, window slide) are one O(words) operation per node.
-
-    Column ``c`` holds the update with id ``base + c``; as rounds
-    release fresh updates the window slides forward (``advance_to``)
-    so expired columns are recycled.  Id order equals bit order, which
-    is what lets the planners select "newest"/"oldest" with
-    :func:`top_bits` / :func:`bottom_bits`.
-    """
-
-    __slots__ = (
-        "n_nodes",
-        "updates_per_round",
-        "lifetime",
-        "capacity",
-        "base",
-        "have_bits",
-        "missing_bits",
-        "full_mask",
-    )
-
-    def __init__(self, n_nodes: int, updates_per_round: int, lifetime: int) -> None:
-        if n_nodes < 1:
-            raise SimulationError(f"n_nodes must be >= 1, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.updates_per_round = updates_per_round
-        self.lifetime = lifetime
-        self.capacity = updates_per_round * lifetime
-        #: Update id held by column (bit) 0.
-        self.base = 0
-        #: Packed have/missing rows, one bitmask per node.
-        self.have_bits: List[int] = [0] * n_nodes
-        self.missing_bits: List[int] = [0] * n_nodes
-        self.full_mask = (1 << self.capacity) - 1
-
-    def view(self, node_id: int) -> "BitsetUpdateStore":
-        """The per-node :class:`UpdateStore`-compatible view."""
-        return BitsetUpdateStore(self, node_id)
-
-    def as_matrices(self) -> "np.ndarray":
-        """The (have, missing) state as one stacked boolean array.
-
-        Shape ``(2, n_nodes, live_window)``; a debugging/analysis
-        convenience — the simulation never materializes it.
-        """
-        dense = np.zeros((2, self.n_nodes, self.capacity), dtype=bool)
-        for node_id in range(self.n_nodes):
-            for col in iter_bits(self.have_bits[node_id]):
-                dense[0, node_id, col] = True
-            for col in iter_bits(self.missing_bits[node_id]):
-                dense[1, node_id, col] = True
-        return dense
-
-    def advance_to(self, round_now: int) -> None:
-        """Slide the window so round ``round_now``'s fresh ids fit.
-
-        Called at the top of each round, before the broadcast: the
-        bits of updates that expired at the end of the previous round
-        are shifted out and their columns recycled for the fresh
-        release.
-        """
-        new_base = max(0, round_now - self.lifetime + 1) * self.updates_per_round
-        shift = new_base - self.base
-        if shift <= 0:
-            return
-        have_bits = self.have_bits
-        missing_bits = self.missing_bits
-        for node_id in range(self.n_nodes):
-            have_bits[node_id] >>= shift
-            missing_bits[node_id] >>= shift
-        self.base = new_base
-
-    def col_of(self, update: int) -> int:
-        """Column (bit position) holding ``update``; raises if out of window."""
-        col = update - self.base
-        if not 0 <= col < self.capacity:
-            raise SimulationError(
-                f"update {update} outside live window [{self.base}, "
-                f"{self.base + self.capacity})"
-            )
-        return col
-
-    def mask_of(self, updates: Iterable[int]) -> int:
-        """Bitmask covering many updates (each validated)."""
-        mask = 0
-        for update in updates:
-            mask |= 1 << self.col_of(update)
-        return mask
-
-    def announce_fresh(self, first_col: int, count: int) -> None:
-        """Mark ``count`` fresh columns missing for every node.
-
-        The fresh columns are guaranteed clean: they were either never
-        used (warm-up) or zeroed by the ``advance_to`` shift.
-        """
-        mask = ((1 << count) - 1) << first_col
-        missing_bits = self.missing_bits
-        for node_id in range(self.n_nodes):
-            missing_bits[node_id] |= mask
-
-    def seed(self, node_ids: Iterable[int], col: int) -> None:
-        """Flip one fresh column to held for the seeded nodes."""
-        bit = 1 << col
-        unset = ~bit
-        for node_id in node_ids:
-            self.have_bits[node_id] |= bit
-            self.missing_bits[node_id] &= unset
-
-    def clear_mask(self, mask: int) -> None:
-        """Drop the masked columns from every row (end-of-life)."""
-        unset = ~mask
-        have_bits = self.have_bits
-        missing_bits = self.missing_bits
-        for node_id in range(self.n_nodes):
-            have_bits[node_id] &= unset
-            missing_bits[node_id] &= unset
-
-    def masked_have_popcounts(self, mask: int) -> "np.ndarray":
-        """Per-node count of held updates under ``mask`` (expiry scoring)."""
-        return np.fromiter(
-            (popcount(row & mask) for row in self.have_bits),
-            dtype=np.int64,
-            count=self.n_nodes,
-        )
-
-
 class BitsetUpdateStore:
-    """Per-node view into a :class:`BitsetPopulationStore`.
+    """Per-node view into a :class:`WordPopulationStore`.
 
     Implements the :class:`UpdateStore` interface — ``have`` and
     ``missing`` materialize as real sets, so existing code (the
@@ -387,7 +246,7 @@ class BitsetUpdateStore:
 
     __slots__ = ("pool", "node_id")
 
-    def __init__(self, pool: BitsetPopulationStore, node_id: int) -> None:
+    def __init__(self, pool: "WordPopulationStore", node_id: int) -> None:
         self.pool = pool
         self.node_id = node_id
 
@@ -675,13 +534,12 @@ def _truncate_word_rows_scalar(
 class _WordRows:
     """Int-compatible view over packed word rows.
 
-    Exposes a ``(n_rows, n_words)`` uint64 array with the
-    ``have_bits[i] -> int`` / ``have_bits[i] = int`` protocol of
-    :class:`BitsetPopulationStore`, so every arbitrary-precision
-    consumer — :class:`BitsetUpdateStore` views, the per-pair
-    exchange/push planners — works unchanged against
-    the word-array backend.  The hot paths bypass this view and sweep
-    the underlying array directly.
+    Exposes a ``(n_rows, n_words)`` uint64 array through a
+    ``have_bits[i] -> int`` / ``have_bits[i] = int`` protocol, so every
+    arbitrary-precision consumer — :class:`BitsetUpdateStore` views,
+    the per-pair exchange/push planners — reads and writes one row as a
+    Python int bitmask.  The hot paths bypass this view and sweep the
+    underlying array directly.
 
     The view translates between logical bitmasks (bit 0 == window
     ``base``) and the store's physical layout, whose window floats at
@@ -719,18 +577,15 @@ class _WordRows:
 class WordPopulationStore:
     """Dense live-update state as fixed-width word rows.
 
-    The third population-store backend (``GossipConfig.backend ==
-    "words"``): semantically identical to
-    :class:`BitsetPopulationStore` — same columns, same base/window
-    arithmetic, bit-identical traces — but each row is
-    ``ceil((capacity + 63) / 64)`` 64-bit words in one flat numpy
-    buffer instead of a Python int, with the live window floating
-    ``offset = base % 64`` bits into the row (the ring scheme of
-    :meth:`advance_to`).  The fixed layout is what enables
-
-    whole-population numpy sweeps: window slide, broadcast, expiry
-    scoring and the batched exchange/push phases are array operations
-    over all rows at once.
+    The packed population store (``ExecutionConfig.backend ==
+    "words"``): column ``c`` of a row holds update ``base + c``, and
+    each row is ``ceil((capacity + 63) / 64)`` 64-bit words in one flat
+    numpy buffer, with the live window floating ``offset = base % 64``
+    bits into the row (the ring scheme of :meth:`advance_to`).  The
+    fixed layout is what enables whole-population numpy sweeps: window
+    slide, broadcast, expiry scoring and the batched exchange/push
+    phases are array operations over all rows at once.  Traces are
+    bit-identical to the ``sets`` oracle.
     """
 
     def __init__(self, n_nodes: int, updates_per_round: int, lifetime: int) -> None:
@@ -751,11 +606,11 @@ class WordPopulationStore:
         #: Packed have/missing rows, ``(n_nodes, words_per_row)`` uint64.
         self.have_words = flat[:rows].reshape(n_nodes, self.words_per_row)
         self.missing_words = flat[rows:].reshape(n_nodes, self.words_per_row)
-        #: Int-compatible row views (the BitsetPopulationStore protocol).
+        #: Int-compatible row views for the per-pair planners.
         self.have_bits = _WordRows(self.have_words, self)
         self.missing_bits = _WordRows(self.missing_words, self)
 
-    # -- BitsetPopulationStore protocol --------------------------------
+    # -- Per-node views and int-bitmask helpers ------------------------
 
     def view(self, node_id: int) -> "BitsetUpdateStore":
         """The per-node :class:`UpdateStore`-compatible view."""

@@ -12,7 +12,7 @@ crossovers and the delivery at the largest attacker fraction.
 It also times the update-store backends head to head
 (:func:`run_backend_bench`): one large single-core gossip experiment
 (5,000 nodes, 50 rounds by default) on the reference set backend and
-on the packed-bitset backend, asserting exact metric parity and
+on the packed word-array backend, asserting exact metric parity and
 reporting the speedup — the within-a-run scaling axis, complementing
 the executor's across-cells axis.  ``lotus-eater bench-diff`` (see
 :mod:`~repro.harness.trend`) compares consecutive summaries in CI.
@@ -41,7 +41,6 @@ __all__ = [
     "BENCH_FIGURES",
     "SCALE_BENCH_POINTS",
     "run_backend_bench",
-    "run_counters_bench",
     "run_event_bench",
     "run_scale_bench",
     "run_bench",
@@ -85,7 +84,7 @@ def run_backend_bench(
     """Time one large gossip experiment on both store backends.
 
     Single-core, no attack: a pure measurement of the protocol round
-    loop, which is what the bitset backend vectorizes.  The two
+    loop, which is what the words backend vectorizes.  The two
     backends are required to agree *exactly* on the delivery metrics
     (the parity suite pins much more; this is the last-line check in
     every bench artifact).
@@ -100,7 +99,7 @@ def run_backend_bench(
     scenario = Scenario(
         config=GossipConfig(n_nodes=n_nodes), kind=AttackKind.NONE, rounds=rounds
     )
-    for backend in ("sets", "bitset"):
+    for backend in ("sets", "words"):
         start = time.perf_counter()
         result = run_experiment(
             scenario, execution=ExecutionConfig(backend=backend), seed=seed
@@ -111,84 +110,12 @@ def run_backend_bench(
         "n_nodes": n_nodes,
         "rounds": rounds,
         "sets_seconds": seconds["sets"],
-        "bitset_seconds": seconds["bitset"],
+        "words_seconds": seconds["words"],
         "speedup": (
-            seconds["sets"] / seconds["bitset"] if seconds["bitset"] > 0 else None
+            seconds["sets"] / seconds["words"] if seconds["words"] > 0 else None
         ),
-        "parity_ok": fractions["sets"] == fractions["bitset"],
-        "delivery_fraction": fractions["bitset"],
-    }
-
-
-def _time_rounds(
-    config: GossipConfig,
-    execution: ExecutionConfig,
-    rounds: int,
-    seed: int,
-):
-    """(seconds, end-of-run aggregates) of one timed run."""
-    simulator = GossipSimulator(config, seed=seed, execution=execution)
-    start = time.perf_counter()
-    for _ in range(rounds):
-        simulator.step()
-    seconds = time.perf_counter() - start
-    aggregates = (
-        simulator.stats.delivered,
-        simulator.stats.missed,
-        tuple(simulator.per_node_delivered),
-        tuple(simulator.per_node_missed),
-        simulator.delivery_fraction("correct"),
-    )
-    return seconds, aggregates
-
-
-def run_counters_bench(
-    n_nodes: int = 20000,
-    rounds: int = 10,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Per-round cost of the columnar counters, words against bitset.
-
-    ``words_round_seconds`` / ``bitset_round_seconds`` are the
-    wall-clock per round of one serial no-attack run on the cell
-    pairing (``shards=1``), at the 20,000-node headline scale so
-    consecutive artifacts stay comparable.  The words backend's phases
-    are whole-population sweeps whose counter updates are scatter-adds
-    on the columnar matrix; the bitset backend keeps the per-pair
-    scalar dispatch and therefore pays the column-view tax on every
-    interaction — the recorded ratio is the honest price of the trade.
-    """
-    per_round: Dict[str, float] = {}
-    reference = None
-    parity_ok = True
-    delivery = None
-    for name, backend in (
-        ("words_round_seconds", "words"),
-        ("bitset_round_seconds", "bitset"),
-    ):
-        elapsed, aggregates = _time_rounds(
-            GossipConfig(n_nodes=n_nodes),
-            ExecutionConfig(backend=backend, shards=1),
-            rounds,
-            seed,
-        )
-        per_round[name] = elapsed / rounds
-        if reference is None:
-            reference = aggregates
-            delivery = aggregates[-1]
-        else:
-            parity_ok = parity_ok and aggregates == reference
-    return {
-        "n_nodes": n_nodes,
-        "rounds": rounds,
-        **per_round,
-        "words_vs_bitset_round_speedup": (
-            per_round["bitset_round_seconds"] / per_round["words_round_seconds"]
-            if per_round["words_round_seconds"]
-            else None
-        ),
-        "parity_ok": parity_ok,
-        "delivery_fraction": delivery,
+        "parity_ok": fractions["sets"] == fractions["words"],
+        "delivery_fraction": fractions["words"],
     }
 
 
@@ -234,8 +161,8 @@ def run_event_bench(
       and what fraction of measured updates ever get there, as latency,
       loss and churn are layered on.
 
-    Like the counters bench this runs at the 20,000-node headline scale
-    in both profiles so consecutive CI artifacts stay comparable.
+    Like the backend bench this runs at a fixed scale (20,000 nodes) in
+    both profiles so consecutive CI artifacts stay comparable.
 
     ``rounds`` must comfortably exceed twice the update lifetime:
     measurement starts at round ``update_lifetime`` (the warm-up) and
@@ -429,10 +356,9 @@ def run_bench(
     pass would report cache speedup, not executor speedup (the CLI's
     ``bench`` command always benches uncached for this reason).
 
-    ``headline_nodes`` sizes the ``counters_bench`` and
-    ``event_bench`` sections; like the backend bench these deliberately
-    run at the same headline scale in both profiles so consecutive CI
-    artifacts stay comparable.
+    ``headline_nodes`` sizes the ``event_bench`` section; like the
+    backend bench it deliberately runs at the same headline scale in
+    both profiles so consecutive CI artifacts stay comparable.
 
     ``scale_points`` parameterizes the ``scale_bench`` section
     (:func:`run_scale_bench`); None keeps the tracked defaults — the
@@ -486,7 +412,6 @@ def run_bench(
 
     baseline = baseline_check(rounds=rounds, seed=root_seed, executor=executor)
     backend_bench = run_backend_bench(seed=root_seed)
-    counters_bench = run_counters_bench(n_nodes=headline_nodes, seed=root_seed)
     event_bench = run_event_bench(n_nodes=headline_nodes, seed=root_seed)
     scale_bench = run_scale_bench(
         points=scale_points,
@@ -513,7 +438,6 @@ def run_bench(
         },
         "executor": executor_stats,
         "backend_bench": backend_bench,
-        "counters_bench": counters_bench,
         "event_bench": event_bench,
         "scale_bench": scale_bench,
         "figures": figures,
@@ -559,18 +483,8 @@ def render_bench_summary(summary: Dict[str, Any]) -> str:
         lines.append(
             f"backend ({backend['n_nodes']} nodes, {backend['rounds']} rounds, "
             f"single core): sets {backend['sets_seconds']:.2f}s, "
-            f"bitset {backend['bitset_seconds']:.2f}s "
+            f"words {backend['words_seconds']:.2f}s "
             f"({backend['speedup']:.2f}x, parity {parity})"
-        )
-    counters = summary.get("counters_bench")
-    if counters:
-        parity = "ok" if counters["parity_ok"] else "MISMATCH"
-        lines.append(
-            f"counters ({counters['n_nodes']} nodes, serial shards=1): "
-            f"words {counters['words_round_seconds'] * 1000:.0f} ms/round, "
-            f"bitset {counters['bitset_round_seconds'] * 1000:.0f} ms/round "
-            f"({counters['words_vs_bitset_round_speedup']:.2f}x, "
-            f"parity {parity})"
         )
     event = summary.get("event_bench")
     if event:

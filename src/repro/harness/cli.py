@@ -4,7 +4,7 @@ Installed as ``lotus-eater`` (see ``pyproject.toml``)::
 
     lotus-eater table1
     lotus-eater figure1 --fast --jobs 4
-    lotus-eater figure2 --backend bitset
+    lotus-eater figure2 --backend sets
     lotus-eater figure3 --seed 7
     lotus-eater tokenmodel
     lotus-eater scrip
@@ -34,8 +34,8 @@ skip every already-computed simulation.  ``--no-cache`` disables the
 store; parallel output is bit-identical to ``--jobs 1``.  The gossip
 commands run on the fixed-width word-array store by default
 (``--backend words``: every round's phases run as batched sweeps);
-``--backend sets`` runs the per-node set reference oracle and
-``--backend bitset`` the packed-int store, with identical results.
+``--backend sets`` runs the per-node set reference oracle, with
+identical results.
 ``--shards`` picks the partner model: 0 (the default) is the paper's
 uniform partner draws, 1 the 4-node-cell pairing — a different model
 with different results, cached separately.  ``--schedule
@@ -235,8 +235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ]
     if not summary["backend_bench"]["parity_ok"]:
         mismatched.append("backend_bench")
-    if not summary["counters_bench"]["parity_ok"]:
-        mismatched.append("counters_bench")
     if not summary["event_bench"]["parity_ok"]:
         mismatched.append("event_bench")
     if not summary["scale_bench"]["parity_ok"]:
@@ -759,13 +757,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["sets", "bitset", "words"],
+        choices=["sets", "words"],
         default="words",
         help="gossip update-store backend (words, the default: "
         "fixed-width word arrays whose rounds run as batched sweeps; "
-        "sets: per-node Python sets, the "
-        "reference oracle; bitset: packed int rows). Results are "
-        "identical on every backend",
+        "sets: per-node Python sets, the reference oracle). Results "
+        "are identical on both backends",
     )
     parser.add_argument(
         "--shards",

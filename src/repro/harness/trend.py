@@ -52,13 +52,11 @@ _TRACKED: List = [
     (("totals", "wall_clock_parallel_s"), "total parallel wall-clock", "lower"),
     (("totals", "speedup_vs_serial"), "parallel speedup", "higher"),
     (("backend_bench", "sets_seconds"), "set-backend wall-clock", "lower"),
-    (("backend_bench", "bitset_seconds"), "bitset-backend wall-clock", "lower"),
-    (("backend_bench", "speedup"), "bitset speedup", "higher"),
     # Sections newer than the artifacts CI already holds must diff
     # cleanly ("no baseline, skipped"), which _lookup's
     # None-on-missing handling guarantees.
-    (("counters_bench", "words_round_seconds"), "word-backend serial per-round", "lower"),
-    (("counters_bench", "words_vs_bitset_round_speedup"), "per-round words speedup vs bitset", "higher"),
+    (("backend_bench", "words_seconds"), "words-backend wall-clock", "lower"),
+    (("backend_bench", "speedup"), "words speedup vs sets", "higher"),
     (("event_bench", "ideal_seconds"), "event-engine ideal-network wall-clock", "lower"),
     (("event_bench", "latency_loss_churn_seconds"), "event-engine churny-network wall-clock", "lower"),
     (("event_bench", "event_overhead_vs_rounds"), "event-engine overhead vs rounds", "lower"),

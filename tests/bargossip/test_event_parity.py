@@ -7,8 +7,7 @@ network and churn RNG streams are dedicated (and never drawn from in
 ideal runs), so the two schedules consume identical protocol draws.
 Delivery fractions, per-node tallies, service counters, evictions and
 the final stores must all be *equal* for the same seed, on the
-figure-1/2/3 configurations, for the sets and words backends (bitset
-is pinned transitively by the backend-parity suites).
+figure-1/2/3 configurations, for the sets and words backends.
 
 CI runs this suite per backend: set ``LOTUS_BACKEND`` to a comma list
 (e.g. ``LOTUS_BACKEND=words``) to restrict the compared backends.

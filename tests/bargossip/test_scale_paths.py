@@ -45,14 +45,14 @@ from repro.bargossip.updates import (
     word_popcount_matrix,
     word_popcounts,
 )
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.rng import RngStreams
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _run(config, kind, execution, seed=7, rounds=10, attacker_fraction=0.2,
-         **sim_kwargs):
+         chunk_pairs=None, **sim_kwargs):
     streams = RngStreams(seed)
     coalition = AttackerCoalition.build(
         kind,
@@ -63,6 +63,8 @@ def _run(config, kind, execution, seed=7, rounds=10, attacker_fraction=0.2,
     simulator = GossipSimulator(
         config, attack=coalition, seed=seed, execution=execution, **sim_kwargs
     )
+    if chunk_pairs is not None:
+        simulator._engine.chunk_pairs = chunk_pairs
     for _ in range(rounds):
         simulator.step()
     return simulator
@@ -197,7 +199,7 @@ class TestBatchedHotPath:
 class TestChunkedSweepParity:
     """Cache blocking is invisible: any chunk size, identical trace."""
 
-    @pytest.mark.parametrize("chunk", [0, 7, 64])
+    @pytest.mark.parametrize("chunk", [0, 1, 7, 64])
     def test_chunk_size_changes_nothing(self, chunk):
         config = GossipConfig.paper()
         reference = _snapshot(
@@ -211,16 +213,11 @@ class TestChunkedSweepParity:
             _run(
                 config,
                 AttackKind.TRADE,
-                ExecutionConfig(
-                    backend="words", shards=1, phase_chunk_pairs=chunk
-                ),
+                ExecutionConfig(backend="words", shards=1),
+                chunk_pairs=chunk,
             )
         )
         assert chunked == reference
-
-    def test_negative_chunk_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(backend="words", phase_chunk_pairs=-1)
 
 
 class TestTruncateWordRows:
@@ -524,7 +521,7 @@ HOT_PATH_FUNCTIONS = {
         "InteractionEngine._apply_dump",
         "InteractionEngine._satiated_row_mask",
         "GossipSimulator._attack_out_of_band",
-        "GossipSimulator._expire_bitset",
+        "GossipSimulator._expire_packed",
         "GossipSimulator._broadcast",
     ),
     "src/repro/bargossip/updates.py": (

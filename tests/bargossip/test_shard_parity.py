@@ -1,13 +1,13 @@
 """Exact-equality parity suite for the 4-node-cell pairing (``shards=1``).
 
 On the cell pairing the words backend runs each phase as whole-phase
-batched sweeps, while the sets and bitset backends walk the pairs one
-at a time in permutation order.  The traces must be bit-identical
-across backends (``sets == bitset == words``): delivery fractions,
-per-node tallies, per-epoch windows, service counters, evictions, and
-the final stores must all be equal — on the figure-1/2/3
-configurations, under the defenses and rotation, and under adversarial
-load.  This mirrors ``test_bitset_parity.py`` for the paper's schedule.
+batched sweeps, while the sets oracle walks the pairs one at a time in
+permutation order.  The traces must be bit-identical across backends
+(``sets == words``): delivery fractions, per-node tallies, per-epoch
+windows, service counters, evictions, and the final stores must all be
+equal — on the figure-1/2/3 configurations, under the defenses and
+rotation, and under adversarial load.  ``test_word_parity.py`` pins
+the same for the paper's schedule.
 """
 
 import pytest
@@ -23,9 +23,9 @@ from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
 from repro.bargossip.simulator import GossipSimulator
 from repro.core.rng import RngStreams
 
-#: Store backends; every one must produce the identical trace, which
-#: _check_config asserts across backends with ``sets`` as the oracle.
-BACKENDS = ("sets", "bitset", "words")
+#: Store backends; both must produce the identical trace, which
+#: _check_config asserts with ``sets`` as the oracle.
+BACKENDS = ("sets", "words")
 
 
 def _run_cells(config, kind, seed=7, rounds=15, attacker_fraction=0.2,
@@ -80,7 +80,7 @@ def _check_config(config, kind, **sim_kwargs):
 
 
 class TestFigureConfigParity:
-    """sets == bitset == words on the Figures 1-3 configs."""
+    """sets == words on the Figures 1-3 configs."""
 
     @pytest.mark.parametrize(
         "kind", [AttackKind.CRASH, AttackKind.IDEAL, AttackKind.TRADE]
@@ -129,8 +129,8 @@ class TestAdversarialLoadParity:
     sweeps; these configs are chosen so those sweeps carry the
     majority of the traffic — attacker-majority coalitions, a
     hair-trigger eviction policy, and caps tight enough that almost
-    every transfer truncates — and must still reproduce the scalar
-    backends bit for bit.
+    every transfer truncates — and must still reproduce the sets oracle
+    bit for bit.
     """
 
     @pytest.mark.parametrize("fraction", [0.5, 0.6])
@@ -177,16 +177,15 @@ class TestExperimentParity:
         reference = run_experiment(
             scenario, execution=ExecutionConfig(backend="sets", shards=1), seed=5
         )
-        for backend in ("bitset", "words"):
-            result = run_experiment(
-                scenario, execution=ExecutionConfig(backend=backend, shards=1), seed=5
-            )
-            assert reference.isolated_fraction == result.isolated_fraction
-            assert reference.satiated_fraction == result.satiated_fraction
-            assert reference.correct_fraction == result.correct_fraction
-            assert reference.pool_coverage == result.pool_coverage
-            assert reference.group_sizes == result.group_sizes
-            assert reference.evicted_attackers == result.evicted_attackers
+        result = run_experiment(
+            scenario, execution=ExecutionConfig(backend="words", shards=1), seed=5
+        )
+        assert reference.isolated_fraction == result.isolated_fraction
+        assert reference.satiated_fraction == result.satiated_fraction
+        assert reference.correct_fraction == result.correct_fraction
+        assert reference.pool_coverage == result.pool_coverage
+        assert reference.group_sizes == result.group_sizes
+        assert reference.evicted_attackers == result.evicted_attackers
 
     @pytest.mark.parametrize("kind", list(AttackKind))
     def test_every_attack_under_reporting(self, kind):
@@ -200,8 +199,7 @@ class TestExperimentParity:
         reference = run_experiment(
             scenario, execution=ExecutionConfig(backend="sets", shards=1), seed=3
         )
-        for backend in ("bitset", "words"):
-            result = run_experiment(
-                scenario, execution=ExecutionConfig(backend=backend, shards=1), seed=3
-            )
-            assert result == reference, backend
+        result = run_experiment(
+            scenario, execution=ExecutionConfig(backend="words", shards=1), seed=3
+        )
+        assert result == reference

@@ -13,7 +13,7 @@ from repro.bargossip.attacker import AttackKind, AttackerCoalition
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.simulator import GossipSimulator
 from repro.bargossip.updates import (
-    BitsetPopulationStore,
+    WordPopulationStore,
     bottom_bits,
     iter_bits,
     popcount,
@@ -40,7 +40,7 @@ class TestStoreInvariant:
         kind=st.sampled_from(
             [AttackKind.NONE, AttackKind.CRASH, AttackKind.IDEAL, AttackKind.TRADE]
         ),
-        backend=st.sampled_from(["sets", "bitset"]),
+        backend=st.sampled_from(["sets", "words"]),
         rotate=st.sampled_from([None, 3]),
     )
     def test_invariant_at_every_round_boundary(self, seed, kind, backend, rotate):
@@ -93,7 +93,7 @@ class TestBitsetViewSemantics:
     """The per-node view behaves exactly like the reference UpdateStore."""
 
     def _pool(self):
-        return BitsetPopulationStore(2, updates_per_round=3, lifetime=4)
+        return WordPopulationStore(2, updates_per_round=3, lifetime=4)
 
     def test_announce_receive_expire(self):
         pool = self._pool()

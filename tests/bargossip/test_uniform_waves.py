@@ -23,7 +23,7 @@ through the batched word sweeps.  Two layers of properties pin it:
 * **The cache-key contract**: over generated ``(Scenario,
   ExecutionConfig)`` pairs, equal ``GossipSweepTask.cache_fingerprint()``
   means equal ``task(x, seed)``.  The execution side is enumerable:
-  ``backend`` x ``shards`` x a few ``phase_chunk_pairs``.
+  ``backend`` x ``shards``.
 
 CI runs the event comparison per backend: set ``LOTUS_BACKEND`` to a
 comma list (e.g. ``LOTUS_BACKEND=sets``) to restrict the event-side
@@ -151,7 +151,7 @@ class TestPeel:
 
 
 def _run(config, kind, execution, seed, rounds, attacker_fraction,
-         schedule="rounds", **sim_kwargs):
+         schedule="rounds", chunk_pairs=None, **sim_kwargs):
     streams = RngStreams(seed)
     coalition = AttackerCoalition.build(
         kind,
@@ -163,6 +163,8 @@ def _run(config, kind, execution, seed, rounds, attacker_fraction,
         config, attack=coalition, seed=seed, execution=execution,
         schedule=schedule, **sim_kwargs,
     )
+    if chunk_pairs is not None:
+        simulator._engine.chunk_pairs = chunk_pairs
     for _ in range(rounds):
         simulator.step()
     return simulator
@@ -248,7 +250,7 @@ class TestWavesMatchOracle:
             rounds=20,
         )
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [0, 1, 7, 64])
     def test_chunked_waves(self, chunk):
         """Cache blocks cut inside a wave are still node-disjoint."""
         config = GossipConfig.paper()
@@ -256,9 +258,8 @@ class TestWavesMatchOracle:
             _run(config, AttackKind.TRADE, ExecutionConfig(backend="sets"), 7, 12, 0.2)
         )
         chunked = _snapshot(
-            _run(config, AttackKind.TRADE,
-                 ExecutionConfig(backend="words", phase_chunk_pairs=chunk),
-                 7, 12, 0.2)
+            _run(config, AttackKind.TRADE, ExecutionConfig(backend="words"),
+                 7, 12, 0.2, chunk_pairs=chunk)
         )
         assert chunked == reference
 
@@ -338,7 +339,7 @@ def _assert_protocol_invariants(simulator, rounds):
 
 class TestProtocolInvariants:
     @pytest.mark.parametrize("schedule,shards", _SCHEDULES)
-    @pytest.mark.parametrize("backend", ["sets", "bitset", "words"])
+    @pytest.mark.parametrize("backend", ["sets", "words"])
     @settings(max_examples=15, deadline=None)
     @given(case=_cases())
     def test_generated(self, schedule, shards, backend, case):
@@ -365,12 +366,11 @@ class TestProtocolInvariants:
 # The cache-key contract
 # ---------------------------------------------------------------------------
 
-#: The whole execution side: backend x partner model x a few blockings.
+#: The whole execution side: backend x partner model.
 _EXECUTIONS = st.builds(
     ExecutionConfig,
-    backend=st.sampled_from(["sets", "bitset", "words"]),
+    backend=st.sampled_from(["sets", "words"]),
     shards=st.sampled_from([0, 1]),
-    phase_chunk_pairs=st.sampled_from([0, 1, 32768]),
 )
 
 #: Sweep tasks per example.  Two partner models times two scenario
@@ -409,11 +409,10 @@ class TestCacheKeyContract:
     @pytest.mark.parametrize(
         "other",
         [
-            ExecutionConfig(backend="bitset"),
             ExecutionConfig(backend="words"),
-            ExecutionConfig(backend="words", phase_chunk_pairs=1),
+            ExecutionConfig(backend="words", jobs=2),
         ],
-        ids=["bitset", "words", "words-chunked"],
+        ids=["words", "words-jobs"],
     )
     @pytest.mark.parametrize("shards", [0, 1])
     def test_results_blind_fields_share_a_key(self, shards, other):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bargossip.updates import (
-    BitsetPopulationStore,
     UpdateLedger,
     UpdateStore,
     WordPopulationStore,
@@ -177,12 +176,18 @@ class TestWordHelpers:
 
 
 class TestWordPopulationStore:
-    """The word-array store mirrors the bitset store bit for bit."""
+    """The word-array store mirrors per-node reference sets bit for bit.
+
+    Each packed op is replayed on one :class:`UpdateStore` per node:
+    column ``c`` of a row is update ``base + c``, so a window slide
+    expires the ids that fall below the new base, a fresh column is an
+    announce, and a column mask names a set of live ids.
+    """
 
     def _mirror(self, n=5, updates_per_round=10, lifetime=10, seed=3):
         rng = np.random.default_rng(seed)
-        bitset = BitsetPopulationStore(n, updates_per_round, lifetime)
         words = WordPopulationStore(n, updates_per_round, lifetime)
+        sets = [UpdateStore() for _ in range(n)]
         for node in range(n):
             have = int(rng.integers(0, 1 << 63)) | (
                 int(rng.integers(0, 1 << 37)) << 63
@@ -191,17 +196,59 @@ class TestWordPopulationStore:
                 int(rng.integers(0, 1 << 63))
                 | (int(rng.integers(0, 1 << 37)) << 63)
             ) & ~have
-            bitset.have_bits[node] = have
             words.have_bits[node] = have
-            bitset.missing_bits[node] = missing
             words.missing_bits[node] = missing
-        return bitset, words
+            for col in iter_bits(have):
+                sets[node].announce(col, holds=True)
+            for col in iter_bits(missing):
+                sets[node].announce(col, holds=False)
+        return sets, words
 
-    def _assert_rows_equal(self, bitset, words):
-        assert bitset.base == words.base
-        for node in range(bitset.n_nodes):
-            assert bitset.have_bits[node] == words.have_bits[node]
-            assert bitset.missing_bits[node] == words.missing_bits[node]
+    @staticmethod
+    def _ids(words, mask):
+        return [words.base + col for col in iter_bits(mask)]
+
+    def _assert_rows_equal(self, sets, words):
+        for node, store in enumerate(sets):
+            assert words.view(node).have == store.have
+            assert words.view(node).missing == store.missing
+
+    def test_window_slide_matches_sets(self):
+        sets, words = self._mirror()
+        for round_now in (3, 11, 17, 40):
+            words.advance_to(round_now)
+            for store in sets:
+                for update in list(store.have | store.missing):
+                    if update < words.base:
+                        store.expire(update)
+            self._assert_rows_equal(sets, words)
+
+    def _clear(self, sets, words, mask):
+        words.clear_mask(mask)
+        for store in sets:
+            for update in self._ids(words, mask):
+                store.expire(update)
+
+    def test_broadcast_and_expiry_ops_match_sets(self):
+        sets, words = self._mirror()
+        fresh = ((1 << 6) - 1) << 4
+        # A broadcast fills columns the window slide has zeroed.
+        self._clear(sets, words, fresh)
+        words.announce_fresh(4, 6)
+        words.seed([0, 3], 5)
+        for node, store in enumerate(sets):
+            for update in self._ids(words, fresh):
+                store.announce(update, holds=False)
+            if node in (0, 3):
+                store.receive(words.base + 5)
+        self._assert_rows_equal(sets, words)
+        mask = (1 << 30) - 1
+        due = set(self._ids(words, mask))
+        assert list(words.masked_have_popcounts(mask)) == [
+            len(store.have & due) for store in sets
+        ]
+        self._clear(sets, words, mask)
+        self._assert_rows_equal(sets, words)
 
     def test_row_views_round_trip(self):
         store = WordPopulationStore(3, 10, 10)
@@ -209,27 +256,6 @@ class TestWordPopulationStore:
         assert store.have_bits[1] == (1 << 70) | 5
         assert list(store.have_bits)[1] == (1 << 70) | 5
         assert len(store.have_bits) == 3
-
-    def test_window_slide_matches_bitset(self):
-        bitset, words = self._mirror()
-        for round_now in (3, 11, 17, 40):
-            bitset.advance_to(round_now)
-            words.advance_to(round_now)
-            self._assert_rows_equal(bitset, words)
-
-    def test_broadcast_and_expiry_ops_match_bitset(self):
-        bitset, words = self._mirror()
-        for store in (bitset, words):
-            store.announce_fresh(4, 6)
-            store.seed([0, 3], 5)
-        self._assert_rows_equal(bitset, words)
-        mask = (1 << 30) - 1
-        assert list(bitset.masked_have_popcounts(mask)) == list(
-            words.masked_have_popcounts(mask)
-        )
-        bitset.clear_mask(mask)
-        words.clear_mask(mask)
-        self._assert_rows_equal(bitset, words)
 
     def test_view_is_updatestore_compatible(self):
         store = WordPopulationStore(2, 4, 3)

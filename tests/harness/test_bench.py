@@ -10,7 +10,6 @@ from repro.harness.bench import (
     SCALE_BENCH_POINTS,
     render_bench_summary,
     run_bench,
-    run_counters_bench,
     run_event_bench,
     run_scale_bench,
     write_bench_summary,
@@ -67,7 +66,7 @@ class TestRunBench:
         text = render_bench_summary(summary)
         assert "figure1" in text
         assert "baseline delivery" in text
-        assert "bitset" in text
+        assert "sets" in text and "words" in text
 
     def test_backend_bench_section(self, summary):
         backend = summary["backend_bench"]
@@ -75,23 +74,17 @@ class TestRunBench:
         assert backend["rounds"] == 50
         assert backend["parity_ok"] is True
         assert backend["sets_seconds"] > 0
-        assert backend["bitset_seconds"] > 0
+        assert backend["words_seconds"] > 0
         assert backend["speedup"] > 1.0
         assert 0.0 <= backend["delivery_fraction"] <= 1.0
 
-    @pytest.mark.parametrize("section", ["shard_bench", "memory_bench", "fault_bench"])
+    @pytest.mark.parametrize(
+        "section", ["shard_bench", "memory_bench", "fault_bench", "counters_bench"]
+    )
     def test_retired_sections_absent(self, summary, section):
         # Their subjects (pooled shards, shared memory, shard-worker
-        # chaos) are gone from the program.
+        # chaos, the packed-int backend) are gone from the program.
         assert section not in summary
-
-    def test_counters_bench_section(self, summary):
-        counters = summary["counters_bench"]
-        assert counters["n_nodes"] == 400
-        assert counters["parity_ok"] is True
-        assert counters["words_round_seconds"] > 0
-        assert counters["bitset_round_seconds"] > 0
-        assert counters["words_vs_bitset_round_speedup"] > 0
 
     def test_event_bench_section(self, summary):
         event = summary["event_bench"]
@@ -174,10 +167,6 @@ class TestBenchCli:
             {"figure1": BENCH_FIGURES["figure1"]},
         )
         monkeypatch.setattr(
-            "repro.harness.bench.run_counters_bench",
-            lambda **kwargs: run_counters_bench(n_nodes=200, rounds=4),
-        )
-        monkeypatch.setattr(
             "repro.harness.bench.run_event_bench",
             lambda **kwargs: run_event_bench(n_nodes=200, rounds=25),
         )
@@ -193,11 +182,9 @@ class TestBenchCli:
         assert out.exists()
         loaded = json.loads(out.read_text())
         assert set(loaded["figures"]) == {"figure1"}
-        assert "counters_bench" in loaded
         assert "event_bench" in loaded
         captured = capsys.readouterr()
         assert "total" in captured.out
-        assert "counters (" in captured.out
         assert "event (" in captured.out
         assert "scale (" in captured.out
 

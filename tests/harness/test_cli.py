@@ -69,22 +69,21 @@ class TestSweepCommands:
         from repro.harness.tasks import TASK_BUILDERS
 
         task, _ = TASK_BUILDERS["gossip"](
-            True, None, execution=ExecutionConfig(backend="bitset")
+            True, None, execution=ExecutionConfig(backend="sets")
         )
-        assert task.execution.backend == "bitset"
+        assert task.execution.backend == "sets"
         assert main([
             "--fast", "--no-cache", "--grid", "0.1",
-            "--backend", "bitset", "sweep-gossip",
+            "--backend", "sets", "sweep-gossip",
         ]) == 0
-        sets_out = None
-        bitset_out = capsys.readouterr().out
-        assert "attacker fraction" in bitset_out
+        sets_out = capsys.readouterr().out
+        assert "attacker fraction" in sets_out
         assert main([
             "--fast", "--no-cache", "--grid", "0.1", "sweep-gossip",
         ]) == 0
-        sets_out = capsys.readouterr().out
+        words_out = capsys.readouterr().out
         # Exact parity: both backends print the same sweep table.
-        assert sets_out == bitset_out
+        assert sets_out == words_out
 
     def test_bad_grid_rejected(self):
         with pytest.raises(SystemExit):
@@ -92,12 +91,12 @@ class TestSweepCommands:
 
 
 class TestBackendFlag:
-    def test_figure1_bitset_matches_sets(self, capsys):
+    def test_figure1_words_matches_sets(self, capsys):
         assert main(["--fast", "--no-cache", "--backend", "sets", "figure1"]) == 0
         sets_out = capsys.readouterr().out
-        assert main(["--fast", "--no-cache", "--backend", "bitset", "figure1"]) == 0
-        bitset_out = capsys.readouterr().out
-        assert sets_out == bitset_out
+        assert main(["--fast", "--no-cache", "--backend", "words", "figure1"]) == 0
+        words_out = capsys.readouterr().out
+        assert sets_out == words_out
 
     def test_sweep_words_backend_matches_sets(self, capsys):
         args = [
@@ -109,6 +108,10 @@ class TestBackendFlag:
         assert main(args + ["--backend", "words"]) == 0
         words_out = capsys.readouterr().out
         assert sets_out == words_out
+
+    def test_bitset_backend_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["--backend", "bitset", "figure1"])
 
     def test_memory_flag_is_gone(self):
         with pytest.raises(SystemExit):

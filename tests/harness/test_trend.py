@@ -17,7 +17,7 @@ from repro.harness.trend import (
 )
 
 
-def _summary(serial=10.0, parallel=4.0, sets_s=8.0, bitset_s=2.0, crossover=0.3):
+def _summary(serial=10.0, parallel=4.0, sets_s=8.0, words_s=2.0, crossover=0.3):
     return {
         "totals": {
             "wall_clock_serial_s": serial,
@@ -26,8 +26,8 @@ def _summary(serial=10.0, parallel=4.0, sets_s=8.0, bitset_s=2.0, crossover=0.3)
         },
         "backend_bench": {
             "sets_seconds": sets_s,
-            "bitset_seconds": bitset_s,
-            "speedup": sets_s / bitset_s,
+            "words_seconds": words_s,
+            "speedup": sets_s / words_s,
         },
         "figures": {
             "figure1": {"crossovers": {"Trade lotus-eater attack": crossover}},
@@ -52,12 +52,12 @@ class TestCompare:
         assert "REGRESSION" in render_bench_diff(diff)
 
     def test_speedup_collapse_flags(self):
-        slow = _summary(bitset_s=6.0)  # bitset speedup 8/6 vs 8/2
+        slow = _summary(words_s=6.0)  # words speedup 8/6 vs 8/2
         diff = compare_bench_summaries(_summary(), slow)
-        assert "bitset speedup" in diff["regressions"]
+        assert "words speedup vs sets" in diff["regressions"]
 
     def test_improvement_never_flags(self):
-        better = _summary(serial=8.0, parallel=2.0, sets_s=8.0, bitset_s=0.5)
+        better = _summary(serial=8.0, parallel=2.0, sets_s=8.0, words_s=0.5)
         diff = compare_bench_summaries(_summary(), better)
         assert diff["regressions"] == []
 
@@ -96,29 +96,29 @@ class TestCompare:
         """First run after a bench section landed: the previous
         artifact has no such section and must diff cleanly."""
         current = _summary()
-        current["counters_bench"] = {
-            "words_round_seconds": 0.04,
-            "words_vs_bitset_round_speedup": 2.5,
+        current["event_bench"] = {
+            "ideal_seconds": 0.5,
+            "event_overhead_vs_rounds": 1.2,
         }
         diff = compare_bench_summaries(_summary(), current)
         assert diff["regressions"] == []
         rendered = render_bench_diff(diff)
         assert (
-            "per-round words speedup vs bitset: no baseline, skipped" in rendered
+            "event-engine overhead vs rounds: no baseline, skipped" in rendered
         )
 
     def test_section_regression_flags(self):
         previous = _summary()
-        previous["counters_bench"] = {
-            "words_round_seconds": 0.04, "words_vs_bitset_round_speedup": 2.5,
+        previous["event_bench"] = {
+            "ideal_seconds": 0.5, "event_overhead_vs_rounds": 1.2,
         }
         current = _summary()
-        current["counters_bench"] = {
-            "words_round_seconds": 0.08, "words_vs_bitset_round_speedup": 1.25,
+        current["event_bench"] = {
+            "ideal_seconds": 1.0, "event_overhead_vs_rounds": 2.4,
         }
         diff = compare_bench_summaries(previous, current)
-        assert "word-backend serial per-round" in diff["regressions"]
-        assert "per-round words speedup vs bitset" in diff["regressions"]
+        assert "event-engine ideal-network wall-clock" in diff["regressions"]
+        assert "event-engine overhead vs rounds" in diff["regressions"]
 
     @pytest.mark.parametrize(
         "section,row",
@@ -126,11 +126,16 @@ class TestCompare:
             ("shard_bench", {"serial_seconds": 1.0, "speedup": 2.0}),
             ("memory_bench", {"pooled_words_shared_seconds": 1.0}),
             ("fault_bench", {"supervised_seconds": 1.0, "recovery_seconds": 0.5}),
+            (
+                "counters_bench",
+                {"words_round_seconds": 0.04, "words_vs_bitset_round_speedup": 2.5},
+            ),
         ],
     )
     def test_retired_sections_in_old_baselines_ignored(self, section, row):
-        """Artifacts recorded before the pooled-shard benches were
-        retired still carry their sections; they must diff cleanly."""
+        """Artifacts recorded before the pooled-shard and counters
+        benches were retired still carry their sections; they must
+        diff cleanly."""
         previous = _summary()
         previous[section] = row
         diff = compare_bench_summaries(previous, _summary())
@@ -170,9 +175,9 @@ class TestHistory:
         assert report["sustained_regressions"] == []
 
     def test_speedup_collapse_flagged_in_right_direction(self):
-        window = [_summary(bitset_s=value) for value in (2.0, 2.4, 2.9, 3.5)]
+        window = [_summary(words_s=value) for value in (2.0, 2.4, 2.9, 3.5)]
         report = compare_bench_history(window)
-        assert "bitset speedup" in report["sustained_regressions"]
+        assert "words speedup vs sets" in report["sustained_regressions"]
 
     def test_short_window_never_flags(self):
         report = compare_bench_history(self._window([10.0, 14.0, 20.0]))
@@ -203,7 +208,7 @@ class TestHistory:
     def test_missing_metrics_are_informational(self):
         report = compare_bench_history(self._window([10.0] * 5))
         rendered = render_bench_history(report)
-        assert "per-round words speedup vs bitset: no data in window" in rendered
+        assert "event-engine overhead vs rounds: no data in window" in rendered
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(AnalysisError):
