@@ -207,11 +207,19 @@ def batched_word_exchange(
     """Many balanced exchanges in one word-array sweep.
 
     ``initiators[i]`` exchanges with ``responders[i]``; the pairs must
-    be node-disjoint (the cell pairing's cells guarantee it), which
-    is what makes the gather/scatter below safe.  Each pair's plan and
-    application are exactly those of :func:`bitset_exchange`, so the
-    trace is bit-identical — the sweep only replaces the per-pair
-    Python dispatch with whole-phase numpy batches.
+    be node-disjoint (the islands of a cell pass, or the pairs of one
+    dependency wave, guarantee it), which is what makes the
+    gather/scatter below safe.  Each pair's plan and application are
+    exactly those of :func:`bitset_exchange`, so the trace is
+    bit-identical — the sweep only replaces the per-pair Python
+    dispatch with whole-phase numpy batches.
+
+    Both directions run stacked: row ``i`` of the stack is what
+    ``initiators[i]`` receives and row ``n + i`` what
+    ``responders[i]`` receives (each row once, the pairs being
+    node-disjoint), so the popcounts, the capped truncation and the
+    write-back run once over both directions.  Both directions select
+    from the pre-exchange rows, so stacking them is exact.
 
     The counts are planned over every pair, but only the pairs that
     move something (a positive count, hence a positive count both ways)
@@ -227,44 +235,33 @@ def batched_word_exchange(
         raise ConfigurationError(f"cap must be positive, got {cap}")
     rows_i = np.asarray(initiators, dtype=np.intp)
     rows_r = np.asarray(responders, dtype=np.intp)
+    n = len(rows_i)
     have = pool.have_words
     missing = pool.missing_words
-    have_i = np.take(have, rows_i, axis=0)
-    have_r = np.take(have, rows_r, axis=0)
-    miss_i = np.take(missing, rows_i, axis=0)
-    miss_r = np.take(missing, rows_r, axis=0)
-    available_to_initiator = have_r & miss_i
-    available_to_responder = have_i & miss_r
-    n_initiator = word_popcounts(available_to_initiator)
-    n_responder = word_popcounts(available_to_responder)
-    base = np.minimum(np.minimum(n_initiator, n_responder), cap)
+    ends = np.concatenate((rows_i, rows_r))
+    available = missing.take(ends, axis=0)
+    available[:n] &= have.take(rows_r, axis=0)
+    available[n:] &= have.take(rows_i, axis=0)
+    n_available = word_popcounts(available)
+    base = np.minimum(np.minimum(n_available[:n], n_available[n:]), cap)
+    both = np.concatenate((base, base))
     if unbalanced:
-        count_initiator = np.minimum(np.minimum(n_initiator, base + 1), cap + 1)
-        count_responder = np.minimum(np.minimum(n_responder, base + 1), cap + 1)
-        empty = base == 0
-        count_initiator[empty] = 0
-        count_responder[empty] = 0
+        counts = np.minimum(np.minimum(n_available, both + 1), cap + 1)
+        counts[both == 0] = 0
     else:
-        count_initiator = base
-        count_responder = base.copy()
-    moving = np.flatnonzero(base)
-    if not len(moving):
-        return count_initiator, count_responder
-    for rows, have_rows, miss_rows, available, counts, n_available in (
-        (rows_i, have_i, miss_i, available_to_initiator,
-         count_initiator, n_initiator),
-        (rows_r, have_r, miss_r, available_to_responder,
-         count_responder, n_responder),
-    ):
-        selected = np.take(available, moving, axis=0)
+        counts = both
+    moving = base.nonzero()[0]
+    if len(moving):
+        moving = np.concatenate((moving, moving + n))
+        selected = available.take(moving, axis=0)
         truncate_word_rows(
             selected, selected,
-            counts[moving], n_available[moving], prefer_newest,
+            counts.take(moving), n_available.take(moving), prefer_newest,
         )
-        movers = rows[moving]
-        have[movers] = np.take(have_rows, moving, axis=0) | selected
-        missing[movers] = np.take(miss_rows, moving, axis=0) & ~selected
-    return count_initiator, count_responder
+        movers = ends.take(moving)
+        have[movers] |= selected
+        missing[movers] &= ~selected
+    return counts[:n], counts[n:]
 
 
 def exchange_dump_limits(
@@ -298,10 +295,10 @@ def batched_word_dump(
     — the exact ascending-id prefix
     :meth:`~repro.bargossip.attacker.AttackerCoalition.dump_for`
     selects per node.  Receivers must be pairwise distinct within one
-    call (cell pairs are node-disjoint), which makes the scatter
-    write-back exact.  Only receivers with a positive count are
-    truncated and written back; a zero count would leave the rows
-    unchanged.
+    call (a cell pass's islands and a dependency wave's pairs are
+    node-disjoint), which makes the scatter write-back exact.  Only
+    receivers with a positive count are truncated and written back; a
+    zero count would leave the rows unchanged.
 
     Returns ``(counts, selected)``: the per-receiver transfer count,
     and the selected word rows of the receivers that gain (``counts >
@@ -309,16 +306,17 @@ def batched_word_dump(
     only for the few of those the reporting policy flags.
     """
     missing = pool.missing_words
-    miss = np.take(missing, receivers, axis=0)
+    miss = missing.take(receivers, axis=0)
     selected = miss & pool_words[None, :]
     n_give = word_popcounts(selected)
     counts = np.minimum(n_give, limits)
-    moving = np.flatnonzero(counts)
-    selected = np.take(selected, moving, axis=0)
+    moving = counts.nonzero()[0]
+    selected = selected.take(moving, axis=0)
     truncate_word_rows(
-        selected, selected, counts[moving], n_give[moving], prefer_newest=False
+        selected, selected, counts.take(moving), n_give.take(moving),
+        prefer_newest=False,
     )
-    movers = receivers[moving]
+    movers = receivers.take(moving)
     pool.have_words[movers] |= selected
-    missing[movers] = np.take(miss, moving, axis=0) & ~selected
+    missing[movers] = miss.take(moving, axis=0) & ~selected
     return counts, selected

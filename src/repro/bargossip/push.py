@@ -197,11 +197,11 @@ def batched_push_eligibility(
     """
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
     old_words = pool.mask_words(old_mask)
-    wants = word_rows_any(np.take(pool.missing_words, rows, axis=0) & old_words)
+    wants = word_rows_any(pool.missing_words.take(rows, axis=0) & old_words)
     if obedient.any():
         recent_words = pool.mask_words(recent_mask)
         has_offers = word_rows_any(
-            np.take(pool.have_words, rows, axis=0) & recent_words
+            pool.have_words.take(rows, axis=0) & recent_words
         )
         wants |= obedient & has_offers
     return wants
@@ -258,18 +258,23 @@ def batched_word_push(
     """Many optimistic pushes in one word-array sweep.
 
     ``initiators[i]`` pushes to ``responders[i]``; pairs must be
-    node-disjoint (cell structure) and pre-filtered to willing
-    initiators and correct, non-evicted responders — the behaviour
-    decisions stay with the caller, exactly where the per-pair path
-    makes them.  Each pair's plan equals :func:`bitset_plan_push` and
-    a responder accepts iff it gains at least one update, so applying
-    here (transfers for pairs with a positive responder count) is the
+    node-disjoint (the islands of a cell pass, or the pairs of one
+    dependency wave) and pre-filtered to willing initiators and
+    correct, non-evicted responders — the behaviour decisions stay
+    with the caller, exactly where the per-pair path makes them.  Each
+    pair's plan equals :func:`bitset_plan_push` and a responder
+    accepts iff it gains at least one update, so applying here
+    (transfers for pairs with a positive responder count) is the
     per-pair plan → accept → apply sequence, batched.
 
     Only the offers are sized over every pair.  The payment, the
     truncation and the write-back run on the accepted pairs alone: a
     declined push moves nothing either way (its payment is capped at
-    the zero it received), so skipping its rows is exact.
+    the zero it received), so skipping its rows is exact.  The payment
+    count depends only on the responder's count, never on which offer
+    bits are kept, so both offers are sized first and truncated in one
+    stacked call: row ``k`` is what the ``k``-th accepting responder
+    receives, row ``m + k`` what its initiator receives.
 
     Returns the per-pair ``(to_responder, to_initiator)`` counts; the
     junk payment is their difference.
@@ -280,35 +285,36 @@ def batched_word_push(
     recent = pool.mask_words(recent_mask)
     have = pool.have_words
     missing = pool.missing_words
-    miss_r = np.take(missing, rows_r, axis=0)
-    to_responder = np.take(have, rows_i, axis=0) & miss_r & recent
+    to_responder = have.take(rows_i, axis=0)
+    to_responder &= missing.take(rows_r, axis=0)
+    to_responder &= recent
     n_wanted = word_popcounts(to_responder)
     responder_counts = np.minimum(n_wanted, config.push_size)
     initiator_counts = np.zeros_like(responder_counts)
-    moving = np.flatnonzero(responder_counts)
+    moving = responder_counts.nonzero()[0]
     if not len(moving):
         return responder_counts, initiator_counts
-    rows_i, rows_r = rows_i[moving], rows_r[moving]
-    to_responder = np.take(to_responder, moving, axis=0)
-    # Both offers are truncated in place: the untruncated rows are dead
-    # once their popcounts are taken.
+    m = len(moving)
+    # Both ends of every accepted push, responders first.
+    ends = np.concatenate((rows_r.take(moving), rows_i.take(moving)))
+    selected = np.empty((2 * m, have.shape[1]), dtype=have.dtype)
+    to_responder.take(moving, axis=0, out=selected[:m])
+    to_initiator = selected[m:]
+    missing.take(ends[m:], axis=0, out=to_initiator)
+    to_initiator &= have.take(ends[:m], axis=0)
+    to_initiator &= pool.mask_words(old_mask)
+    n_payable = word_popcounts(to_initiator)
+    offered = responder_counts.take(moving)
+    paid = np.minimum(n_payable, offered)
+    initiator_counts[moving] = paid
     truncate_word_rows(
-        to_responder, to_responder, responder_counts[moving], n_wanted[moving],
+        selected, selected,
+        np.concatenate((offered, paid)),
+        np.concatenate((n_wanted.take(moving), n_payable)),
         prefer_newest=False,
     )
-    have_r = np.take(have, rows_r, axis=0)
-    miss_i = np.take(missing, rows_i, axis=0)
-    to_initiator = miss_i & have_r & pool.mask_words(old_mask)
-    n_payable = word_popcounts(to_initiator)
-    paid = np.minimum(n_payable, responder_counts[moving])
-    truncate_word_rows(
-        to_initiator, to_initiator, paid, n_payable, prefer_newest=False,
-    )
-    initiator_counts[moving] = paid
-    have[rows_r] = have_r | to_responder
-    missing[rows_r] = np.take(miss_r, moving, axis=0) & ~to_responder
-    have[rows_i] |= to_initiator
-    missing[rows_i] = miss_i & ~to_initiator
+    have[ends] |= selected
+    missing[ends] &= ~selected
     return responder_counts, initiator_counts
 
 

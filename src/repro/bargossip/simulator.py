@@ -233,8 +233,9 @@ class InteractionEngine:
     def run_exchanges(self, round_now: int, order, partners) -> None:
         """One balanced-exchange phase.
 
-        ``order`` iterates initiator ids; ``partners`` maps initiator
-        id to partner id (array or mapping).  A self-partner entry
+        ``order`` iterates initiator ids (the round's permutation array
+        itself on the words backend); ``partners`` maps initiator id
+        to partner id (array or mapping).  A self-partner entry
         means the node sits this phase out (the cell pairing's
         unpaired tail); the reference schedule never produces one.
 
@@ -297,8 +298,8 @@ class InteractionEngine:
         # Row gathers by index: boolean-masking an (m, 2) array costs
         # several times more.
         return (
-            np.take(rows, np.flatnonzero(~mixed), axis=0),
-            np.take(rows, np.flatnonzero(mixed), axis=0),
+            rows.take((~mixed).nonzero()[0], axis=0),
+            rows.take(mixed.nonzero()[0], axis=0),
         )
 
     def _pair_chunks(self, rows):
@@ -344,7 +345,7 @@ class InteractionEngine:
         targets = np.asarray(partners, dtype=np.intp)[initiators]
         rows = self._rows_of_ids(np.stack([initiators, targets], axis=1))
         for wave in dependency_waves(rows[:, 0], rows[:, 1]):
-            yield np.take(rows, wave, axis=0)
+            yield rows.take(wave, axis=0)
 
     def _run_waves(self, round_now: int, order, partners, purpose) -> None:
         """One exchange or push phase of the per-initiator schedule, in waves.
@@ -448,7 +449,7 @@ class InteractionEngine:
             unbalanced=config.unbalanced_exchange,
             prefer_newest=config.exchange_prefer_newest,
         )
-        moved = np.flatnonzero((to_initiator > 0) | (to_partner > 0))
+        moved = ((to_initiator > 0) | (to_partner > 0)).nonzero()[0]
         if not len(moved):
             return moved
         counters = self.population.counters
@@ -485,19 +486,19 @@ class InteractionEngine:
         r_byz = byz[rows_r]
         alive = ~(evicted[rows_i] | evicted[rows_r])
         book = alive if self.attack.trades() else (alive & ~i_byz)
-        booked = rows_i[np.flatnonzero(book)]
+        booked = rows_i.take(book.nonzero()[0])
         population.counters[booked, CI_EXCHANGES_INITIATED] += 1
         if pool_words is None:
             return
-        dumped = np.flatnonzero(alive & (i_byz ^ r_byz))
+        dumped = (alive & (i_byz ^ r_byz)).nonzero()[0]
         if not len(dumped):
             return
         givers = np.where(i_byz, rows_i, rows_r)[dumped]
         receivers = np.where(i_byz, rows_r, rows_i)[dumped]
-        satiated = np.flatnonzero(satiated_rows[receivers])
+        satiated = satiated_rows[receivers].nonzero()[0]
         if not len(satiated):
             return
-        givers, receivers = givers[satiated], receivers[satiated]
+        givers, receivers = givers.take(satiated), receivers.take(satiated)
         limits = exchange_dump_limits(
             self.config, population.obedient_mask[receivers], self.pool.capacity
         )
@@ -521,7 +522,7 @@ class InteractionEngine:
             self.pool, pool_words, receivers, limits
         )
         self.attack.updates_served += int(counts.sum())
-        gave = np.flatnonzero(counts)
+        gave = counts.nonzero()[0]
         if not len(gave):
             return
         # ``selected`` holds exactly the receivers that gain, in order.
@@ -535,7 +536,7 @@ class InteractionEngine:
         flagged = (counts > authority.policy.excess_threshold) & (
             self.population.obedient_mask[receivers]
         )
-        for k in np.flatnonzero(flagged):
+        for k in flagged.nonzero()[0]:
             self._file_dump_report(
                 round_now, int(givers[k]), int(receivers[k]), selected[k], purpose
             )
@@ -795,43 +796,35 @@ class InteractionEngine:
         evicted = population.evicted
         i_byz = byz[rows_i]
         r_byz = byz[rows_r]
-        alive = ~(evicted[rows_i] | evicted[rows_r])
-        if pool_words is not None:
-            forward = np.flatnonzero(alive & i_byz & ~r_byz)
-            givers, receivers = rows_i[forward], rows_r[forward]
-            satiated = np.flatnonzero(satiated_rows[receivers])
-            if len(satiated):
-                receivers = receivers[satiated]
-                self._apply_dump(
-                    round_now,
-                    givers[satiated],
-                    receivers,
-                    pool_words,
-                    push_dump_limits(self.config, obedient[receivers]),
-                    Purpose.PUSH,
-                )
-        correct_i = np.flatnonzero(~i_byz & ~evicted[rows_i])
-        if not len(correct_i):
-            return
-        rows_ci = rows_i[correct_i]
-        rows_cr = rows_r[correct_i]
+        correct_i = (~i_byz & ~evicted[rows_i]).nonzero()[0]
+        rows_ci = rows_i.take(correct_i)
+        rows_cr = rows_r.take(correct_i)
         wants = batched_push_eligibility(
             self.pool, rows_ci, obedient[rows_ci], self.config, round_now
         )
-        book = np.flatnonzero(wants & ~evicted[rows_cr])
-        rows_ci, rows_cr = rows_ci[book], rows_cr[book]
+        book = (wants & ~evicted[rows_cr]).nonzero()[0]
+        rows_ci, rows_cr = rows_ci.take(book), rows_cr.take(book)
         population.counters[rows_ci, CI_PUSHES_INITIATED] += 1
         if pool_words is None:
             return
-        back = np.flatnonzero(byz[rows_cr])
-        receivers = rows_ci[back]
-        satiated = np.flatnonzero(satiated_rows[receivers])
+        # Forward dumps (attacker initiator onto its correct responder),
+        # then reverse dumps (a booked push landing on an attacker), as
+        # one sweep.  Exact: the pairs are node-disjoint, so neither
+        # dump touches a row the eligibility sweep or the other dump
+        # reads, an eviction hits only its own giver, and the reports
+        # keep their forward-then-reverse filing order.
+        alive = ~(evicted[rows_i] | evicted[rows_r])
+        forward = (alive & i_byz & ~r_byz).nonzero()[0]
+        back = byz[rows_cr].nonzero()[0]
+        givers = np.concatenate((rows_i.take(forward), rows_cr.take(back)))
+        receivers = np.concatenate((rows_r.take(forward), rows_ci.take(back)))
+        satiated = satiated_rows[receivers].nonzero()[0]
         if not len(satiated):
             return
-        receivers = receivers[satiated]
+        receivers = receivers.take(satiated)
         self._apply_dump(
             round_now,
-            rows_cr[back][satiated],
+            givers.take(satiated),
             receivers,
             pool_words,
             push_dump_limits(self.config, obedient[receivers]),
@@ -852,7 +845,7 @@ class InteractionEngine:
         wants = batched_push_eligibility(
             self.pool, rows_i, obedient[rows_i], self.config, round_now
         )
-        willing = np.flatnonzero(wants)
+        willing = wants.nonzero()[0]
         if not len(willing):
             return
         rows_i, rows_r = rows_i[willing], rows_r[willing]
@@ -861,7 +854,7 @@ class InteractionEngine:
         )
         counters = self.population.counters
         counters[rows_i, CI_PUSHES_INITIATED] += 1
-        applied = np.flatnonzero(responder_counts)
+        applied = responder_counts.nonzero()[0]
         if not len(applied):
             return
         rows_i, rows_r = rows_i[applied], rows_r[applied]
@@ -1239,9 +1232,10 @@ class GossipSimulator(RoundSimulator):
         if self.execution.shards:
             self._step_cells(round_now)
         else:
-            order = [
-                int(i) for i in self._order_rng.permutation(self.config.n_nodes)
-            ]
+            order = self._order_rng.permutation(self.config.n_nodes)
+            if self._pool is None:
+                # The sets oracle walks the order in Python: plain ints.
+                order = order.tolist()
             self._engine.run_exchanges(
                 round_now,
                 order,
@@ -1316,9 +1310,7 @@ class GossipSimulator(RoundSimulator):
         self._reach.release(measured, t_start)
         self._attack_out_of_band()
         self._arm_churn(t_start)
-        order = [
-            int(i) for i in self._order_rng.permutation(self.config.n_nodes)
-        ]
+        order = self._order_rng.permutation(self.config.n_nodes).tolist()
         exchange_partners = self._partners.partners_for_round(
             round_now, Purpose.EXCHANGE
         )
@@ -1626,11 +1618,11 @@ class GossipSimulator(RoundSimulator):
             satiated = self._engine._satiated_row_mask()
             if departed is not None:
                 satiated = satiated & ~departed
-            rows = np.flatnonzero(satiated)
+            rows = satiated.nonzero()[0]
             if not len(rows):
                 return
             mask = self.attack.pool_mask(pool.base, pool.capacity)
-            miss = np.take(pool.missing_words, rows, axis=0)
+            miss = pool.missing_words.take(rows, axis=0)
             give = miss & pool.mask_words(mask)[None, :]
             counts = word_popcounts(give)
             pool.have_words[rows] |= give

@@ -408,29 +408,38 @@ def word_rows_any(words: "np.ndarray") -> "np.ndarray":
 _ONE = np.uint64(1)
 
 #: (half-window width, mask of that many low bits) for the select's
-#: binary search, widest first.
+#: halving steps, widest first; they narrow the window to one byte.
 _SELECT_STEPS = tuple(
-    (np.uint64(width), np.uint64((1 << width) - 1))
-    for width in (32, 16, 8, 4, 2, 1)
+    (np.uint64(width), np.uint64((1 << width) - 1)) for width in (32, 16, 8)
+)
+_BYTE_MASK = np.uint64(0xFF)
+#: Row stride of :data:`_LOWEST_IN_BYTE` (k = 0..8).
+_BYTE_KS = 9
+#: ``_LOWEST_IN_BYTE[byte * _BYTE_KS + j]`` is ``bottom_bits(byte, j)``:
+#: the lowest ``j`` set bits of every byte value, a 256 x 9 table.
+_LOWEST_IN_BYTE = np.array(
+    [bottom_bits(byte, j) for byte in range(256) for j in range(_BYTE_KS)],
+    dtype=np.uint64,
 )
 
 
 def lowest_word_bits(words: "np.ndarray", k: "np.ndarray") -> "np.ndarray":
     """Keep the lowest ``k[i]`` set bits of each ``uint64`` in ``words``.
 
-    Broadword select: the position of the k-th set bit comes from a
-    6-step binary search — at each step the popcount of the low half of
-    the current window says whether the k-th bit lies in it, or above
-    it with that many fewer still to find.  The kept mask is every bit
-    up to and including that position, ``(bit - 1) | bit`` (not
-    ``(bit << 1) - 1``, which shifts the bit out at position 63 and is
-    right there only through unsigned wraparound).  ``k`` must satisfy
-    ``0 <= k <= popcount``; rows with ``k == 0`` give 0.
+    Broadword select: three halving steps (32/16/8 bits) narrow each
+    word to the byte holding its k-th set bit — at each step the
+    popcount of the low half of the current window says whether the
+    k-th bit lies in it, or above it with that many fewer still to
+    find.  One lookup into :data:`_LOWEST_IN_BYTE` then picks the bits
+    still owed inside that byte, and every bit below the byte is kept
+    whole.  The byte sits at bit 56 at most, so no shift reaches bit
+    64, and all shift arithmetic stays ``uint64`` (on numpy < 2,
+    ``uint64`` mixed with ``int64`` would promote to ``float64``).
+    ``k`` must satisfy ``0 <= k <= popcount``; rows with ``k == 0``
+    never leave byte 0, owe 0 there, and give 0.
     """
     words = np.asarray(words, dtype=np.uint64)
-    k = np.asarray(k, dtype=np.int64)
-    # A k == 0 row never moves up and is masked to 0 at the end.
-    remaining = k.copy()
+    remaining = np.array(k, dtype=np.int64)
     position = np.zeros(words.shape, dtype=np.uint64)
     # Masks multiply rather than np.where: measurably faster here.
     for width, low_mask in _SELECT_STEPS:
@@ -438,8 +447,9 @@ def lowest_word_bits(words: "np.ndarray", k: "np.ndarray") -> "np.ndarray":
         above = low < remaining
         position += above * width
         remaining -= low * above
-    bit = _ONE << position
-    return (words & ((bit - _ONE) | bit)) * (k > 0)
+    byte = ((words >> position) & _BYTE_MASK).astype(np.intp)
+    owed = _LOWEST_IN_BYTE.take(byte * _BYTE_KS + remaining)
+    return (words & ((_ONE << position) - _ONE)) | (owed << position)
 
 
 def truncate_word_rows(
@@ -454,7 +464,11 @@ def truncate_word_rows(
     The batched planners pass ``selected`` holding ``available`` (the
     common full-take case costs nothing); every row whose count falls
     short of its availability is re-picked with the exact top-k /
-    bottom-k set-bit rule as one masked word sweep.  Per-word
+    bottom-k set-bit rule as one masked word sweep.  Rows are
+    independent, so a planner stacks every direction of its sweep
+    into one call: the cost per call is a fixed number of numpy
+    dispatches, whatever its row count.  ``counts`` and
+    ``n_available`` are integer arrays, one entry per row.  Per-word
     popcounts locate each capped row's *boundary word* — the word the
     k-th chosen bit lands in: walking the words from the kept end, a
     word survives whole while the running count stays below the
@@ -470,11 +484,11 @@ def truncate_word_rows(
     ``selected`` may be ``available`` itself: the capped rows are
     gathered before anything is written back.
     """
-    rows = np.flatnonzero(counts < n_available)
+    rows = (counts < n_available).nonzero()[0]
     if not len(rows):
         return
-    avail = np.take(available, rows, axis=0)
-    need = np.take(np.asarray(counts, dtype=np.int64), rows)
+    avail = available.take(rows, axis=0)
+    need = counts.take(rows).astype(np.int64, copy=False)
     per_word = word_popcount_matrix(avail)
     n_rows, n_words = avail.shape
     # Column by column from the kept end: row reductions over a
@@ -496,9 +510,10 @@ def truncate_word_rows(
     owed = need - outside
     cells = np.arange(0, n_rows * n_words, n_words) + boundary
     flat = avail.reshape(-1)
-    edge = flat[cells]
+    edge = flat.take(cells)
     if prefer_newest:
-        kept = edge ^ lowest_word_bits(edge, per_word.reshape(-1)[cells] - owed)
+        dropped = per_word.reshape(-1).take(cells) - owed
+        kept = edge ^ lowest_word_bits(edge, dropped)
     else:
         kept = lowest_word_bits(edge, owed)
     for word, whole in whole_by_word:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bargossip import exchange, push, simulator as simulator_module
 from repro.bargossip.attacker import AttackerCoalition, AttackKind
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import (
@@ -37,6 +38,7 @@ from repro.bargossip.defenses import (
 from repro.bargossip.scenario import ExecutionConfig
 from repro.bargossip.simulator import GossipSimulator, InteractionEngine
 from repro.bargossip.updates import (
+    _LOWEST_IN_BYTE,
     WordPopulationStore,
     _truncate_word_rows_scalar,
     bottom_bits,
@@ -348,6 +350,48 @@ class TestLowestWordBits:
         kept = lowest_word_bits(top, np.array([1, 64]))
         assert [int(value) for value in kept] == [1 << 63, (1 << 64) - 1]
 
+    @pytest.mark.parametrize("byte", range(8))
+    def test_kth_bit_in_every_byte(self, byte):
+        """The k-th set bit lands in each byte in turn, at its lowest
+        and highest bit, and as the last set bit (k = popcount)."""
+        lo, hi = 8 * byte, 8 * byte + 7
+        sparse = sum(1 << (8 * j + j) for j in range(8))
+        words, ks = [], []
+        for word in (
+            (1 << 64) - 1,                  # every bit set
+            sparse,                         # one bit per byte
+            ((1 << lo) - 1) | (1 << hi),    # all below, then bit ``hi``
+            (1 << lo) | (1 << 63),          # bit ``lo``, then bit 63
+        ):
+            below = bin(word & ((1 << lo) - 1)).count("1")
+            inside = bin((word >> lo) & 0xFF).count("1")
+            for k in range(below + 1, below + inside + 1):
+                words.append(word)
+                ks.append(k)
+            words.append(word)
+            ks.append(bin(word).count("1"))
+        words = np.array(words, dtype=np.uint64)
+        kept = lowest_word_bits(words, np.array(ks))
+        expected = [bottom_bits(int(w), k) for w, k in zip(words, ks)]
+        assert [int(value) for value in kept] == expected
+
+
+class TestLowestInByteTable:
+    """The select's last step: the lowest ``j`` set bits of a byte."""
+
+    def test_every_entry_matches_bottom_bits(self):
+        table = _LOWEST_IN_BYTE.reshape(256, 9)
+        assert _LOWEST_IN_BYTE.dtype == np.uint64
+        for byte in range(256):
+            for k in range(9):
+                entry = int(table[byte, k])
+                assert entry == bottom_bits(byte, k)
+                # Independently of bottom_bits: a subset of the byte,
+                # min(k, popcount) bits, and no skipped bit below them.
+                assert entry & ~byte == 0
+                assert bin(entry).count("1") == min(k, bin(byte).count("1"))
+                assert byte & ((1 << entry.bit_length()) - 1) == entry
+
 
 class TestNumpy1PopcountFallback:
     """numpy < 2 has no ``bitwise_count``; the shipped fallback counts
@@ -383,8 +427,8 @@ class TestNumpy1PopcountFallback:
         self, lut_popcounts, n_words, prefer_newest
     ):
         _assert_truncation_parity(n_words, 0.5, prefer_newest, seed=3)
-        # Per-word counts plus the select's six binary-search steps.
-        assert len(lut_popcounts) == 7
+        # Per-word counts plus the select's three halving steps.
+        assert len(lut_popcounts) == 4
 
     @pytest.mark.parametrize("n_words", [1, 3, 5])
     def test_row_popcounts_through_shipped_lut(self, monkeypatch, n_words):
@@ -410,7 +454,206 @@ class TestNumpy1PopcountFallback:
         kept = lowest_word_bits(words, ks)
         expected = [bottom_bits(int(w), int(k)) for w, k in zip(words, ks)]
         assert [int(value) for value in kept] == expected
-        assert len(lut_popcounts) == 6
+        # Three halving steps; the last byte goes through the table.
+        assert len(lut_popcounts) == 3
+
+
+def _count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a pass-through that logs each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _words_copy(pool):
+    """An independent word store holding ``pool``'s rows and window."""
+    copy = WordPopulationStore(
+        pool.n_nodes, pool.updates_per_round, pool.lifetime
+    )
+    copy.base = pool.base
+    copy.have_words[:] = pool.have_words
+    copy.missing_words[:] = pool.missing_words
+    return copy
+
+
+class TestOneTruncationPerSweep:
+    """Each batched sweep truncates all of its moving rows in one call,
+    and a push mixed pass makes at most one coalition dump; the fused
+    forms are pinned exact against the per-pair planners and the sets
+    walk."""
+
+    CONFIG = GossipConfig.small().replace(obedient_fraction=0.5)
+
+    def _mid_run(self, **kwargs):
+        return _run(
+            self.CONFIG, AttackKind.TRADE, ExecutionConfig(backend="words"),
+            seed=3, rounds=4, **kwargs,
+        )
+
+    def test_exchange_sweep_truncates_once(self, monkeypatch):
+        simulator = self._mid_run()
+        pool = simulator._pool
+        ids = np.random.default_rng(0).permutation(pool.n_nodes)
+        initiators, responders = ids[: len(ids) // 2], ids[len(ids) // 2 :]
+        oracle = _words_copy(pool)
+        calls = _count_calls(monkeypatch, exchange, "truncate_word_rows")
+        # cap=1 caps every moving row, so the one call holds them all.
+        to_i, to_r = exchange.batched_word_exchange(
+            pool, initiators, responders, cap=1
+        )
+        movers = int(np.count_nonzero(to_i))
+        assert movers and len(calls) == 1 and len(calls[0][2]) == 2 * movers
+        expected = [
+            exchange.bitset_exchange(oracle, int(i), int(r), cap=1)
+            for i, r in zip(initiators, responders)
+        ]
+        assert list(zip(to_i.tolist(), to_r.tolist())) == expected
+        assert np.array_equal(pool.have_words, oracle.have_words)
+        assert np.array_equal(pool.missing_words, oracle.missing_words)
+        simulator.close()
+
+    def test_idle_exchange_sweep_does_not_truncate(self, monkeypatch):
+        pool = WordPopulationStore(8, 4, 6)
+        calls = _count_calls(monkeypatch, exchange, "truncate_word_rows")
+        exchange.batched_word_exchange(pool, [0, 1, 2], [3, 4, 5], cap=2)
+        assert calls == []
+
+    def test_push_sweep_truncates_once(self, monkeypatch):
+        config = self.CONFIG.replace(push_size=1)
+        simulator = self._mid_run()
+        pool, round_now = simulator._pool, simulator.round - 1
+        ids = np.random.default_rng(1).permutation(pool.n_nodes)
+        initiators, responders = ids[: len(ids) // 2], ids[len(ids) // 2 :]
+        oracle = _words_copy(pool)
+        calls = _count_calls(monkeypatch, push, "truncate_word_rows")
+        to_r, to_i = push.batched_word_push(
+            pool, initiators, responders, config, round_now
+        )
+        accepted = int(np.count_nonzero(to_r))
+        assert accepted and len(calls) == 1 and len(calls[0][2]) == 2 * accepted
+        expected = []
+        for i, r in zip(initiators.tolist(), responders.tolist()):
+            plan = push.bitset_plan_push(oracle, i, r, config, round_now)
+            if plan.responder_count:
+                push.bitset_apply_push(oracle, i, r, plan)
+            expected.append((plan.responder_count, plan.initiator_count))
+        assert list(zip(to_r.tolist(), to_i.tolist())) == expected
+        assert np.array_equal(pool.have_words, oracle.have_words)
+        assert np.array_equal(pool.missing_words, oracle.missing_words)
+        simulator.close()
+
+    def test_whole_run_call_counts(self, monkeypatch):
+        """Over a reporting run on the paper's schedule: one truncation
+        per sweep that moves anything, none otherwise, and at most one
+        dump per push mixed pass."""
+        truncations = {
+            "exchange": _count_calls(monkeypatch, exchange, "truncate_word_rows"),
+            "push": _count_calls(monkeypatch, push, "truncate_word_rows"),
+        }
+        dumps = _count_calls(monkeypatch, simulator_module, "batched_word_dump")
+        per_sweep, per_pass = [], []
+
+        def sweep(kernel, calls):
+            def run(*args, **kwargs):
+                before = len(calls)
+                counts = kernel(*args, **kwargs)
+                per_sweep.append((bool(counts[0].any()), len(calls) - before))
+                return counts
+            return run
+
+        monkeypatch.setattr(
+            simulator_module, "batched_word_exchange",
+            sweep(simulator_module.batched_word_exchange, truncations["exchange"]),
+        )
+        monkeypatch.setattr(
+            simulator_module, "batched_word_push",
+            sweep(simulator_module.batched_word_push, truncations["push"]),
+        )
+        mixed = InteractionEngine._push_pass_mixed
+
+        def push_pass_mixed(*args, **kwargs):
+            before = len(dumps)
+            mixed(*args, **kwargs)
+            per_pass.append(len(dumps) - before)
+
+        monkeypatch.setattr(InteractionEngine, "_push_pass_mixed", push_pass_mixed)
+        simulator = self._mid_run(
+            reporting=ReportingPolicy(excess_threshold=1, reports_to_evict=2)
+        )
+        assert any(moved for moved, _ in per_sweep)
+        assert all(n == int(moved) for moved, n in per_sweep)
+        assert per_pass and max(per_pass) == 1
+        assert sum(node.evicted for node in simulator.nodes)
+        simulator.close()
+
+    def test_push_mixed_pass_matches_sets_walk(self, monkeypatch):
+        """One pass holding a forward dump (attacker initiator onto a
+        satiated responder) and a reverse dump (a satiated initiator's
+        push landing on an attacker), under the reporting defense:
+        receipts, evictions and counters equal the per-pair walk."""
+        config = GossipConfig.small().replace(obedient_fraction=1.0)
+        policy = ReportingPolicy(excess_threshold=1, reports_to_evict=1)
+        simulators, reports = {}, {}
+        for backend in ("sets", "words"):
+            simulator = _run(
+                config, AttackKind.TRADE, ExecutionConfig(backend=backend),
+                seed=3, rounds=2, reporting=policy,
+            )
+            authority = simulator.authority
+            filed = reports[backend] = []
+
+            def file_report(reporter, receipt, _file=authority.file_report,
+                            _filed=filed):
+                _filed.append((reporter, receipt))
+                return _file(reporter, receipt)
+
+            monkeypatch.setattr(authority, "file_report", file_report)
+            simulators[backend] = simulator
+        reference = simulators["sets"]
+        round_now = reference.round - 1
+        attack = reference.attack
+        attackers = sorted(
+            node.node_id for node in reference.nodes
+            if node.is_attacker and not node.evicted
+        )
+        hungry = [
+            target for target in sorted(attack.satiated_targets)
+            if len(attack.pool & reference.nodes[target].store.missing)
+            > policy.excess_threshold
+            and not reference.nodes[target].evicted
+        ]
+        pushers = [
+            target for target in hungry
+            if reference.nodes[target].wants_to_push(config, round_now)
+        ]
+        assert len(attackers) >= 2 and pushers
+        pusher = pushers[0]
+        receiver = next(target for target in hungry if target != pusher)
+        rows_i = np.array([attackers[0], pusher])
+        rows_r = np.array([receiver, attackers[1]])
+        words = simulators["words"]._engine
+        words._push_pass_mixed(
+            round_now, rows_i, rows_r, words._attack_pool_words(),
+            simulators["words"].population.obedient_mask,
+            words._satiated_row_mask(),
+        )
+        for initiator, responder in zip(rows_i.tolist(), rows_r.tolist()):
+            reference._engine._push_directed(round_now, initiator, responder)
+        # Both dumps were flagged and evicted their givers, forward first.
+        assert [receipt.giver for _, receipt in reports["sets"][-2:]] == [
+            attackers[0], attackers[1],
+        ]
+        assert {attackers[0], attackers[1]} <= reference.authority.evicted
+        assert reports["words"] == reports["sets"]
+        assert simulators["words"].authority.evicted == reference.authority.evicted
+        assert simulators["words"].attack.nodes == reference.attack.nodes
+        assert _snapshot(simulators["words"]) == _snapshot(reference)
 
 
 class TestTargetSetCaches:
