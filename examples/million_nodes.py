@@ -9,8 +9,8 @@ runs at 10^6 nodes in well under a second per round on a single
 machine.  This script runs one such point — a 20% trade coalition
 pampering its satiated targets — on the 4-node-cell pairing
 (``shards=1``), not the paper's uniform partner schedule, and prints
-the round-time, the flat-buffer byte budget, and the group outcome the
-attack is designed to produce.
+the round-time, the flat-buffer byte budget, the process's peak RSS,
+and the group outcome the attack is designed to produce.
 
 The population size is a flag, so the same script doubles as a quick
 scaling probe:
@@ -20,6 +20,7 @@ Run:  PYTHONPATH=src python examples/million_nodes.py
 """
 
 import argparse
+import resource
 import time
 
 from repro.bargossip.attacker import AttackerCoalition, AttackKind
@@ -87,6 +88,9 @@ def main() -> None:
         f"served out of band to {satiated:,} satiated targets "
         f"({satiated / args.nodes:.1%} of the population)"
     )
+    # ru_maxrss is in kilobytes on Linux.
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    print(f"peak RSS: {peak_rss / 1e6:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ as review-time checks:
   ``frozenset`` in protocol modules.  Set iteration order depends on
   insertion history and hash randomization; wrap in ``sorted(...)``.
 * **DET003** — no wall-clock reads in simulator code.  The simulator
-  core runs on virtual time only; wall clocks belong to the bench
-  harness.
+  core runs on virtual time only; wall clocks belong to the worker
+  supervisor and to ``benchmarks/``.
 * **RNG004** — the dedicated ``network``/``churn`` streams
   (``_net_rng``/``_churn_rng``) may only be drawn inside
   event-schedule code.  Protocol phases drawing them would desync the
@@ -376,16 +376,13 @@ class UnsortedSetIterationRule(Rule):
 @register
 class WallClockRule(Rule):
     code = "DET003"
-    title = "no wall-clock reads outside the bench harness"
+    title = "no wall-clock reads outside the worker supervisor"
     rationale = (
         "simulator core runs on virtual time only; wall clocks belong "
-        "to harness/bench.py, harness/trend.py, harness/supervise.py "
-        "and benchmarks/"
+        "to harness/supervise.py and benchmarks/"
     )
     include = ("src/repro/*",)
     exclude = (
-        "src/repro/harness/bench.py",
-        "src/repro/harness/trend.py",
         # Supervision is *about* real time: deadlines, liveness polls
         # and backoff all read the monotonic clock — and never touch
         # simulation state (tasks stay pure functions of their payload).

@@ -12,14 +12,11 @@ The harness layers, bottom up:
 * :mod:`~repro.harness.sweep` — grid × repetitions aggregation;
 * :mod:`~repro.harness.figures` / :mod:`~repro.harness.tables` —
   the paper's figures and Table 1;
-* :mod:`~repro.harness.bench` — the timed benchmark suite behind
-  ``lotus-eater bench``;
 * :mod:`~repro.harness.ascii` / :mod:`~repro.harness.cli` — rendering
   and the ``lotus-eater`` entry point.
 """
 
 from .ascii import render_chart, render_series_table, render_table
-from .bench import run_bench, render_bench_summary, write_bench_summary
 from .cache import CellRecord, ResultCache, cell_key, fingerprint_of
 from .figures import (
     DEFAULT_FRACTIONS,
@@ -64,9 +61,6 @@ __all__ = [
     "CellRecord",
     "cell_key",
     "fingerprint_of",
-    "run_bench",
-    "render_bench_summary",
-    "write_bench_summary",
     "table1_rows",
     "render_table1",
     "baseline_check",

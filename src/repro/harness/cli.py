@@ -17,16 +17,12 @@ Installed as ``lotus-eater`` (see ``pyproject.toml``)::
     lotus-eater figure1 --schedule event
     lotus-eater figure1 --schedule event --latency exponential:0.3 --loss 0.05
     lotus-eater sweep-gossip --schedule event --churn 0.002:0.05
-    lotus-eater bench --fast --output BENCH_summary.json
-    lotus-eater scale-bench --scale-nodes 100000,1000000
-    lotus-eater bench-diff BENCH_previous.json BENCH_summary.json
-    lotus-eater bench-trend --history-dir .bench-history
     lotus-eater lint src tests benchmarks examples
     lotus-eater lint --format json
     lotus-eater lint --write-baseline --justification "pre-DET002 code"
 
 Sweep-based commands (the figures, the per-model ``sweep-*``
-subcommands, ``table1``'s baseline, ``bench``) fan their (grid-point,
+subcommands, ``table1``'s baseline) fan their (grid-point,
 seed) cells across ``--jobs`` worker processes and cache cell results
 content-addressed under ``--cache-dir`` (default
 ``$LOTUS_EATER_CACHE_DIR`` or ``.lotus-eater-cache``), so repeated runs
@@ -60,28 +56,12 @@ from ..bargossip.scenario import ExecutionConfig
 from ..core.errors import ReproError
 from ..core.metrics import USABILITY_THRESHOLD
 from .ascii import render_chart, render_series_table, render_table
-from .bench import (
-    SCALE_BENCH_POINTS,
-    render_bench_summary,
-    render_scale_bench,
-    run_bench,
-    run_scale_bench,
-    write_bench_summary,
-)
 from .cache import ResultCache
 from .figures import DEFAULT_FRACTIONS, FAST_FRACTIONS, crossovers, figure1, figure2, figure3
 from .parallel import SweepExecutor
 from .sweep import sweep
 from .tables import baseline_check, render_table1
 from .tasks import TASK_BUILDERS
-from .trend import (
-    compare_bench_history,
-    compare_bench_summaries,
-    load_bench_summary,
-    render_bench_diff,
-    render_bench_history,
-    update_bench_history,
-)
 
 __all__ = ["main", "build_executor"]
 
@@ -99,7 +79,7 @@ def build_executor(args: argparse.Namespace) -> SweepExecutor:
         )
         cache = ResultCache(cache_dir)
     return SweepExecutor(
-        jobs=1 if args.jobs is None else args.jobs,
+        jobs=args.jobs,
         cache=cache,
         retries=getattr(args, "retries", 2),
         cell_timeout=getattr(args, "cell_timeout", None),
@@ -176,7 +156,7 @@ def execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
         shards=args.shards,
-        jobs=1 if args.jobs is None else args.jobs,
+        jobs=args.jobs,
     )
 
 
@@ -205,46 +185,6 @@ def _figure_command(builder: Callable, args: argparse.Namespace) -> int:
     ]
     print(render_table(["curve", "crossover below 93%"], rows))
     _report_executor(executor)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Deliberately NOT build_executor(args): bench measures the
-    # executor, so its parallel pass must never be served from the
-    # result cache (a warm cache would report absurd speedups).  A
-    # bare `lotus-eater bench` also defaults to one worker per CPU —
-    # benching with jobs=1 would compare serial against serial.
-    jobs = 0 if args.jobs is None else args.jobs
-    with SweepExecutor(jobs=jobs) as executor:
-        summary = run_bench(
-            fast=args.fast,
-            jobs=jobs,
-            repetitions=args.repetitions,
-            root_seed=args.seed,
-            executor=executor,
-            scale_points=args.scale_nodes,
-            scale_rounds=args.scale_rounds,
-        )
-    print(render_bench_summary(summary))
-    path = write_bench_summary(summary, args.output)
-    print(f"wrote {path}", file=sys.stderr)
-    mismatched = [
-        name
-        for name, report in summary["figures"].items()
-        if not report["parallel_matches_serial"]
-    ]
-    if not summary["backend_bench"]["parity_ok"]:
-        mismatched.append("backend_bench")
-    if not summary["event_bench"]["parity_ok"]:
-        mismatched.append("event_bench")
-    if not summary["scale_bench"]["parity_ok"]:
-        mismatched.append("scale_bench")
-    if mismatched:
-        print(
-            f"parallel/serial mismatch in: {', '.join(mismatched)}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -297,71 +237,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     print(render_table([x_label, task.metric, "95% half-width", "samples"], rows))
     _report_executor(executor)
-    return 0
-
-
-def _cmd_scale_bench(args: argparse.Namespace) -> int:
-    """Run only the population-scale sweep (no figures, no artifact).
-
-    ``lotus-eater bench`` embeds the same section in its JSON summary;
-    this subcommand exists for quick spot checks at custom sizes
-    (``--scale-nodes 1000000``) without paying for the full suite.
-    """
-    points = tuple(args.scale_nodes) if args.scale_nodes else (
-        SCALE_BENCH_POINTS[:1] if args.fast else SCALE_BENCH_POINTS
-    )
-    report = run_scale_bench(
-        points=points, rounds=args.scale_rounds, seed=args.seed
-    )
-    print("\n".join(render_scale_bench(report)))
-    if not report["parity_ok"]:
-        print("scale-bench: determinism check failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    previous = load_bench_summary(args.previous)
-    current = load_bench_summary(args.current)
-    diff = compare_bench_summaries(
-        previous, current, max_regression=args.max_regression
-    )
-    print(render_bench_diff(diff))
-    if diff["regressions"]:
-        print(
-            f"bench-diff: {len(diff['regressions'])} regression(s) beyond "
-            f"{args.max_regression:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    # Fold the current summary into the rolling history, then scan the
-    # window for sustained — not single-run — drift.  The positionals
-    # are shared with bench-diff, so `bench-trend MY_run.json` binds
-    # MY_run.json to the (here meaningless) `previous` slot: treat a
-    # lone non-default first positional as the current summary instead
-    # of silently reading the default BENCH_summary.json.
-    current = args.current
-    if current == "BENCH_summary.json" and args.previous != "BENCH_previous.json":
-        current = args.previous
-    paths = update_bench_history(args.history_dir, current, window=args.window)
-    summaries = [load_bench_summary(path) for path in paths]
-    report = compare_bench_history(
-        summaries,
-        max_regression=args.max_regression,
-        min_sustained=args.min_sustained,
-    )
-    print(render_bench_history(report))
-    if report["sustained_regressions"]:
-        print(
-            f"bench-trend: {len(report['sustained_regressions'])} metric(s) "
-            f"drifted for >= {args.min_sustained} consecutive runs",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -481,21 +356,6 @@ def _cmd_bittorrent(args: argparse.Namespace) -> int:
         rows,
     ))
     return 0
-
-
-def _parse_scale_nodes(text: str) -> List[int]:
-    """``--scale-nodes`` spec: comma-separated population sizes."""
-    try:
-        points = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad scale-nodes {text!r}: expected comma-separated integers"
-        ) from None
-    if not points or any(point < 8 for point in points):
-        raise argparse.ArgumentTypeError(
-            "scale-nodes must name at least one population of >= 8 nodes"
-        )
-    return points
 
 
 def _jobs_value(text: str) -> int:
@@ -709,9 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=_jobs_value,
-        default=None,
+        default=1,
         help="worker processes for sweep cells (0 = one per CPU; "
-        "default 1, except 'bench' which defaults to one per CPU)",
+        "default 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -749,11 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="what to do with cells that exhaust their retry budget: "
         "abort the sweep (raise, default), drop the samples (skip), "
         "or re-run the quarantined cells serially in-process (serial)",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_summary.json",
-        help="where 'bench' writes its JSON summary",
     )
     parser.add_argument(
         "--backend",
@@ -819,71 +674,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: per-model headline metric)",
     )
     parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.2,
-        help="bench-diff/bench-trend: tolerated relative "
-        "wall-clock/speedup regression before failing "
-        "(default 0.2 = 20%%)",
-    )
-    parser.add_argument(
-        "--history-dir",
-        default=".bench-history",
-        help="bench-trend: rolling-history directory for bench "
-        "artifacts (default .bench-history)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=10,
-        help="bench-trend: artifacts kept in the rolling history "
-        "(default 10)",
-    )
-    parser.add_argument(
-        "--scale-nodes",
-        type=_parse_scale_nodes,
-        default=None,
-        metavar="N,N",
-        help="population sizes the bench/scale-bench scale sweep "
-        "measures (comma-separated; default: the tracked points — "
-        "100000 under --fast, plus 1000000 on the full profile — "
-        "so trend baselines stay comparable)",
-    )
-    parser.add_argument(
-        "--scale-rounds",
-        type=int,
-        default=12,
-        help="steady-state rounds timed per scale-sweep point "
-        "(default 12)",
-    )
-    parser.add_argument(
-        "--min-sustained",
-        type=int,
-        default=3,
-        help="bench-trend: consecutive bad run-to-run steps required "
-        "before drift is flagged (default 3)",
-    )
-    parser.add_argument(
         "command",
         choices=[
             "table1", "figure1", "figure2", "figure3",
             "tokenmodel", "scrip", "bittorrent",
             "sweep-gossip", "sweep-scrip", "sweep-token", "sweep-swarm",
-            "bench", "scale-bench", "bench-diff", "bench-trend", "lint",
+            "lint",
         ],
         help="which experiment to regenerate",
-    )
-    parser.add_argument(
-        "previous",
-        nargs="?",
-        default="BENCH_previous.json",
-        help="bench-diff: the previous run's summary JSON",
-    )
-    parser.add_argument(
-        "current",
-        nargs="?",
-        default="BENCH_summary.json",
-        help="bench-diff/bench-trend: the current run's summary JSON",
     )
     return parser
 
@@ -891,9 +689,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     raw = list(sys.argv[1:] if argv is None else argv)
-    # `lint` has its own positionals (paths...), which the experiment
-    # parser's `previous`/`current` slots would swallow — route it to a
-    # dedicated parser before the main one sees the argv.
+    # `lint` has its own parser and positionals (the paths to lint):
+    # route it there before the experiment parser sees the argv.
     if raw and raw[0] == "lint":
         return _cmd_lint(raw[1:])
     parser = _build_parser()
@@ -910,12 +707,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep-scrip": _cmd_sweep,
         "sweep-token": _cmd_sweep,
         "sweep-swarm": _cmd_sweep,
-        "bench": _cmd_bench,
-        "scale-bench": _cmd_scale_bench,
-        "bench-diff": _cmd_bench_diff,
-        "bench-trend": _cmd_bench_trend,
-        # Reached only when global flags precede the word `lint`
-        # (otherwise the fast-path above routed it with its paths).
+        # Reached only when global flags precede the word `lint`; the
+        # experiment parser takes no positionals after the command, so
+        # a path there is rejected (exit 2) rather than dropped.
         "lint": lambda a: _cmd_lint([]),
     }
     try:

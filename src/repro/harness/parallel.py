@@ -190,11 +190,11 @@ class SweepExecutor:
         #: Cells served from the cache, lifetime total.
         self.cells_cached = 0
         #: Terminal per-cell failure records, lifetime (cleared never;
-        #: sweeps/benches read and report them).
+        #: the CLI reports them after each sweep).
         self.failures: List[CellFailure] = []
         # Lazily created on the first parallel _execute and reused for
-        # every subsequent map() — a figure is several curves and a
-        # bench run several figures, so per-call pools would pay
+        # every subsequent map() — a figure is several curves, so
+        # per-call pools would pay
         # worker spin-up (an interpreter start each, under spawn)
         # many times per run.
         self._pool: Optional[SupervisedPool] = None
@@ -427,10 +427,6 @@ class SweepExecutor:
             "cells_cached": self.cells_cached,
             "cells_failed": len(self.failures),
         }
-
-    def failure_records(self) -> List[Dict[str, object]]:
-        """Terminal failures as JSON-ready dicts (sweep/bench artifacts)."""
-        return [failure.as_dict() for failure in self.failures]
 
     def __repr__(self) -> str:
         return (

@@ -110,22 +110,13 @@ class TaskFailure:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """Terminal failure of one sweep cell, for sweep/bench artifacts."""
+    """Terminal failure of one sweep cell, as the executor reports it."""
 
     x: float
     seed: int
     attempts: int
     fate: str
     error: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "x": self.x,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "fate": self.fate,
-            "error": self.error,
-        }
 
 
 class _ResultChannel:

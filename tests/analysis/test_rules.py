@@ -291,14 +291,14 @@ class TestDet003:
             """
         ) == []
 
-    def test_bench_harness_exempt(self):
+    def test_only_the_supervisor_is_exempt(self):
         source = """
         import time
 
         started = time.perf_counter()
         """
-        assert codes(source, path="src/repro/harness/bench.py") == []
-        assert codes(source, path="src/repro/harness/trend.py") == []
+        assert codes(source, path="src/repro/harness/bench.py") == ["DET003"]
+        assert codes(source, path="src/repro/harness/supervise.py") == []
 
     def test_sleep_is_not_a_clock_read(self):
         assert codes(

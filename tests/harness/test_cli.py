@@ -34,8 +34,20 @@ class TestCli:
         assert "upload satiation" in out
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["nonsense"])
+        # `bench` is gone: perfbench/ is the repository benchmark.
+        for command in ("nonsense", "bench"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command])
+            assert exit_info.value.code == 2
+
+    def test_lint_path_after_global_flags_is_not_dropped(self):
+        """A path after `lint` must not be silently swapped for the
+        default tree when global flags come first."""
+        try:
+            code = main(["--no-cache", "lint", "src/repro/faults.py"])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code not in (0, None)
 
 class TestSweepCommands:
     def test_sweep_swarm_default_grid(self, capsys):
@@ -127,102 +139,3 @@ class TestBackendFlag:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "--memory" not in help_text
         assert "uniform" in help_text and "cell" in help_text
-
-
-class TestBenchTrendCommand:
-    def _write_summary(self, path, serial):
-        import json
-
-        path.write_text(json.dumps({
-            "totals": {
-                "wall_clock_serial_s": serial,
-                "wall_clock_parallel_s": serial / 2,
-                "speedup_vs_serial": 2.0,
-            },
-            "figures": {},
-        }))
-
-    def test_rolling_history_flags_only_sustained_drift(self, capsys, tmp_path):
-        current = tmp_path / "BENCH_summary.json"
-        history = str(tmp_path / "hist")
-        codes = []
-        for serial in (10.0, 11.0, 12.5, 14.5):
-            self._write_summary(current, serial)
-            codes.append(main([
-                "--history-dir", history, "--window", "10",
-                "bench-trend", "unused-previous", str(current),
-            ]))
-        # Drift only counts once three consecutive bad steps accumulate.
-        assert codes == [0, 0, 0, 1]
-        out = capsys.readouterr()
-        assert "SUSTAINED DRIFT" in out.out
-        assert "drifted for >= 3 consecutive runs" in out.err
-
-    def test_window_is_pruned(self, tmp_path, capsys):
-        import os
-
-        current = tmp_path / "BENCH_summary.json"
-        history = tmp_path / "hist"
-        self._write_summary(current, 10.0)
-        for _ in range(4):
-            assert main([
-                "--history-dir", str(history), "--window", "2",
-                "bench-trend", "unused-previous", str(current),
-            ]) == 0
-        assert len(os.listdir(history)) == 2
-
-    def test_missing_current_errors_cleanly(self, capsys, tmp_path):
-        code = main([
-            "--history-dir", str(tmp_path / "hist"),
-            "bench-trend", "unused", str(tmp_path / "absent.json"),
-        ])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_single_positional_is_the_current_summary(self, tmp_path, capsys):
-        """`bench-trend MY_run.json` binds to the shared 'previous'
-        slot; the command must still record MY_run.json, not a stale
-        default BENCH_summary.json from the cwd."""
-        import os
-
-        current = tmp_path / "MY_run.json"
-        history = tmp_path / "hist"
-        self._write_summary(current, 12.0)
-        assert main([
-            "--history-dir", str(history), "bench-trend", str(current),
-        ]) == 0
-        recorded = history / os.listdir(history)[0]
-        assert "12.0" in recorded.read_text()
-
-
-class TestBenchDiffCommand:
-    def _write(self, path, serial):
-        import json
-
-        payload = {
-            "totals": {
-                "wall_clock_serial_s": serial,
-                "wall_clock_parallel_s": serial / 2,
-                "speedup_vs_serial": 2.0,
-            },
-            "figures": {},
-        }
-        path.write_text(json.dumps(payload))
-
-    def test_pass_and_fail(self, capsys, tmp_path):
-        previous, current = tmp_path / "prev.json", tmp_path / "curr.json"
-        self._write(previous, 10.0)
-        self._write(current, 10.5)
-        assert main(["bench-diff", str(previous), str(current)]) == 0
-        capsys.readouterr()
-        self._write(current, 20.0)
-        assert main(["bench-diff", str(previous), str(current)]) == 1
-        out = capsys.readouterr()
-        assert "REGRESSION" in out.out
-
-    def test_missing_baseline_errors_cleanly(self, capsys, tmp_path):
-        current = tmp_path / "curr.json"
-        self._write(current, 10.0)
-        code = main(["bench-diff", str(tmp_path / "absent.json"), str(current)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err

@@ -324,14 +324,14 @@ class TestOnFailurePolicies:
         with SweepExecutor(jobs=2, retries=1, chunk_size=2) as executor:
             with pytest.raises(AnalysisError, match="failed terminally"):
                 executor.map(fragile, CELLS)
-            records = executor.failure_records()
-            assert {record["x"] for record in records} == {2.0}
-            assert {record["seed"] for record in records} == {
+            failures = executor.failures
+            assert {failure.x for failure in failures} == {2.0}
+            assert {failure.seed for failure in failures} == {
                 CELLS[i].seed for i in FAILING
             }
-            assert all(record["fate"] == "raised" for record in records)
-            assert all(record["attempts"] == 2 for record in records)
-            assert all("ValueError" in record["error"] for record in records)
+            assert all(failure.fate == "raised" for failure in failures)
+            assert all(failure.attempts == 2 for failure in failures)
+            assert all("ValueError" in failure.error for failure in failures)
         assert_no_leaked_children()
 
     def test_skip_policy_returns_none_samples(self):
@@ -370,10 +370,10 @@ class TestOnFailurePolicies:
         ) as executor:
             values = executor.map(fragile, CELLS)
             assert [values[i] for i in FAILING] == [None] * len(FAILING)
-            records = executor.failure_records()
-            assert len(records) == len(FAILING)
+            failures = executor.failures
+            assert len(failures) == len(FAILING)
             # two pool attempts + the final in-process attempt
-            assert all(record["attempts"] == 3 for record in records)
+            assert all(failure.attempts == 3 for failure in failures)
         assert_no_leaked_children()
 
     def test_skipped_cells_never_poison_the_cache(self, tmp_path, small_gossip):

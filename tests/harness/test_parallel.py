@@ -8,7 +8,7 @@ from repro.core.errors import AnalysisError
 from repro.core.rng import spawn_seeds
 from repro.harness.cache import ResultCache
 from repro.bargossip.scenario import Scenario
-from repro.harness.figures import GossipSweepTask, attack_curve, figure1
+from repro.harness.figures import GossipSweepTask, attack_curve, figure1, figure2, figure3
 from repro.harness.parallel import SweepCell, SweepExecutor, resolve_jobs
 from repro.harness.sweep import sweep
 from repro.harness.tables import baseline_check
@@ -121,14 +121,16 @@ class TestSweepThroughExecutor:
 
 
 class TestFigureParity:
-    def test_figure1_parallel_bit_identical(self, small_gossip):
-        serial = figure1(small_gossip, fractions=FRACTIONS, rounds=20)
-        pooled = figure1(
-            small_gossip,
-            fractions=FRACTIONS,
-            rounds=20,
-            executor=SweepExecutor(jobs=2),
-        )
+    @pytest.mark.parametrize("builder", [figure1, figure2, figure3], ids=lambda f: f.__name__)
+    def test_figure_parallel_bit_identical(self, small_gossip, builder):
+        serial = builder(small_gossip, fractions=FRACTIONS, rounds=20)
+        with SweepExecutor(jobs=2) as executor:
+            pooled = builder(
+                small_gossip,
+                fractions=FRACTIONS,
+                rounds=20,
+                executor=executor,
+            )
         assert set(serial) == set(pooled)
         for label in serial:
             assert serial[label].xs == pooled[label].xs
