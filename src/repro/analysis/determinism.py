@@ -403,7 +403,7 @@ class WallClockRule(Rule):
                         config,
                         node,
                         f"wall-clock call {resolved}() — simulator code runs "
-                        "on virtual time; timing belongs in the bench harness",
+                        "on virtual time; timing belongs in the worker supervisor",
                     )
                 )
         return findings

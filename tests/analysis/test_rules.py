@@ -2,13 +2,16 @@
 non-firing snippet per rule (plus the edge cases each rule's
 implementation carves out)."""
 
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
+import repro.harness
 from repro.analysis import LintConfig, analyze_source
 
 PROTOCOL_PATH = "src/repro/bargossip/fixture.py"
+HARNESS_DIR = Path(repro.harness.__file__).resolve().parent
 
 
 def codes(source, path=PROTOCOL_PATH, config=None):
@@ -299,6 +302,23 @@ class TestDet003:
         """
         assert codes(source, path="src/repro/harness/bench.py") == ["DET003"]
         assert codes(source, path="src/repro/harness/supervise.py") == []
+
+    @pytest.mark.parametrize(
+        "module",
+        sorted(
+            path.name
+            for path in HARNESS_DIR.glob("*.py")
+            if path.name != "supervise.py"
+        ),
+    )
+    def test_harness_modules_are_in_scope(self, module):
+        """Only supervise.py may read the wall clock in the harness."""
+        source = """
+        import time
+
+        started = time.perf_counter()
+        """
+        assert codes(source, path=f"src/repro/harness/{module}") == ["DET003"]
 
     def test_sleep_is_not_a_clock_read(self):
         assert codes(
