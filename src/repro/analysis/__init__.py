@@ -8,25 +8,23 @@ in the simulator core, protocol draws from the network/churn streams,
 unguarded counter writes, and unpicklable pool task specs — at review
 time, before an expensive parity-matrix job has to find them.
 
-Two tiers:
+Every run checks two tiers in one pass:
 
-* **Per-file** (DET/RNG/API/PKL rules): one module at a time,
-  syntactic, fast.
-* **Flow** (FLW010, FLW011, FLW013, FLW014, ``--flow``): whole-program call graph +
+* **Per-file** (DET001–DET003, API006): one module at a time,
+  syntactic.
+* **Flow** (FLW010, FLW011, FLW013, FLW014): whole-program call graph +
   dataflow summaries, so an invariant violated three calls away from
   its anchor point is still caught.  See :mod:`repro.analysis.flow`.
 
 Entry points::
 
-    lotus-eater lint [--flow] [--format text|json|github] [paths...]
+    lotus-eater lint [--format text|json|github] [--rules CODES] [paths...]
 
     from repro.analysis import run_lint, LintConfig
-    result = run_lint(["src"], LintConfig(), flow=True)
+    result = run_lint(["src"], LintConfig())
 """
 
-from .baseline import Baseline, BaselineEntry
-from .cache import CACHE_DIR_NAME, LintCache
-from .findings import Finding, finding_fingerprint
+from .findings import Finding
 from .flow import FlowRule, all_flow_rules, flow_rule_codes, run_flow
 from .rules import FileContext, LintConfig, Rule, all_rules, rule_codes
 from .runner import (
@@ -42,13 +40,9 @@ from .runner import (
 from .suppressions import Suppression, scan_suppressions
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "CACHE_DIR_NAME",
     "FileContext",
     "Finding",
     "FlowRule",
-    "LintCache",
     "LintConfig",
     "LintResult",
     "Rule",
@@ -57,7 +51,6 @@ __all__ = [
     "all_rules",
     "analyze_source",
     "detect_root",
-    "finding_fingerprint",
     "flow_rule_codes",
     "format_github",
     "format_json",

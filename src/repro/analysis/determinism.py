@@ -1,4 +1,4 @@
-"""Determinism rules: DET001-DET003 and RNG004.
+"""Determinism rules: DET001-DET003.
 
 These encode the invariant every parity suite in this repo pins at
 runtime — simulations are bit-exact across backends and schedules —
@@ -14,10 +14,9 @@ as review-time checks:
 * **DET003** — no wall-clock reads in simulator code.  The simulator
   core runs on virtual time only; wall clocks belong to the worker
   supervisor and to ``benchmarks/``.
-* **RNG004** — the dedicated ``network``/``churn`` streams
-  (``_net_rng``/``_churn_rng``) may only be drawn inside
-  event-schedule code.  Protocol phases drawing them would desync the
-  rounds-vs-event bit-exact parity guarantee.
+
+The network/churn stream discipline is checked interprocedurally by
+FLW011 (:mod:`repro.analysis.flow.rules`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .rules import (
     ImportTracker,
     LintConfig,
     Rule,
-    dotted_name,
     register,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "GlobalRandomnessRule",
     "UnsortedSetIterationRule",
     "WallClockRule",
-    "NetworkStreamRule",
 ]
 
 #: ``np.random`` attributes that do NOT touch the legacy global state.
@@ -408,75 +405,3 @@ class WallClockRule(Rule):
                 )
         return findings
 
-
-@register
-class NetworkStreamRule(Rule):
-    code = "RNG004"
-    title = "network/churn streams drawn only in event-schedule code"
-    rationale = (
-        "protocol phases drawing _net_rng/_churn_rng would break the "
-        "rounds-vs-event bit-exact parity guarantee"
-    )
-    include = ("src/repro/*",)
-    exclude = (
-        "src/repro/bargossip/events.py",
-        "src/repro/bargossip/network.py",
-    )
-
-    STREAM_NAMES = frozenset({"_net_rng", "_churn_rng"})
-
-    def check(self, ctx: FileContext, config: LintConfig) -> Iterable[Finding]:
-        rule = self
-        findings: List[Finding] = []
-        allowed_names = frozenset(config.rng004_allowed_functions)
-        allowed_prefixes = tuple(config.rng004_allowed_prefixes)
-
-        class Visitor(ast.NodeVisitor):
-            def __init__(self) -> None:
-                self.stack: List[str] = []
-
-            def _in_allowed_scope(self) -> bool:
-                return any(
-                    name in allowed_names or name.startswith(allowed_prefixes)
-                    for name in self.stack
-                )
-
-            def _enter(self, node) -> None:
-                self.stack.append(node.name)
-                self.generic_visit(node)
-                self.stack.pop()
-
-            visit_FunctionDef = _enter
-            visit_AsyncFunctionDef = _enter
-
-            def _check(self, node: ast.AST, name: str, context: ast.expr_context) -> None:
-                if name not in rule.STREAM_NAMES:
-                    return
-                # Wiring the stream up (Store) is fine anywhere; only
-                # *reading* it outside event-schedule code breaks parity.
-                if not isinstance(context, ast.Load):
-                    return
-                if self._in_allowed_scope():
-                    return
-                scope = self.stack[-1] if self.stack else "module scope"
-                findings.append(
-                    rule.finding(
-                        ctx,
-                        config,
-                        node,
-                        f"{name} drawn in {scope!r}, which is not "
-                        "event-schedule code — the network/churn streams may "
-                        "only be consumed by the event engine",
-                    )
-                )
-
-            def visit_Name(self, node: ast.Name) -> None:
-                self._check(node, node.id, node.ctx)
-                self.generic_visit(node)
-
-            def visit_Attribute(self, node: ast.Attribute) -> None:
-                self._check(node, node.attr, node.ctx)
-                self.generic_visit(node)
-
-        Visitor().visit(ctx.tree)
-        return findings

@@ -1,43 +1,18 @@
 """Finding model for the ``lotus-lint`` static analyzer.
 
 A :class:`Finding` is one rule violation anchored to a file position.
-Findings carry a *fingerprint* — a stable hash of the rule, the file,
-and the offending source line's text (plus an occurrence index for
-repeated identical lines) — so the committed baseline keeps matching a
-grandfathered finding even when unrelated edits shift line numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-__all__ = ["Finding", "SEVERITIES", "finding_fingerprint"]
+__all__ = ["Finding", "SEVERITIES"]
 
 #: Recognised severities, most severe first.  ``error`` findings fail
 #: the lint run; ``warning`` findings are reported but do not.
 SEVERITIES = ("error", "warning")
-
-_FINGERPRINT_BYTES = 8
-
-
-def finding_fingerprint(rule: str, path: str, snippet: str, occurrence: int = 0) -> str:
-    """Stable fingerprint for a finding.
-
-    Line numbers are deliberately excluded: the baseline must survive
-    unrelated edits above the finding.  ``occurrence`` disambiguates
-    identical lines within one file (0 = first such line).
-    """
-    digest = hashlib.blake2b(digest_size=_FINGERPRINT_BYTES)
-    digest.update(rule.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(path.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(snippet.strip().encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(str(int(occurrence)).encode("ascii"))
-    return digest.hexdigest()
 
 
 @dataclass
@@ -55,10 +30,8 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-    #: Stripped text of the offending source line (fingerprint input).
+    #: Stripped text of the offending source line.
     snippet: str = ""
-    #: Filled in by the runner once per-file occurrence indices are known.
-    fingerprint: str = field(default="")
     #: Call-chain evidence for interprocedural (flow-tier) findings:
     #: the qualified names from an entry point down to the function the
     #: finding anchors in.  Empty for per-file findings.
@@ -76,23 +49,8 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
             "trace": list(self.trace),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=payload["rule"],
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            message=payload["message"],
-            severity=payload.get("severity", "error"),
-            snippet=payload.get("snippet", ""),
-            fingerprint=payload.get("fingerprint", ""),
-            trace=list(payload.get("trace", [])),
-        )
 
     def render(self) -> str:
         text = (

@@ -2,7 +2,7 @@
 
 Builds a project model + call graph + dataflow summaries over every
 module matching ``LintConfig.flow_project_patterns`` and runs the
-FLW010–FLW013 rules.  Entry point: :func:`run_flow`.
+FLW010, FLW011, FLW013 and FLW014 rules.  Entry point: :func:`run_flow`.
 """
 
 from .callgraph import CallGraph, CallSite, build_call_graph

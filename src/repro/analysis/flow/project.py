@@ -95,6 +95,8 @@ class DataclassField:
     annotation: ast.expr
     line: int
     col: int
+    #: The default value expression, ``None`` when the field has none.
+    default: Optional[ast.expr] = None
 
 
 @dataclass
@@ -282,6 +284,7 @@ class ProjectModel:
                             annotation=stmt.annotation,
                             line=stmt.lineno,
                             col=stmt.col_offset,
+                            default=stmt.value,
                         )
                     )
         module.classes[node.name] = model
@@ -318,16 +321,11 @@ class ProjectModel:
     def functions_named(self, name: str) -> List[FunctionModel]:
         return [self.functions[q] for q in self.functions_by_name.get(name, [])]
 
-    def spec_classes(
-        self, exact: Tuple[str, ...], suffixes: Tuple[str, ...]
-    ) -> List[ClassModel]:
+    def spec_classes(self, suffixes: Tuple[str, ...]) -> List[ClassModel]:
         """Dataclasses matching the task-spec naming contract."""
-        matched = []
-        for model in self.classes.values():
-            if not model.is_dataclass:
-                continue
-            if model.name in exact or any(
-                model.name.endswith(suffix) for suffix in suffixes
-            ):
-                matched.append(model)
+        matched = [
+            model
+            for model in self.classes.values()
+            if model.is_dataclass and model.name.endswith(suffixes)
+        ]
         return sorted(matched, key=lambda m: m.qualname)

@@ -40,8 +40,7 @@ __all__ = [
     "run_flow",
 ]
 
-#: Annotation tokens that kill pickling of a pool task spec (mirrors
-#: the per-file PKL008 rule in :mod:`repro.analysis.resources`).
+#: Annotation tokens that kill pickling of a pool task spec.
 _FORBIDDEN_ANNOTATION = re.compile(
     r"\b(Callable|Generator|RngStreams|Random|RandomState|TextIO|BinaryIO)\b|\bIO\["
 )
@@ -118,8 +117,7 @@ def run_flow(sources: Dict[str, str], config: Optional[LintConfig] = None) -> Li
     """Run every enabled flow rule over ``{rel_path: source}``.
 
     Only files matching ``config.flow_project_patterns`` enter the
-    project model.  Fingerprints are **not** assigned here — the runner
-    finalizes them alongside the per-file tier.
+    project model.  Inline suppressions are applied by the runner.
     """
     config = config or LintConfig()
     scoped = {
@@ -259,28 +257,122 @@ class DisjointWriteRule(FlowRule):
 
 
 # ----------------------------------------------------------------------
-# FLW011 — RNG-stream taint
+# FLW011 — RNG-stream discipline
 # ----------------------------------------------------------------------
+
+
+class _StreamReadVisitor(ast.NodeVisitor):
+    """Every load of a schedule stream, with its enclosing scopes."""
+
+    def __init__(self, stream_names: Set[str], skip: Set[ast.AST]) -> None:
+        self.stream_names = stream_names
+        #: Functions whose attribute reads another rule reports.
+        self.skip = skip
+        self.scopes: List[ast.AST] = []
+        self.reads: List[Tuple[ast.AST, str, List[ast.AST]]] = []
+
+    def _enter(self, node: ast.AST) -> None:
+        self.scopes.append(node)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_FunctionDef = _enter
+    visit_AsyncFunctionDef = _enter
+    visit_ClassDef = _enter
+
+    def _load(self, node: ast.AST, name: str, context: ast.expr_context) -> None:
+        # Wiring a stream up (Store) is fine anywhere; only reads count.
+        if name in self.stream_names and isinstance(context, ast.Load):
+            self.reads.append((node, name, list(self.scopes)))
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._load(node, node.id, node.ctx)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if not any(scope in self.skip for scope in self.scopes):
+            self._load(node, node.attr, node.ctx)
+        self.generic_visit(node)
 
 
 @register_flow
 class RngStreamTaintRule(FlowRule):
     code = "FLW011"
-    title = "network/churn RNG stream value flows into a protocol draw"
+    title = "network/churn RNG stream used outside event-schedule code"
     rationale = (
         "The schedule streams (_net_rng/_churn_rng) exist so latency "
-        "and churn sampling cannot perturb protocol randomness; a value "
-        "derived from them entering a protocol-draw call site couples "
-        "the two streams and breaks cross-backend determinism."
+        "and churn sampling cannot perturb protocol randomness; a read "
+        "of them in a protocol phase, or a value derived from them "
+        "entering a protocol-draw call site, couples the two streams "
+        "and breaks rounds-vs-event and cross-backend determinism."
+    )
+    #: The event engine's own modules, which may read the streams anywhere.
+    exempt_modules = (
+        "src/repro/bargossip/events.py",
+        "src/repro/bargossip/network.py",
     )
 
     def check(self, ctx: FlowContext) -> Iterable[Finding]:
+        yield from self._scope_reads(ctx)
+        yield from self._taint(ctx)
+
+    def _scope_reads(self, ctx: FlowContext) -> Iterable[Finding]:
+        """Stream reads outside the event-schedule scopes, module scope
+        included; the event engine's own modules are exempt."""
+        config = ctx.config
+        streams = set(config.flw011_stream_names)
+        allowed = set(config.flw011_allowed_functions)
+        prefixes = tuple(config.flw011_allowed_prefixes)
+        # FLW014 already reports every stream attribute in the retry
+        # cone; one defect gets one finding.
+        skip: Set[ast.AST] = set()
+        if config.is_enabled("FLW014"):
+            reach = ctx.graph.reachable(
+                tuple(config.flw014_retry_roots), fallback_edges=False
+            )
+            skip = {
+                ctx.project.functions[qualname].node
+                for qualname in reach
+                if qualname in ctx.project.functions
+            }
+        for module in sorted(ctx.project.modules.values(), key=lambda m: m.rel_path):
+            if module.rel_path in self.exempt_modules or not self.anchors_in_scope(
+                module.rel_path
+            ):
+                continue
+            visitor = _StreamReadVisitor(streams, skip)
+            visitor.visit(module.tree)
+            for node, name, scopes in visitor.reads:
+                functions = [
+                    scope.name for scope in scopes if not isinstance(scope, ast.ClassDef)
+                ]
+                if any(
+                    function in allowed or function.startswith(prefixes)
+                    for function in functions
+                ):
+                    continue
+                where = functions[-1] if functions else "module scope"
+                yield self.finding(
+                    ctx,
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    (
+                        f"{name} drawn in {where!r}, which is not "
+                        "event-schedule code — the network/churn streams may "
+                        "only be consumed by the event engine"
+                    ),
+                    trace=[".".join([module.name, *(scope.name for scope in scopes)])],
+                )
+
+    def _taint(self, ctx: FlowContext) -> Iterable[Finding]:
+        """Stream-derived values reaching a protocol draw, and stream
+        handles escaping into a pool task spec."""
         config = ctx.config
         sinks = set(config.flw011_protocol_sinks)
         stream_names = set(config.flw011_stream_names)
         handle_names = set(config.flw011_handle_names)
-        spec_names = set(config.pkl008_spec_classes)
-        spec_suffixes = tuple(config.pkl008_spec_suffixes)
+        spec_suffixes = tuple(config.task_spec_suffixes)
 
         def stream_read(expr: ast.expr) -> bool:
             return any(
@@ -356,8 +448,7 @@ class RngStreamTaintRule(FlowRule):
                                 trace=[qualname, callee_qual],
                             )
                 # Handle escape: a stream/RngStreams handle in a task spec.
-                is_spec = site.name in spec_names or site.name.endswith(spec_suffixes)
-                if is_spec and site.name[:1].isupper():
+                if site.name.endswith(spec_suffixes) and site.name[:1].isupper():
                     for arg in args:
                         if arg_is(arg, handles, handle_read):
                             yield self.finding(
@@ -381,29 +472,75 @@ class RngStreamTaintRule(FlowRule):
 # ----------------------------------------------------------------------
 
 
+class _SpecConstructionVisitor(ast.NodeVisitor):
+    """Lambdas and locally-defined functions passed into a task-spec call."""
+
+    def __init__(self, suffixes: Tuple[str, ...]) -> None:
+        self.suffixes = suffixes
+        #: Names of the enclosing classes and functions.
+        self.scopes: List[str] = []
+        #: Functions defined inside each enclosing function.
+        self.local_functions: List[Set[str]] = []
+        #: ``(argument, spec name, what, enclosing scopes)`` per hit.
+        self.hits: List[Tuple[ast.expr, str, str, List[str]]] = []
+
+    def _enter_function(self, node: ast.AST) -> None:
+        if self.local_functions:
+            self.local_functions[-1].add(node.name)
+        self.scopes.append(node.name)
+        self.local_functions.append(set())
+        self.generic_visit(node)
+        self.local_functions.pop()
+        self.scopes.pop()
+
+    visit_FunctionDef = _enter_function
+    visit_AsyncFunctionDef = _enter_function
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name.endswith(self.suffixes):
+            for value in _call_args(node):
+                if isinstance(value, ast.Lambda):
+                    what = "lambda"
+                elif isinstance(value, ast.Name) and any(
+                    value.id in scope for scope in self.local_functions
+                ):
+                    what = f"locally-defined function {value.id!r}"
+                else:
+                    continue
+                self.hits.append((value, name, what, list(self.scopes)))
+        self.generic_visit(node)
+
+
 @register_flow
 class TransitivePicklabilityRule(FlowRule):
     code = "FLW013"
-    title = "task spec reaches an unpicklable type through nested dataclasses"
+    title = "pool task spec holds or receives an unpicklable value"
     rationale = (
-        "Pool task specs cross the process boundary with pickle; PKL008 "
-        "checks their direct field annotations, but a Callable buried "
-        "two dataclasses deep fails at submission time just the same."
+        "Pool task specs cross the process boundary with pickle; a "
+        "Callable, generator, RNG object or open handle in a spec field "
+        "(directly or dataclasses deep), a lambda default, or a lambda or "
+        "local function handed to a spec constructor fails at "
+        "submission time."
     )
 
     def check(self, ctx: FlowContext) -> Iterable[Finding]:
-        config = ctx.config
-        specs = ctx.project.spec_classes(
-            config.pkl008_spec_classes, config.pkl008_spec_suffixes
-        )
-        for spec in specs:
+        suffixes = tuple(ctx.config.task_spec_suffixes)
+        for spec in ctx.project.spec_classes(suffixes):
             if not self.anchors_in_scope(spec.rel_path):
                 continue
-            module = ctx.project.modules.get(spec.module)
-            if module is None:
-                continue
+            module = ctx.project.modules[spec.module]
             for spec_field in spec.fields:
                 yield from self._chase_field(ctx, module, spec, spec_field)
+        for module in sorted(ctx.project.modules.values(), key=lambda m: m.rel_path):
+            if self.anchors_in_scope(module.rel_path):
+                yield from self._constructions(ctx, module, suffixes)
 
     def _chase_field(
         self,
@@ -412,43 +549,61 @@ class TransitivePicklabilityRule(FlowRule):
         spec: ClassModel,
         root_field: DataclassField,
     ) -> Iterable[Finding]:
-        max_depth = ctx.config.flw013_max_depth
         visited: Set[str] = {spec.qualname}
-        # Stack of (class, via-path) to expand; depth 0 is the spec
-        # itself, whose direct annotations PKL008 already covers.
-        stack: List[Tuple[ClassModel, List[str], int]] = []
-        for nested in self._nested_dataclasses(ctx, root_module, root_field.annotation):
-            if nested.qualname not in visited:
-                visited.add(nested.qualname)
-                stack.append((nested, [spec.name, nested.name], 1))
+        # Depth 0 is the spec's own field; each nested dataclass is
+        # expanded once per root field, which also ends cycles.
+        stack: List[Tuple[ModuleModel, ClassModel, DataclassField, List[str]]] = [
+            (root_module, spec, root_field, [spec.name])
+        ]
         while stack:
-            model, path, depth = stack.pop()
-            module = ctx.project.modules.get(model.module)
-            if module is None:
-                continue
-            for nested_field in model.fields:
-                rendered = _render_annotation(nested_field.annotation)
-                if _FORBIDDEN_ANNOTATION.search(rendered):
-                    yield self.finding(
-                        ctx,
-                        root_module,
-                        root_field.line,
-                        root_field.col,
-                        (
-                            f"field '{root_field.name}' of task spec "
-                            f"'{spec.name}' reaches unpicklable annotation "
-                            f"'{rendered}' at {model.name}.{nested_field.name} "
-                            f"(via {' -> '.join(path)})"
-                        ),
-                        trace=path,
+            module, model, item, path = stack.pop()
+            problems = []
+            rendered = _render_annotation(item.annotation)
+            if _FORBIDDEN_ANNOTATION.search(rendered):
+                problems.append(f"unpicklable annotation '{rendered}'")
+            if isinstance(item.default, ast.Lambda):
+                problems.append("a lambda default")
+            for problem in problems:
+                yield self.finding(
+                    ctx,
+                    root_module,
+                    root_field.line,
+                    root_field.col,
+                    (
+                        f"field '{root_field.name}' of task spec '{spec.name}' "
+                        f"reaches {problem} at {model.name}.{item.name} "
+                        f"(via {' -> '.join(path)}) — ship plain data and "
+                        "reconstruct in the worker"
+                    ),
+                    trace=path,
+                )
+            for nested in self._nested_dataclasses(ctx, module, item.annotation):
+                if nested.qualname in visited:
+                    continue
+                visited.add(nested.qualname)
+                nested_module = ctx.project.modules[nested.module]
+                for nested_field in nested.fields:
+                    stack.append(
+                        (nested_module, nested, nested_field, [*path, nested.name])
                     )
-                if depth < max_depth:
-                    for nested in self._nested_dataclasses(
-                        ctx, module, nested_field.annotation
-                    ):
-                        if nested.qualname not in visited:
-                            visited.add(nested.qualname)
-                            stack.append((nested, path + [nested.name], depth + 1))
+
+    def _constructions(
+        self, ctx: FlowContext, module: ModuleModel, suffixes: Tuple[str, ...]
+    ) -> Iterable[Finding]:
+        visitor = _SpecConstructionVisitor(suffixes)
+        visitor.visit(module.tree)
+        for node, spec_name, what, scopes in visitor.hits:
+            yield self.finding(
+                ctx,
+                module,
+                node.lineno,
+                node.col_offset,
+                (
+                    f"{what} passed into task spec {spec_name}() — it cannot "
+                    "be pickled; use a module-level function"
+                ),
+                trace=[".".join([module.name, *scopes])],
+            )
 
     def _nested_dataclasses(
         self, ctx: FlowContext, module: ModuleModel, annotation: ast.expr
@@ -613,6 +768,8 @@ def _annotation_type_names(annotation: ast.expr) -> List[str]:
 
 
 def _render_annotation(annotation: ast.expr) -> str:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value  # a forward reference, rendered unquoted
     try:
         return ast.unparse(annotation)
     except Exception:  # pragma: no cover - unparse is total on 3.9+

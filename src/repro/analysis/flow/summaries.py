@@ -330,7 +330,7 @@ def _collect_buffer_aliases(
 ) -> Set[str]:
     """Names bound to a shared buffer through view-preserving forms only.
 
-    ``have = pool.have_words`` and ``counters = store.extra.reshape(n,
+    ``have = pool.have_words`` and ``counters = pop.counters.reshape(n,
     k)`` alias the buffer; ``have_i = have[rows]`` (fancy-index copy)
     and ``base = np.minimum(...)`` (new array) do not.
     """

@@ -4,8 +4,8 @@ Each rule is an :mod:`ast`-level checker with a stable code (``DET001``
 …), a severity, and default path scoping expressed as ``fnmatch``
 patterns over the repo-relative POSIX path (``*`` crosses ``/``).  The
 :class:`LintConfig` can enable a subset of rules, override severities,
-and replace a rule's include/exclude patterns — the test corpus uses
-that to aim rules at fixture files.
+and replace a rule's include patterns — the test corpus uses that to
+aim rules at fixture files.
 
 Rules register themselves via the :func:`register` decorator; the
 runner instantiates every registered rule per file.
@@ -58,21 +58,8 @@ class LintConfig:
     #: ``None`` enables every registered rule.
     enabled: Optional[frozenset] = None
     severity_overrides: Mapping[str, str] = field(default_factory=dict)
-    #: Per-rule replacement of the default include/exclude patterns.
+    #: Per-rule replacement of the default include patterns.
     include_overrides: Mapping[str, Sequence[str]] = field(default_factory=dict)
-    exclude_overrides: Mapping[str, Sequence[str]] = field(default_factory=dict)
-
-    # RNG004 — event-schedule scopes allowed to draw the network/churn
-    # streams (the PR 6 guarantee: protocol phases never touch them).
-    rng004_allowed_functions: Tuple[str, ...] = (
-        "_step_event",
-        "_transmit",
-        "_deliverable",
-        "_arm_churn",
-        "_bootstrap",
-        "_sample_delivery_times",
-    )
-    rng004_allowed_prefixes: Tuple[str, ...] = ("_on_",)
 
     # API006 — the batched-phase scatter-add sites allowed to write
     # counter columns directly (cells are node-disjoint, so += is an
@@ -87,13 +74,8 @@ class LintConfig:
         "_attack_out_of_band",
     )
 
-    # PKL008 — dataclasses that cross a process boundary as pool task
-    # specs (by exact name, or by class-name suffix).
-    pkl008_spec_classes: Tuple[str, ...] = ()
-    pkl008_spec_suffixes: Tuple[str, ...] = ("Task",)
-
     # ------------------------------------------------------------------
-    # Flow tier (FLW010–FLW014) — whole-program knobs.  Per-file rules
+    # Flow tier (FLW010, FLW011, FLW013, FLW014) — whole-program knobs.  Per-file rules
     # above see one module; the flow analyzer sees every module matching
     # ``flow_project_patterns`` at once.
     # ------------------------------------------------------------------
@@ -117,7 +99,6 @@ class LintConfig:
         "counters",
         "have_words",
         "missing_words",
-        "extra",
     )
     #: Index names treated as row guards: exact names plus
     #: prefixes (``rows``, ``rows_i`` …).
@@ -149,9 +130,22 @@ class LintConfig:
         "src/repro/bargossip/updates.py",
     )
 
-    # FLW011 — RNG-stream taint.  Attribute/name spellings whose reads
-    # taint a value as schedule-stream derived.
+    # FLW011 — RNG-stream discipline.  Attribute/name spellings of the
+    # schedule streams: reading one outside event-schedule code, or
+    # feeding a value derived from one into a protocol draw, is a leak.
     flw011_stream_names: Tuple[str, ...] = ("_net_rng", "_churn_rng")
+    #: Event-schedule scopes allowed to draw the schedule streams, by
+    #: enclosing function name or name prefix (protocol phases never
+    #: touch them, which keeps rounds and event schedules bit-exact).
+    flw011_allowed_functions: Tuple[str, ...] = (
+        "_step_event",
+        "_transmit",
+        "_deliverable",
+        "_arm_churn",
+        "_bootstrap",
+        "_sample_delivery_times",
+    )
+    flw011_allowed_prefixes: Tuple[str, ...] = ("_on_",)
     #: Handle spellings that must not escape into pool task specs.
     flw011_handle_names: Tuple[str, ...] = (
         "_net_rng",
@@ -187,9 +181,9 @@ class LintConfig:
         "_file_dump_report",
     )
 
-    # FLW013 — transitive picklability: recursion bound when chasing
-    # field types through nested dataclasses.
-    flw013_max_depth: int = 6
+    # FLW011/FLW013 — dataclasses that cross a process boundary as pool
+    # task specs, by class-name suffix.
+    task_spec_suffixes: Tuple[str, ...] = ("Task",)
 
     # FLW014 — fault-injection discipline.  The registered site names:
     # every ``fault_point("...")`` call must use one of these literals
@@ -229,9 +223,7 @@ class LintConfig:
         return self.severity_overrides.get(rule.code, rule.severity)
 
     def patterns_for(self, rule: "Rule") -> Tuple[Sequence[str], Sequence[str]]:
-        include = self.include_overrides.get(rule.code, rule.include)
-        exclude = self.exclude_overrides.get(rule.code, rule.exclude)
-        return include, exclude
+        return self.include_overrides.get(rule.code, rule.include), rule.exclude
 
 
 def _matches(rel_path: str, patterns: Sequence[str]) -> bool:

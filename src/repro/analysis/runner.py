@@ -1,17 +1,20 @@
 """File discovery, orchestration and output for ``lotus-lint``.
 
 The runner walks the given paths, parses each ``*.py`` file once, runs
-every enabled rule whose path scope matches, applies inline
-suppressions and the committed baseline, and renders text or JSON.
+every enabled per-file rule whose path scope matches, then runs the
+whole-program flow rules over the same sources, applies inline
+suppressions to both, and renders text, JSON or GitHub annotations.
 
 Exit-code contract (what CI gates on):
 
-* ``0`` — no active error findings, no invalid baseline entries.
+* ``0`` — no active error findings.
 * ``1`` — at least one active error-severity finding, a syntax error
-  in an analyzed file, or a baseline entry lacking a justification.
+  in an analyzed file included (LNT002).
+* ``2`` — a usage error reported by ``lotus-eater lint`` itself (a
+  missing path, an unknown rule code).
 
-Stale baseline entries and malformed suppression comments are reported
-as warnings; they nag without blocking.
+Malformed suppression comments (LNT001) are reported as warnings; they
+nag without blocking.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, BaselineEntry
-from .cache import LintCache
-from .findings import Finding, finding_fingerprint
+from .findings import Finding
 from .flow import run_flow
 from .rules import FileContext, LintConfig, all_rules
 from .suppressions import Suppression, scan_suppressions
@@ -55,15 +56,7 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: List[Tuple[Finding, BaselineEntry]] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    invalid_baseline: List[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
-    #: True when the interprocedural flow tier ran.
-    flow: bool = False
-    #: Cache statistics for the run (``None`` when caching was off).
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
 
     @property
     def errors(self) -> List[Finding]:
@@ -75,9 +68,7 @@ class LintResult:
 
     @property
     def exit_code(self) -> int:
-        if self.errors or self.invalid_baseline:
-            return 1
-        return 0
+        return 1 if self.errors else 0
 
 
 def detect_root(start: Optional[Path] = None) -> Path:
@@ -95,7 +86,11 @@ def detect_root(start: Optional[Path] = None) -> Path:
 
 
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
-    """All ``*.py`` files under ``paths``, sorted, hidden dirs skipped."""
+    """All ``*.py`` files under ``paths``, sorted.
+
+    Hidden directories *below* each walked path are skipped; where the
+    walked path itself lives (say, under ``~/.cache``) does not matter.
+    """
     found = set()
     for path in paths:
         path = Path(path)
@@ -103,22 +98,34 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
             found.add(path.resolve())
         elif path.is_dir():
             for candidate in path.rglob("*.py"):
-                if any(part.startswith(".") for part in candidate.parts):
-                    continue
-                found.add(candidate.resolve())
+                hidden = any(
+                    part.startswith(".") for part in candidate.relative_to(path).parts
+                )
+                if not hidden:
+                    found.add(candidate.resolve())
     return sorted(found)
 
 
-def _finalize_fingerprints(findings: List[Finding]) -> None:
-    """Assign occurrence-indexed fingerprints (stable across line shifts)."""
-    seen: Dict[Tuple[str, str, str], int] = {}
-    for finding in sorted(findings, key=Finding.sort_key):
-        key = (finding.rule, finding.path, finding.snippet)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        finding.fingerprint = finding_fingerprint(
-            finding.rule, finding.path, finding.snippet, occurrence
+def _split_suppressed(
+    findings: List[Finding], suppressions: Dict[int, List[Suppression]]
+) -> Tuple[List[Finding], List[Tuple[Finding, Suppression]]]:
+    """Split one file's findings into (active, suppressed)."""
+    active: List[Finding] = []
+    suppressed: List[Tuple[Finding, Suppression]] = []
+    for finding in findings:
+        hit = next(
+            (
+                suppression
+                for suppression in suppressions.get(finding.line, [])
+                if finding.rule.upper() in suppression.rules
+            ),
+            None,
         )
+        if hit is None:
+            active.append(finding)
+        else:
+            suppressed.append((finding, hit))
+    return active, suppressed
 
 
 def analyze_source(
@@ -126,30 +133,25 @@ def analyze_source(
     rel_path: str,
     config: Optional[LintConfig] = None,
 ) -> Tuple[List[Finding], List[Tuple[Finding, Suppression]]]:
-    """Analyze one in-memory file.
+    """Run the per-file rules on one in-memory file.
 
     ``rel_path`` is the virtual repo-relative path used for rule
     scoping — the fixture corpus points it at protocol-module paths.
-    Returns ``(active findings, suppressed findings)``; fingerprints
-    are already assigned.
+    Returns ``(active findings, suppressed findings)``.
     """
     config = config or LintConfig()
-    findings: List[Finding] = []
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
-        findings.append(
-            Finding(
-                rule=SYNTAX_ERROR,
-                path=rel_path,
-                line=error.lineno or 1,
-                col=(error.offset or 1) - 1,
-                message=f"file does not parse: {error.msg}",
-                severity="error",
-            )
+        finding = Finding(
+            rule=SYNTAX_ERROR,
+            path=rel_path,
+            line=error.lineno or 1,
+            col=(error.offset or 1) - 1,
+            message=f"file does not parse: {error.msg}",
+            severity="error",
         )
-        _finalize_fingerprints(findings)
-        return findings, []
+        return [finding], []
 
     ctx = FileContext(
         rel_path=rel_path,
@@ -157,12 +159,10 @@ def analyze_source(
         tree=tree,
         lines=source.splitlines(),
     )
+    findings: List[Finding] = []
     for rule in all_rules():
-        if not config.is_enabled(rule.code):
-            continue
-        if not rule.applies_to(rel_path, config):
-            continue
-        findings.extend(rule.check(ctx, config))
+        if config.is_enabled(rule.code) and rule.applies_to(rel_path, config):
+            findings.extend(rule.check(ctx, config))
 
     suppressions, malformed_lines = scan_suppressions(source, tree=tree)
     for line in malformed_lines:
@@ -181,49 +181,8 @@ def analyze_source(
             )
         )
 
-    active: List[Finding] = []
-    suppressed: List[Tuple[Finding, Suppression]] = []
-    for finding in findings:
-        hit = None
-        for suppression in suppressions.get(finding.line, []):
-            if finding.rule.upper() in suppression.rules:
-                hit = suppression
-                suppression.used = True
-                break
-        if hit is None:
-            active.append(finding)
-        else:
-            suppressed.append((finding, hit))
-
-    _finalize_fingerprints(active + [pair[0] for pair in suppressed])
+    active, suppressed = _split_suppressed(findings, suppressions)
     active.sort(key=Finding.sort_key)
-    return active, suppressed
-
-
-def _apply_suppressions(
-    findings: List[Finding],
-    sources: Dict[str, str],
-) -> Tuple[List[Finding], List[Tuple[Finding, Suppression]]]:
-    """Split flow-tier findings against each file's inline suppressions."""
-    by_path: Dict[str, List[Finding]] = {}
-    for finding in findings:
-        by_path.setdefault(finding.path, []).append(finding)
-    active: List[Finding] = []
-    suppressed: List[Tuple[Finding, Suppression]] = []
-    for path, path_findings in by_path.items():
-        source = sources.get(path)
-        suppressions = scan_suppressions(source)[0] if source is not None else {}
-        for finding in path_findings:
-            hit = None
-            for suppression in suppressions.get(finding.line, []):
-                if finding.rule.upper() in suppression.rules:
-                    hit = suppression
-                    suppression.used = True
-                    break
-            if hit is None:
-                active.append(finding)
-            else:
-                suppressed.append((finding, hit))
     return active, suppressed
 
 
@@ -231,17 +190,14 @@ def run_lint(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     root: Optional[Path] = None,
-    baseline: Optional[Baseline] = None,
-    flow: bool = False,
-    cache_dir: Optional[Path] = None,
 ) -> LintResult:
-    """Lint every python file under ``paths``.
+    """Lint every python file under ``paths`` with both tiers.
 
-    ``root`` anchors the repo-relative paths rules and baselines match
-    against; by default it is detected from the first path.  With
-    ``flow=True`` the interprocedural tier (FLW010–FLW013) runs over
-    every analyzed file matching ``config.flow_project_patterns``.
-    ``cache_dir`` enables the incremental result cache there.
+    ``root`` anchors the repo-relative paths rules match against; by
+    default it is detected from the first path.  Every file runs the
+    per-file rules; the files matching ``config.flow_project_patterns``
+    also form the whole-program model the flow rules (FLW010, FLW011,
+    FLW013, FLW014) check.
     """
     config = config or LintConfig()
     files = iter_python_files(paths)
@@ -249,10 +205,7 @@ def run_lint(
         root = detect_root(files[0] if files else None)
     root = Path(root).resolve()
 
-    cache = LintCache(cache_dir, config) if cache_dir is not None else None
-
-    result = LintResult(flow=flow)
-    raw: List[Finding] = []
+    result = LintResult(files_checked=len(files))
     sources: Dict[str, str] = {}
     for file_path in files:
         try:
@@ -261,48 +214,19 @@ def run_lint(
             rel_path = file_path.as_posix()
         source = file_path.read_text(encoding="utf-8")
         sources[rel_path] = source
-        cached = cache.get_file(rel_path, source) if cache is not None else None
-        if cached is not None:
-            active, suppressed = cached
-        else:
-            active, suppressed = analyze_source(source, rel_path, config)
-            if cache is not None:
-                cache.put_file(rel_path, source, active, suppressed)
-        raw.extend(active)
+        active, suppressed = analyze_source(source, rel_path, config)
+        result.findings.extend(active)
         result.suppressed.extend(suppressed)
-        result.files_checked += 1
 
-    if flow:
-        cached_flow = cache.get_flow(sources) if cache is not None else None
-        if cached_flow is not None:
-            flow_active, flow_suppressed = cached_flow
-        else:
-            flow_findings = run_flow(sources, config)
-            flow_active, flow_suppressed = _apply_suppressions(flow_findings, sources)
-            _finalize_fingerprints(flow_active + [pair[0] for pair in flow_suppressed])
-            if cache is not None:
-                cache.put_flow(sources, flow_active, flow_suppressed)
-        raw.extend(flow_active)
-        result.suppressed.extend(flow_suppressed)
-
-    if cache is not None:
-        cache.save()
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-
-    matched_entries: List[BaselineEntry] = []
-    if baseline is not None and len(baseline):
-        for finding in raw:
-            entry = baseline.match(finding)
-            if entry is not None and entry.justification.strip():
-                result.baselined.append((finding, entry))
-                matched_entries.append(entry)
-            else:
-                result.findings.append(finding)
-        result.stale_baseline = baseline.stale_entries(matched_entries)
-        result.invalid_baseline = baseline.invalid_entries()
-    else:
-        result.findings = raw
+    flow_by_path: Dict[str, List[Finding]] = {}
+    for finding in run_flow(sources, config):
+        flow_by_path.setdefault(finding.path, []).append(finding)
+    for path, findings in flow_by_path.items():
+        active, suppressed = _split_suppressed(
+            findings, scan_suppressions(sources[path])[0]
+        )
+        result.findings.extend(active)
+        result.suppressed.extend(suppressed)
 
     result.findings.sort(key=Finding.sort_key)
     return result
@@ -315,36 +239,20 @@ def format_text(result: LintResult, verbose: bool = False) -> str:
         lines.append(finding.render())
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    for entry in result.invalid_baseline:
-        lines.append(
-            f"{entry.path}: baseline entry for {entry.rule} "
-            f"(fingerprint {entry.fingerprint}) has no justification — "
-            "every grandfathered finding needs a written reason"
-        )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.path}: stale baseline entry for {entry.rule} "
-            f"(fingerprint {entry.fingerprint}) no longer matches any "
-            "finding — prune it with --write-baseline"
-        )
     if verbose:
         for finding, suppression in result.suppressed:
             reason = suppression.reason or "(no reason given)"
             lines.append(f"suppressed: {finding.render()} — {reason}")
-    summary = (
+    lines.append(
         f"{result.files_checked} files checked: "
         f"{len(result.errors)} error(s), {len(result.warnings)} warning(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined"
+        f"{len(result.suppressed)} suppressed"
     )
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr(y/ies)"
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def format_json(result: LintResult) -> str:
-    """Machine-readable report (the CI job consumes this)."""
+    """Machine-readable report."""
     payload = {
         "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [
@@ -355,18 +263,11 @@ def format_json(result: LintResult) -> str:
             }
             for finding, suppression in result.suppressed
         ],
-        "baselined": [
-            {"finding": finding.to_dict(), "justification": entry.justification}
-            for finding, entry in result.baselined
-        ],
-        "stale_baseline": [entry.to_dict() for entry in result.stale_baseline],
-        "invalid_baseline": [entry.to_dict() for entry in result.invalid_baseline],
         "summary": {
             "files_checked": result.files_checked,
             "errors": len(result.errors),
             "warnings": len(result.warnings),
             "exit_code": result.exit_code,
-            "flow": result.flow,
         },
     }
     return json.dumps(payload, indent=2)
@@ -391,21 +292,6 @@ def format_github(result: LintResult) -> str:
             f"::{level} file={finding.path},line={finding.line},"
             f"col={finding.col + 1},title=lotus-lint {finding.rule}::"
             f"{_annotation_escape(message)}"
-        )
-    for entry in result.invalid_baseline:
-        lines.append(
-            f"::error file={entry.path},title=lotus-lint baseline::"
-            + _annotation_escape(
-                f"baseline entry for {entry.rule} has no justification"
-            )
-        )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"::warning file={entry.path},title=lotus-lint baseline::"
-            + _annotation_escape(
-                f"stale baseline entry for {entry.rule} — prune it with "
-                "--prune-baseline"
-            )
         )
     lines.append(
         f"{result.files_checked} files checked: "

@@ -46,10 +46,6 @@ class Suppression:
     target_line: int
     rules: frozenset
     reason: str = ""
-    used: bool = False
-
-    def covers(self, rule: str, line: int) -> bool:
-        return line == self.target_line and rule.upper() in self.rules
 
 
 def _iter_comments(source: str) -> List[Tuple[int, int, str]]:

@@ -19,7 +19,7 @@ Installed as ``lotus-eater`` (see ``pyproject.toml``)::
     lotus-eater sweep-gossip --schedule event --churn 0.002:0.05
     lotus-eater lint src tests benchmarks examples
     lotus-eater lint --format json
-    lotus-eater lint --write-baseline --justification "pre-DET002 code"
+    lotus-eater lint --rules DET001,FLW011 src
 
 Sweep-based commands (the figures, the per-model ``sweep-*``
 subcommands, ``table1``'s baseline) fan their (grid-point,
@@ -373,10 +373,14 @@ def _build_lint_parser() -> argparse.ArgumentParser:
         description=(
             "lotus-lint: AST-based determinism & resource-discipline "
             "analyzer.  Rejects the known ways a change silently breaks "
-            "the bit-exact parity invariants (global-state randomness, "
-            "unsorted set iteration, wall-clock reads, protocol draws "
-            "from the network/churn streams, unguarded counter writes, "
-            "unpicklable task specs)."
+            "the bit-exact parity invariants.  Every run checks both "
+            "tiers: per file, global-state randomness, unsorted set "
+            "iteration, wall-clock reads and unguarded counter writes; "
+            "over the whole-program call graph, network/churn stream "
+            "draws outside the event engine, unguarded batched writes, "
+            "unpicklable task specs and unregistered fault sites.  "
+            "Deliberate exceptions are inline "
+            "'# lotus: ignore[CODE] reason' comments."
         ),
     )
     parser.add_argument(
@@ -389,62 +393,15 @@ def _build_lint_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["text", "json", "github"],
         default="text",
-        help="report format (json is what the CI lint-analysis job reads; "
-        "github emits ::error/::warning annotations for PR diffs)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the interprocedural flow tier (FLW010, FLW011, "
-        "FLW013, FLW014: batched-write disjointness, RNG-stream taint, "
-        "transitive picklability, fault-site discipline)",
-    )
-    parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="force the flow tier off (overrides --flow)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache under "
-        "<repo root>/.lotus-lint-cache/",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline without its stale entries; exits "
-        "non-zero when entries were removed so CI keeps the file tight",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON of grandfathered findings "
-        "(default: <repo root>/lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current error finding into the baseline "
-        "(requires --justification) and prune stale entries",
-    )
-    parser.add_argument(
-        "--justification",
-        default="",
-        help="written reason stored with entries --write-baseline adds "
-        "(entries without one fail the next run)",
+        help="report format (github emits ::error/::warning annotations "
+        "for PR diffs, as the CI lotus-lint job does)",
     )
     parser.add_argument(
         "--rules",
         default=None,
         metavar="CODES",
-        help="comma-separated rule codes to enable (default: all)",
+        help="comma-separated rule codes to enable (default: all); an "
+        "unknown code is an error",
     )
     parser.add_argument(
         "--verbose",
@@ -459,18 +416,29 @@ def _cmd_lint(argv: List[str]) -> int:
     from pathlib import Path
 
     from ..analysis import (
-        CACHE_DIR_NAME,
-        Baseline,
-        BaselineEntry,
         LintConfig,
         detect_root,
+        flow_rule_codes,
         format_github,
         format_json,
         format_text,
+        rule_codes,
         run_lint,
     )
 
     args = _build_lint_parser().parse_args(argv)
+    enabled = None
+    if args.rules:
+        enabled = frozenset(code.strip().upper() for code in args.rules.split(","))
+        known = set(rule_codes()) | set(flow_rule_codes())
+        unknown = sorted(enabled - known)
+        if unknown:
+            print(
+                "lotus-eater lint: unknown rule code(s): " + ", ".join(unknown)
+                + " (known: " + ", ".join(sorted(known)) + ")",
+                file=sys.stderr,
+            )
+            return 2
     root = detect_root(Path(args.paths[0]).resolve() if args.paths else None)
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
@@ -484,67 +452,7 @@ def _cmd_lint(argv: List[str]) -> int:
         for name in ("src", "tests", "benchmarks", "examples")
         if (root / name).is_dir()
     ]
-    baseline_path = Path(args.baseline) if args.baseline else root / "lint-baseline.json"
-    baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    enabled = None
-    if args.rules:
-        enabled = frozenset(code.strip().upper() for code in args.rules.split(","))
-    result = run_lint(
-        paths,
-        config=LintConfig(enabled=enabled),
-        root=root,
-        baseline=baseline,
-        flow=args.flow and not args.no_flow,
-        cache_dir=None if args.no_cache else root / CACHE_DIR_NAME,
-    )
-
-    if args.prune_baseline:
-        if baseline is None:
-            print(
-                "lotus-eater lint: --prune-baseline needs a baseline "
-                "(conflicts with --no-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        stale_keys = {
-            (entry.rule, entry.path, entry.fingerprint)
-            for entry in result.stale_baseline
-        }
-        kept = [
-            entry
-            for entry in baseline.entries
-            if (entry.rule, entry.path, entry.fingerprint) not in stale_keys
-        ]
-        removed = len(baseline.entries) - len(kept)
-        Baseline(kept).save(baseline_path)
-        print(
-            f"[lint] pruned {removed} stale baseline entr"
-            f"{'y' if removed == 1 else 'ies'} from {baseline_path} "
-            f"({len(kept)} kept)"
-        )
-        return 1 if removed else 0
-
-    if args.write_baseline:
-        if not args.justification.strip():
-            print(
-                "lotus-eater lint: --write-baseline requires --justification "
-                "(every grandfathered finding carries a written reason)",
-                file=sys.stderr,
-            )
-            return 2
-        entries = [entry for _, entry in result.baselined]
-        entries.extend(
-            BaselineEntry.from_finding(finding, args.justification.strip())
-            for finding in result.findings
-            if finding.severity == "error"
-        )
-        Baseline(entries).save(baseline_path)
-        print(
-            f"[lint] wrote {len(entries)} baseline entr"
-            f"{'y' if len(entries) == 1 else 'ies'} to {baseline_path}"
-        )
-        return 0
-
+    result = run_lint(paths, config=LintConfig(enabled=enabled), root=root)
     if args.format == "json":
         print(format_json(result))
     elif args.format == "github":

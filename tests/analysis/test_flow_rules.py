@@ -121,10 +121,12 @@ class TestFLW011Fixtures:
         assert rules_fired(sources) == []
 
     def test_net_rng_feeding_latency_model_is_clean(self):
+        # Drawn in event-schedule code (reads anywhere else fire FLW011
+        # on their own); the taint reaching a latency model is fine.
         sources = {
             "src/repro/simfix.py": """
             class Sim:
-                def step(self):
+                def _transmit(self):
                     delay = float(self._net_rng.exponential(0.5))
                     self._schedule(delay)
             """
@@ -407,3 +409,43 @@ class TestSeededMutations:
         assert fired, "backoff touching a protocol stream must surface FLW014"
         assert all(rule == "FLW014" for rule, _, _ in fired)
         assert all(path == "src/repro/harness/supervise.py" for _, path, _ in fired)
+
+    def test_flw011_net_rng_drawn_in_protocol_phase(self, tree_sources):
+        sim = tree_sources["src/repro/bargossip/simulator.py"]
+        needle = "        fresh = self.ledger.release(round_now)\n"
+        assert needle in sim
+        mutated = dict(tree_sources)
+        mutated["src/repro/bargossip/simulator.py"] = sim.replace(
+            needle, needle + "        _ = self._net_rng.random()\n", 1
+        )
+        fired = tree_findings(mutated)
+        assert fired, "a network-stream read in a protocol phase must surface FLW011"
+        assert all(rule == "FLW011" for rule, _, _ in fired)
+        assert all(path == "src/repro/bargossip/simulator.py" for _, path, _ in fired)
+
+    def test_flw013_callable_field_on_sweep_task(self, tree_sources):
+        tasks = tree_sources["src/repro/harness/tasks.py"]
+        assert "class GossipSweepTask:" in tasks
+        mutated = dict(tree_sources)
+        mutated["src/repro/harness/tasks.py"] = tasks.replace(
+            "class GossipSweepTask:",
+            'class GossipSweepTask:\n    hook: "Callable[[int], int]" = None',
+            1,
+        )
+        fired = tree_findings(mutated)
+        assert fired, "a Callable field on the spec itself must surface FLW013"
+        assert all(rule == "FLW013" for rule, _, _ in fired)
+        assert all(path == "src/repro/harness/tasks.py" for _, path, _ in fired)
+
+    def test_flw013_lambda_into_task_constructor(self, tree_sources):
+        tasks = tree_sources["src/repro/harness/tasks.py"]
+        needle = 'metric=metric or "isolated_fraction",'
+        assert needle in tasks
+        mutated = dict(tree_sources)
+        mutated["src/repro/harness/tasks.py"] = tasks.replace(
+            needle, needle + "\n        hook=lambda seed: seed,", 1
+        )
+        fired = tree_findings(mutated)
+        assert fired, "a lambda handed to a spec constructor must surface FLW013"
+        assert all(rule == "FLW013" for rule, _, _ in fired)
+        assert all(path == "src/repro/harness/tasks.py" for _, path, _ in fired)

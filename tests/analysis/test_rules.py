@@ -1,6 +1,7 @@
-"""Fixture corpus for every lotus-lint rule: one firing and one
+"""Fixture corpus for every per-file lotus-lint rule: one firing and one
 non-firing snippet per rule (plus the edge cases each rule's
-implementation carves out)."""
+implementation carves out).  The stream-read and task-spec cases run
+through the flow tier, whose FLW011/FLW013 own those invariants."""
 
 from pathlib import Path
 from textwrap import dedent
@@ -8,7 +9,7 @@ from textwrap import dedent
 import pytest
 
 import repro.harness
-from repro.analysis import LintConfig, analyze_source
+from repro.analysis import LintConfig, analyze_source, run_flow
 
 PROTOCOL_PATH = "src/repro/bargossip/fixture.py"
 HARNESS_DIR = Path(repro.harness.__file__).resolve().parent
@@ -16,6 +17,11 @@ HARNESS_DIR = Path(repro.harness.__file__).resolve().parent
 
 def codes(source, path=PROTOCOL_PATH, config=None):
     findings, _ = analyze_source(dedent(source), path, config or LintConfig())
+    return [finding.rule for finding in findings]
+
+
+def flow_codes(source, path=PROTOCOL_PATH, config=None):
+    findings = run_flow({path: dedent(source)}, config or LintConfig())
     return [finding.rule for finding in findings]
 
 
@@ -332,13 +338,13 @@ class TestDet003:
 
 
 # ---------------------------------------------------------------------------
-# RNG004 — network/churn streams only in event-schedule code
+# FLW011 — network/churn streams only in event-schedule code
 # ---------------------------------------------------------------------------
 
 
-class TestRng004:
+class TestFlw011StreamReads:
     def test_draw_in_protocol_phase_fires(self):
-        assert "RNG004" in codes(
+        assert "FLW011" in flow_codes(
             """
             class Simulator:
                 def run_exchanges(self):
@@ -348,10 +354,10 @@ class TestRng004:
         )
 
     def test_draw_at_module_scope_fires(self):
-        assert "RNG004" in codes("value = _churn_rng.exponential(1.0)\n")
+        assert "FLW011" in flow_codes("value = _churn_rng.exponential(1.0)\n")
 
     def test_draw_in_event_handler_is_clean(self):
-        assert codes(
+        assert flow_codes(
             """
             class Simulator:
                 def _on_exchange_deliver(self, event):
@@ -362,8 +368,36 @@ class TestRng004:
             """
         ) == []
 
+    def test_churn_draw_in_protocol_phase_fires(self):
+        assert "FLW011" in flow_codes(
+            """
+            class Simulator:
+                def run_pushes(self):
+                    return self._churn_rng.exponential(1.0)
+            """
+        )
+
+    def test_draw_at_class_scope_fires(self):
+        assert "FLW011" in flow_codes(
+            """
+            class Simulator:
+                jitter = _net_rng.random()
+            """
+        )
+
+    def test_helper_nested_in_event_handler_is_clean(self):
+        assert flow_codes(
+            """
+            class Simulator:
+                def _on_push_deliver(self, event):
+                    def delay():
+                        return self._net_rng.exponential(1.0)
+                    return delay()
+            """
+        ) == []
+
     def test_wiring_assignment_is_clean(self):
-        assert codes(
+        assert flow_codes(
             """
             class Simulator:
                 def __init__(self, streams):
@@ -377,8 +411,8 @@ class TestRng004:
         def sample(self):
             return self._net_rng.random()
         """
-        assert codes(source, path="src/repro/bargossip/events.py") == []
-        assert codes(source, path="src/repro/bargossip/network.py") == []
+        assert flow_codes(source, path="src/repro/bargossip/events.py") == []
+        assert flow_codes(source, path="src/repro/bargossip/network.py") == []
 
     def test_allowed_functions_configurable(self):
         source = """
@@ -386,9 +420,21 @@ class TestRng004:
             def custom_event_loop(self):
                 return self._net_rng.random()
         """
-        assert "RNG004" in codes(source)
-        config = LintConfig(rng004_allowed_functions=("custom_event_loop",))
-        assert codes(source, config=config) == []
+        assert "FLW011" in flow_codes(source)
+        config = LintConfig(flw011_allowed_functions=("custom_event_loop",))
+        assert flow_codes(source, config=config) == []
+
+    def test_retry_path_read_reported_once(self):
+        """FLW014 owns stream reads in the retry cone; FLW011 reports
+        them only when FLW014 is not running."""
+        source = """
+        class Policy:
+            def backoff_delay(self, attempt):
+                return attempt * float(self._net_rng.random())
+        """
+        assert flow_codes(source) == ["FLW014"]
+        only_flw011 = LintConfig(enabled=frozenset({"FLW011"}))
+        assert flow_codes(source, config=only_flw011) == ["FLW011"]
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +506,13 @@ class TestApi006:
 
 
 # ---------------------------------------------------------------------------
-# PKL008 — task-spec picklability
+# FLW013 — task-spec picklability
 # ---------------------------------------------------------------------------
 
 
-class TestPkl008:
+class TestFlw013TaskSpecs:
     def test_callable_field_fires(self):
-        assert "PKL008" in codes(
+        assert "FLW013" in flow_codes(
             """
             from dataclasses import dataclass
             from typing import Callable
@@ -478,7 +524,7 @@ class TestPkl008:
         )
 
     def test_rng_field_fires(self):
-        assert "PKL008" in codes(
+        assert "FLW013" in flow_codes(
             """
             from dataclasses import dataclass
             import numpy as np
@@ -490,7 +536,7 @@ class TestPkl008:
         )
 
     def test_lambda_default_fires(self):
-        assert "PKL008" in codes(
+        assert "FLW013" in flow_codes(
             """
             from dataclasses import dataclass
 
@@ -501,7 +547,7 @@ class TestPkl008:
         )
 
     def test_lambda_argument_fires(self):
-        assert "PKL008" in codes(
+        assert "FLW013" in flow_codes(
             """
             def build():
                 return ShardTask(metric=lambda x: x)
@@ -509,7 +555,7 @@ class TestPkl008:
         )
 
     def test_local_function_argument_fires(self):
-        assert "PKL008" in codes(
+        assert "FLW013" in flow_codes(
             """
             def build():
                 def metric(x):
@@ -518,8 +564,61 @@ class TestPkl008:
             """
         )
 
+    def test_optional_callable_field_fires(self):
+        assert "FLW013" in flow_codes(
+            """
+            from dataclasses import dataclass
+            from typing import Callable, Optional
+
+            @dataclass(frozen=True)
+            class ShardTask:
+                hook: Optional[Callable[[int], int]] = None
+            """
+        )
+
+    def test_forward_ref_callable_field_fires(self):
+        assert "FLW013" in flow_codes(
+            """
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class ShardTask:
+                hook: "Callable[[int], int]" = None
+            """
+        )
+
+    def test_stdlib_random_field_fires(self):
+        assert "FLW013" in flow_codes(
+            """
+            import random
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class ShardTask:
+                rng: random.Random
+            """
+        )
+
+    def test_lambda_into_qualified_constructor_fires(self):
+        assert "FLW013" in flow_codes(
+            """
+            from repro.harness import tasks
+
+            def build():
+                return tasks.ShardTask(7, lambda x: x)
+            """
+        )
+
+    def test_lambda_into_non_spec_call_is_clean(self):
+        assert flow_codes(
+            """
+            def build(items):
+                return sorted(items, key=lambda x: -x)
+            """
+        ) == []
+
     def test_plain_data_spec_is_clean(self):
-        assert codes(
+        assert flow_codes(
             """
             from dataclasses import dataclass
             from typing import Tuple
@@ -533,7 +632,7 @@ class TestPkl008:
         ) == []
 
     def test_module_level_function_argument_is_clean(self):
-        assert codes(
+        assert flow_codes(
             """
             def metric(x):
                 return x
@@ -544,7 +643,7 @@ class TestPkl008:
         ) == []
 
     def test_non_spec_dataclass_ignored(self):
-        assert codes(
+        assert flow_codes(
             """
             from dataclasses import dataclass
             from typing import Callable
@@ -593,41 +692,22 @@ class TestFramework:
         )
         assert [finding.rule for finding in findings] == ["DET001"]
 
-    def test_fingerprints_stable_across_line_shifts(self):
-        bad = "import random\nrandom.random()\n"
-        shifted = "\n\n# a comment\n" + bad
-        first, _ = analyze_source(bad, PROTOCOL_PATH, LintConfig())
-        second, _ = analyze_source(shifted, PROTOCOL_PATH, LintConfig())
-        assert [f.fingerprint for f in first] == [f.fingerprint for f in second]
-
-    def test_duplicate_lines_get_distinct_fingerprints(self):
-        source = "import random\nrandom.random()\nrandom.random()\n"
-        findings, _ = analyze_source(source, PROTOCOL_PATH, LintConfig())
-        calls = [f for f in findings if "call" in f.message]
-        assert len(calls) == 2
-        assert calls[0].fingerprint != calls[1].fingerprint
-
-    def test_all_six_rules_registered(self):
+    def test_all_four_rules_registered(self):
         from repro.analysis import rule_codes
 
-        assert set(rule_codes()) == {
-            "DET001",
-            "DET002",
-            "DET003",
-            "RNG004",
-            "API006",
-            "PKL008",
-        }
+        assert set(rule_codes()) == {"DET001", "DET002", "DET003", "API006"}
 
 
 class TestRetiredRules:
     """SHM005 and FLW012 guarded ``SharedMemory`` segment lifecycles.
 
     They were retired together with the last shared-memory code under
-    ``src/``; if a segment ever comes back, so must its rules.
+    ``src/``; if a segment ever comes back, so must its rules.  RNG004
+    and PKL008 were per-file copies of checks FLW011 and FLW013 now
+    make (see ``TestFlw011StreamReads`` and ``TestFlw013TaskSpecs``).
     """
 
-    @pytest.mark.parametrize("code", ["SHM005", "FLW012"])
+    @pytest.mark.parametrize("code", ["SHM005", "FLW012", "RNG004", "PKL008"])
     def test_retired_rule_not_registered(self, code):
         from repro.analysis import flow_rule_codes, rule_codes
 

@@ -2,7 +2,7 @@
 
 from textwrap import dedent
 
-from repro.analysis import LintConfig, analyze_source, scan_suppressions
+from repro.analysis import LintConfig, analyze_source, run_lint, scan_suppressions
 
 PROTOCOL_PATH = "src/repro/bargossip/fixture.py"
 
@@ -164,3 +164,30 @@ class TestStatementSpans:
         )
         assert malformed == []
         assert set(by_line) == {1}
+
+
+class TestFlowFindings:
+    """Flow-tier findings go through the same inline matcher."""
+
+    @staticmethod
+    def run(tmp_path, comment):
+        (tmp_path / "pyproject.toml").write_text("[project]\nname='fixture'\n")
+        module_dir = tmp_path / "src" / "repro" / "bargossip"
+        module_dir.mkdir(parents=True)
+        (module_dir / "proto.py").write_text(
+            "class Simulator:\n"
+            "    def run_exchanges(self):\n"
+            f"        return self._net_rng.random()  {comment}\n"
+        )
+        return run_lint([tmp_path / "src"], config=LintConfig(), root=tmp_path)
+
+    def test_suppression_silences_flow_finding(self, tmp_path):
+        result = self.run(tmp_path, "# lotus: ignore[FLW011] fixture draw")
+        assert result.findings == []
+        assert [f.rule for f, _ in result.suppressed] == ["FLW011"]
+        assert result.suppressed[0][1].reason == "fixture draw"
+
+    def test_wrong_rule_leaves_flow_finding_active(self, tmp_path):
+        result = self.run(tmp_path, "# lotus: ignore[FLW013] wrong code on purpose")
+        assert [f.rule for f in result.findings] == ["FLW011"]
+        assert result.suppressed == []
