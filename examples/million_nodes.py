@@ -63,7 +63,7 @@ def main() -> None:
         seed=0,
         execution=ExecutionConfig(backend="words", shards=1),
     )
-    print(f"init: {time.perf_counter() - start:.1f} s")
+    print(f"init: {(time.perf_counter() - start) * 1000.0:.0f} ms")
 
     memory = simulator.memory_breakdown()
     print(

@@ -117,9 +117,13 @@ def run_flow(sources: Dict[str, str], config: Optional[LintConfig] = None) -> Li
     """Run every enabled flow rule over ``{rel_path: source}``.
 
     Only files matching ``config.flow_project_patterns`` enter the
-    project model.  Inline suppressions are applied by the runner.
+    project model, and none is built when no flow rule is enabled.
+    Inline suppressions are applied by the runner.
     """
     config = config or LintConfig()
+    rules = [rule for rule in all_flow_rules() if config.is_enabled(rule.code)]
+    if not rules:
+        return []
     scoped = {
         rel_path: source
         for rel_path, source in sources.items()
@@ -132,9 +136,7 @@ def run_flow(sources: Dict[str, str], config: Optional[LintConfig] = None) -> Li
 
     findings: List[Finding] = []
     seen: Set[Tuple[str, str, int, int, str]] = set()
-    for rule in all_flow_rules():
-        if not config.is_enabled(rule.code):
-            continue
+    for rule in rules:
         for finding in rule.check(ctx):
             key = (finding.rule, finding.path, finding.line, finding.col, finding.message)
             if key in seen:

@@ -133,7 +133,7 @@ class AttackerCoalition:
             return cls(AttackKind.NONE)
         n_attackers = int(round(attacker_fraction * n_nodes))
         n_attackers = min(max(n_attackers, 0), n_nodes)
-        permutation = [int(x) for x in rng.permutation(n_nodes)]
+        permutation = rng.permutation(n_nodes).tolist()
         attacker_nodes = permutation[:n_attackers]
         if kind is AttackKind.CRASH:
             satiated: List[int] = []

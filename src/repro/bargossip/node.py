@@ -13,8 +13,9 @@ counters, and the two behaviour decisions the protocol leaves open:
 
 Since the columnar :class:`~repro.bargossip.population.Population`
 refactor, the per-node objects the simulator hands out are lightweight
-*views*: ``counters``, ``group`` and ``evicted`` read and write columns
-of the simulation-owned arrays (mirroring how the packed stores already
+*views*, built only when something asks for one: ``counters``,
+``group``, ``evicted`` and the role flags read and write columns of the
+simulation-owned arrays (mirroring how the packed stores already
 materialize ``have``/``missing`` on access), while a standalone
 ``GossipNode(...)`` — as unit tests construct — keeps plain per-object
 state.  Either way, all counter mutation flows through the single
@@ -108,6 +109,7 @@ BEHAVIOR_CODES: Dict[Behavior, int] = {
     behavior: code for code, behavior in enumerate(Behavior)
 }
 BEHAVIORS_BY_CODE: Tuple[Behavior, ...] = tuple(Behavior)
+_ATTACKER_CODE = GROUP_CODES[TargetGroup.ATTACKER]
 
 
 def _check_counter_value(name: str, value: int) -> None:
@@ -261,10 +263,10 @@ class GossipNode:
 
     Constructed either *standalone* (unit tests, ad-hoc experiments) —
     behaviour, group, counters and the evicted flag live on the object
-    — or as a *population view* via ``population=/row=``, in which case
-    ``group``, ``evicted`` and ``counters`` delegate to the simulation's
-    columnar arrays and the object is nothing but an id, a behaviour
-    tag, and a store view.
+    — or as a *population view* through :meth:`view`, in which case
+    ``group``, ``evicted``, ``counters`` and the role flags read and
+    write the simulation's columnar arrays at row ``node_id``, and the
+    object is nothing but an id, a behaviour tag, and a store view.
     """
 
     __slots__ = (
@@ -272,11 +274,9 @@ class GossipNode:
         "behavior",
         "store",
         "_population",
-        "_row",
         "_group",
         "_counters",
         "_evicted",
-        "_is_attacker",
     )
 
     def __init__(
@@ -287,40 +287,41 @@ class GossipNode:
         store: Optional[UpdateStore] = None,
         counters: Optional[ServiceCounters] = None,
         evicted: bool = False,
-        population=None,
-        row: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         self.behavior = behavior
-        self._population = population
-        self._row = node_id if row is None else row
-        self._is_attacker = group is TargetGroup.ATTACKER
-        if population is not None:
-            population.group_codes[self._row] = GROUP_CODES[group]
-            population.behavior_codes[self._row] = BEHAVIOR_CODES[behavior]
-            population.evicted[self._row] = evicted
-            self._group = None
-            self._counters = None
-            self._evicted = False
-        else:
-            self._group = group
-            self._counters = counters
-            self._evicted = evicted
+        self._population = None
+        self._group = group
+        self._counters = counters
+        self._evicted = evicted
         self.store = store if store is not None else UpdateStore()
+
+    @classmethod
+    def view(
+        cls, population, node_id: int, store: Optional[UpdateStore] = None
+    ) -> "GossipNode":
+        """The view of row ``node_id`` of ``population``.
+
+        Reads the row's behaviour code once (behaviours never change)
+        and writes nothing: the columns already hold the node's role.
+        """
+        behavior = BEHAVIORS_BY_CODE[population.behavior_codes[node_id]]
+        node = cls(node_id, behavior, None, store=store)
+        node._population = population
+        return node
 
     # -- population-backed columns -------------------------------------
 
     @property
     def group(self) -> TargetGroup:
         if self._population is not None:
-            return GROUPS_BY_CODE[int(self._population.group_codes[self._row])]
+            return GROUPS_BY_CODE[self._population.group_codes[self.node_id]]
         return self._group
 
     @group.setter
     def group(self, value: TargetGroup) -> None:
-        self._is_attacker = value is TargetGroup.ATTACKER
         if self._population is not None:
-            self._population.group_codes[self._row] = GROUP_CODES[value]
+            self._population.group_codes[self.node_id] = GROUP_CODES[value]
         else:
             self._group = value
 
@@ -329,7 +330,7 @@ class GossipNode:
         """The node's service counters (lazily materialized view)."""
         if self._counters is None:
             if self._population is not None:
-                self._counters = CounterColumnView(self._population, self._row)
+                self._counters = CounterColumnView(self._population, self.node_id)
             else:
                 self._counters = ServiceCounters()
         return self._counters
@@ -337,13 +338,13 @@ class GossipNode:
     @property
     def evicted(self) -> bool:
         if self._population is not None:
-            return bool(self._population.evicted[self._row])
+            return bool(self._population.evicted[self.node_id])
         return self._evicted
 
     @evicted.setter
     def evicted(self, value: bool) -> None:
         if self._population is not None:
-            self._population.evicted[self._row] = value
+            self._population.evicted[self.node_id] = value
         else:
             self._evicted = value
 
@@ -352,12 +353,14 @@ class GossipNode:
     @property
     def is_attacker(self) -> bool:
         """Whether this node is controlled by the attacker."""
-        return self._is_attacker
+        if self._population is not None:
+            return bool(self._population.group_codes[self.node_id] == _ATTACKER_CODE)
+        return self._group is TargetGroup.ATTACKER
 
     @property
     def is_correct(self) -> bool:
         """Whether this node runs the real protocol (possibly rationally)."""
-        return not self._is_attacker
+        return not self.is_attacker
 
     @property
     def is_satiated(self) -> bool:

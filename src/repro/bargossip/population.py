@@ -19,18 +19,27 @@ column             dtype / shape             contents
 ``evicted``        bool ``(n_nodes,)``       eviction flags
 =================  ========================  =============================
 
-Node objects survive as lazily-materialized views (the same move the
-packed stores already make for ``have``/``missing``): ``node.counters``
-is a :class:`~repro.bargossip.node.CounterColumnView` over one matrix
-row, ``node.group``/``node.evicted`` read and write the code arrays.
-The batched interaction paths skip the views entirely and scatter-add
-whole phases into the matrix — cell pairs are node-disjoint, so plain
-fancy-index ``+=`` is exact.
+Rows are node ids.  The simulator writes the role columns in one
+vectorized pass at construction, and the ``words`` backend's round path
+builds no node object: the batched sweeps, broadcast, rotation and the
+post-run reductions all read and write the columns.  Node objects
+survive as views built on demand (the same move the packed stores
+already make for ``have``/``missing``): :class:`NodeViews` is the
+read-only, id-indexed sequence behind ``simulator.nodes``, and builds
+each :class:`~repro.bargossip.node.GossipNode` view the first time it
+is indexed.  ``node.counters`` is a
+:class:`~repro.bargossip.node.CounterColumnView` over one matrix row;
+``node.group``/``node.evicted`` read and write the code arrays.  The
+scalar ``sets`` oracle and the event schedule's per-pair path use the
+views; the batched paths scatter-add whole phases into the matrix —
+cell pairs are node-disjoint, so plain fancy-index ``+=`` is exact.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import operator
+from collections.abc import Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -40,10 +49,11 @@ from .node import (
     COUNTER_FIELDS,
     GROUP_CODES,
     CounterColumnView,
+    GossipNode,
     TargetGroup,
 )
 
-__all__ = ["N_COUNTER_COLS", "Population"]
+__all__ = ["N_COUNTER_COLS", "NodeViews", "Population"]
 
 #: Columns of the counters matrix (== len(COUNTER_FIELDS)).
 N_COUNTER_COLS = len(COUNTER_FIELDS)
@@ -137,3 +147,44 @@ class Population:
 
     def __repr__(self) -> str:
         return f"Population(n_nodes={self.n_nodes})"
+
+
+class NodeViews(Sequence):
+    """The id-indexed node views of one population, built on demand.
+
+    A read-only sequence of ``size`` nodes: ``views[i]`` calls
+    ``factory(i)`` the first time and returns the same object after
+    that, so per-view state (the ``sets`` oracle's update stores)
+    persists.  Nothing is built until something indexes or iterates.
+    """
+
+    __slots__ = ("_size", "_factory", "_views", "_built")
+
+    def __init__(self, size: int, factory: Callable[[int], GossipNode]) -> None:
+        self._size = size
+        self._factory = factory
+        self._views: Optional[List[Optional[GossipNode]]] = None
+        self._built = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: int) -> GossipNode:
+        index = operator.index(index)
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError(f"node index out of range for {self._size} nodes")
+        views = self._views
+        if views is None:
+            views = self._views = [None] * self._size
+        view = views[index]
+        if view is None:
+            view = views[index] = self._factory(index)
+            self._built += 1
+        return view
+
+    def __iter__(self) -> Iterator[GossipNode]:
+        if self._views is not None and self._built == self._size:
+            return iter(self._views)
+        return map(self.__getitem__, range(self._size))

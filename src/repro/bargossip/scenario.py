@@ -229,7 +229,6 @@ def run_experiment(
     on the event schedule).  ``execution`` decides how the run executes
     and, through ``shards``, which partner model it runs.
     """
-    from .node import TargetGroup
     from .simulator import GossipExperimentResult, GossipSimulator
 
     execution = execution if execution is not None else ExecutionConfig()
@@ -260,11 +259,8 @@ def run_experiment(
     pool_coverage = (
         sum(pool_samples) / len(pool_samples) if pool_samples else None
     )
-    evicted = sum(
-        1
-        for node in simulator.nodes
-        if node.evicted and node.group is TargetGroup.ATTACKER
-    )
+    population = simulator.population
+    evicted = int((population.evicted & ~population.correct_mask).sum())
     delivery_times = simulator.delivery_time_summary()
     network_stats = (
         simulator.network_stats.as_dict()

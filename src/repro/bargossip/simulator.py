@@ -24,7 +24,7 @@ of both).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,9 +59,16 @@ from .exchange import (
     plan_balanced_exchange,
 )
 from .messages import sign_receipt
-from .node import COUNTER_INDEX, GossipNode, TargetGroup
+from .node import (
+    BEHAVIOR_CODES,
+    COUNTER_INDEX,
+    GROUP_CODES,
+    GROUPS_BY_CODE,
+    GossipNode,
+    TargetGroup,
+)
 from .partner import PartnerSchedule, Purpose, dependency_waves
-from .population import N_COUNTER_COLS, Population
+from .population import N_COUNTER_COLS, NodeViews, Population
 from .push import (
     apply_push,
     batched_push_eligibility,
@@ -120,8 +127,10 @@ class InteractionEngine:
     Parameters
     ----------
     nodes:
-        The engine's nodes; row ``i`` of ``pool`` and ``population``
-        belongs to ``nodes[i]``.
+        The engine's node views, indexed by node id (a
+        :class:`~repro.bargossip.population.NodeViews`); row ``i`` of
+        ``pool`` and ``population`` belongs to node ``i``.  Only the
+        scalar per-pair paths index it.
     config / attack / authority:
         As on :class:`GossipSimulator` (``authority`` may be None).
     pool:
@@ -137,14 +146,14 @@ class InteractionEngine:
 
     def __init__(
         self,
-        nodes: List[GossipNode],
+        nodes: Sequence[GossipNode],
         config: GossipConfig,
         attack: AttackerCoalition,
         authority: Optional[EvictionAuthority],
         pool: Optional[WordPopulationStore] = None,
         population: Optional[Population] = None,
     ) -> None:
-        self.nodes = list(nodes)
+        self.nodes = nodes
         self.config = config
         self.attack = attack
         self.authority = authority
@@ -153,66 +162,29 @@ class InteractionEngine:
         #: Cache-block size (in pairs) for the batched whole-phase
         #: sweeps; 0 disables chunking.
         self.chunk_pairs = PHASE_CHUNK_PAIRS
-        self._node_of: Dict[int, GossipNode] = {
-            node.node_id: node for node in self.nodes
-        }
-        self._row_of: Dict[int, int] = {
-            node.node_id: row for row, node in enumerate(self.nodes)
-        }
-        #: Dense node-id -> row map for the vectorized paths (scalar
-        #: paths keep the dict).  Built lazily: only the batched word
-        #: dispatch needs it.
-        self._row_lookup: Optional[np.ndarray] = None
-        #: Dense row -> node-id map; built lazily by the (rare) report
-        #: materialization path of the batched dumps.
-        self._ids_by_row: Optional[np.ndarray] = None
         #: ``(targets_version, mask)`` of the last satiated-row mask built.
         self._satiated_rows: Optional[Tuple[int, np.ndarray]] = None
 
     def _rows_of_ids(self, ids: "np.ndarray") -> "np.ndarray":
-        """Population/pool rows of an array of global node ids.
+        """Population/pool rows of an array of node ids: the ids themselves.
 
-        Raises on an id this engine does not own (the dict-based scalar
-        path would KeyError; the -1 sentinel must not silently index
-        the last row instead).
+        Raises on an id outside the population, which would otherwise
+        index a wrong row (negative) or fail deep inside a sweep.
         """
-        self._ensure_row_lookup()
-        if int(ids.max(initial=-1)) >= len(self._row_lookup):
+        outside = (ids < 0) | (ids >= self.population.n_nodes)
+        if outside.any():
             raise SimulationError(
-                f"node id {int(ids.max())} not in this engine's slice"
+                f"node id {int(ids[outside][0])} not in this population"
             )
-        rows = self._row_lookup[ids]
-        if (rows < 0).any():
-            unknown = ids[rows < 0].ravel()
-            raise SimulationError(
-                f"node id {int(unknown[0])} not in this engine's slice"
-            )
-        return rows
-
-    def _ensure_row_lookup(self) -> "np.ndarray":
-        """Build (once) the dense node-id -> row map; -1 marks foreign ids."""
-        if self._row_lookup is None:
-            own_ids = np.fromiter(
-                (node.node_id for node in self.nodes),
-                dtype=np.intp,
-                count=len(self.nodes),
-            )
-            lookup = np.full(int(own_ids.max()) + 1, -1, dtype=np.intp)
-            lookup[own_ids] = np.fromiter(
-                (self._row_of[node.node_id] for node in self.nodes),
-                dtype=np.intp,
-                count=len(self.nodes),
-            )
-            self._row_lookup = lookup
-        return self._row_lookup
+        return ids
 
     def _satiated_row_mask(self) -> "np.ndarray":
         """Per-row mask of the coalition's satiated targets.
 
         Built from the coalition's target id set — the same membership
         the scalar ``is_satiated_target`` gate consults — so the batched
-        and scalar paths agree by construction.  Targets outside this
-        engine's nodes are dropped.
+        and scalar paths agree by construction.  Targets outside the
+        population are dropped.
         Cached until the coalition's ``targets_version`` moves (every
         change to the target set goes through ``retarget``); callers
         only read the mask.
@@ -220,13 +192,11 @@ class InteractionEngine:
         version = self.attack.targets_version
         if self._satiated_rows is not None and self._satiated_rows[0] == version:
             return self._satiated_rows[1]
-        mask = np.zeros(len(self.population.evicted), dtype=bool)
+        mask = np.zeros(self.population.n_nodes, dtype=bool)
         targets = self.attack.satiated_targets
         if targets:
-            lookup = self._ensure_row_lookup()
             ids = np.fromiter(targets, dtype=np.intp, count=len(targets))
-            rows = lookup[ids[ids < len(lookup)]]
-            mask[rows[rows >= 0]] = True
+            mask[ids[(ids >= 0) & (ids < len(mask))]] = True
         self._satiated_rows = (version, mask)
         return mask
 
@@ -256,7 +226,7 @@ class InteractionEngine:
         self, round_now: int, initiator_id: int, partner_id: int
     ) -> None:
         """One directed exchange initiation (shared by all dispatchers)."""
-        node_of = self._node_of
+        node_of = self.nodes
         initiator = node_of[initiator_id]
         if initiator.evicted:
             return
@@ -542,42 +512,24 @@ class InteractionEngine:
             )
 
     def _file_dump_report(
-        self, round_now: int, giver_row: int, receiver_row: int,
-        selected_row, purpose,
+        self, round_now: int, giver: int, receiver: int, selected_row, purpose,
     ) -> None:
         """Sign and file one flagged dump (the rare id-materializing path)."""
-        ids = self._ids_of_rows()
         pool = self.pool
         bits = words_to_int(selected_row) >> pool.offset
         base = pool.base
         receipt = sign_receipt(
             round_now,
-            giver=int(ids[giver_row]),
-            receiver=int(ids[receiver_row]),
+            giver=giver,
+            receiver=receiver,
             purpose=purpose,
             updates_given=tuple(base + col for col in iter_bits(bits)),
             updates_returned=(),
         )
-        evicted_now = self.authority.file_report(int(ids[receiver_row]), receipt)
+        evicted_now = self.authority.file_report(receiver, receipt)
         if evicted_now:
-            self.population.evicted[giver_row] = True
-            self.attack.evict(int(ids[giver_row]))
-
-    def _ids_of_rows(self) -> "np.ndarray":
-        """Dense row -> node-id map (report materialization only)."""
-        if self._ids_by_row is None:
-            n = len(self.nodes)
-            own_rows = np.fromiter(
-                (self._row_of[node.node_id] for node in self.nodes),
-                dtype=np.intp,
-                count=n,
-            )
-            lookup = np.full(int(own_rows.max()) + 1, -1, dtype=np.intp)
-            lookup[own_rows] = np.fromiter(
-                (node.node_id for node in self.nodes), dtype=np.intp, count=n
-            )
-            self._ids_by_row = lookup
-        return self._ids_by_row
+            self.population.evicted[giver] = True
+            self.attack.evict(giver)
 
     def interact_exchange(
         self, round_now: int, initiator: GossipNode, partner: GossipNode
@@ -595,8 +547,8 @@ class InteractionEngine:
         if self.pool is not None:
             to_initiator, to_partner = bitset_exchange(
                 self.pool,
-                self._row_of[initiator.node_id],
-                self._row_of[partner.node_id],
+                initiator.node_id,
+                partner.node_id,
                 cap=self.config.exchange_cap,
                 unbalanced=self.config.unbalanced_exchange,
                 prefer_newest=self.config.exchange_prefer_newest,
@@ -704,7 +656,7 @@ class InteractionEngine:
         self, round_now: int, initiator_id: int, partner_id: int
     ) -> None:
         """One directed push initiation (shared by all dispatchers)."""
-        node_of = self._node_of
+        node_of = self.nodes
         initiator = node_of[initiator_id]
         if initiator.evicted:
             return
@@ -874,20 +826,11 @@ class InteractionEngine:
     ) -> None:
         """One correct-correct optimistic push on packed int rows."""
         plan = bitset_plan_push(
-            self.pool,
-            self._row_of[initiator.node_id],
-            self._row_of[partner.node_id],
-            self.config,
-            round_now,
+            self.pool, initiator.node_id, partner.node_id, self.config, round_now
         )
         if not partner.responds_to_push(plan.responder_count):
             return
-        bitset_apply_push(
-            self.pool,
-            self._row_of[initiator.node_id],
-            self._row_of[partner.node_id],
-            plan,
-        )
+        bitset_apply_push(self.pool, initiator.node_id, partner.node_id, plan)
         self._record_push(
             initiator,
             partner,
@@ -991,7 +934,6 @@ class GossipSimulator(RoundSimulator):
             )
         self.schedule = schedule
         self.attack = attack if attack is not None else AttackerCoalition(AttackKind.NONE)
-        self._validate_attack()
         self._streams = RngStreams(seed)
         partner_rng = self._streams.get("partners")
         self._partners = (
@@ -1032,9 +974,9 @@ class GossipSimulator(RoundSimulator):
         #: behaviour codes, eviction flags) — every backend uses it;
         #: node objects are views into its columns.
         self.population = Population(config.n_nodes)
-        self.nodes: List[GossipNode] = [
-            self._make_node(node_id) for node_id in range(config.n_nodes)
-        ]
+        self._assign_roles()
+        #: The node views, indexed by node id and built on first access.
+        self.nodes = NodeViews(config.n_nodes, self._make_node)
         # Per-node (delivered, missed) tallies over the measured window
         # (see the `per_node_delivered` property): plain lists on the
         # set backend (cheap scalar increments), arrays on the words
@@ -1133,38 +1075,46 @@ class GossipSimulator(RoundSimulator):
     # Setup
     # ------------------------------------------------------------------
 
-    def _validate_attack(self) -> None:
-        bad = [
-            node
-            for node in (self.attack.nodes | self.attack.satiated_targets)
-            if not 0 <= node < self.config.n_nodes
-        ]
-        if bad:
-            raise ConfigurationError(f"attack references unknown nodes: {sorted(bad)}")
+    def _assign_roles(self) -> None:
+        """Write the group and behaviour columns from the coalition.
+
+        Coalition members are Byzantine attackers; every other node is
+        a satiated or isolated target, obedient with probability
+        ``obedient_fraction``.  The obedience draws are one
+        ``random(n_correct)`` call over the correct ids in ascending
+        order, which yields the same doubles as one scalar draw per
+        correct node.
+        """
+        n_nodes = self.config.n_nodes
+        attackers = np.fromiter(self.attack.nodes, dtype=np.int64)
+        targets = np.fromiter(self.attack.satiated_targets, dtype=np.int64)
+        ids = np.concatenate((attackers, targets))
+        bad = ids[(ids < 0) | (ids >= n_nodes)]
+        if len(bad):
+            raise ConfigurationError(
+                f"attack references unknown nodes: {np.unique(bad).tolist()}"
+            )
+        population = self.population
+        population.group_codes[:] = GROUP_CODES[TargetGroup.ISOLATED]
+        population.group_codes[targets] = GROUP_CODES[TargetGroup.SATIATED]
+        population.group_codes[attackers] = GROUP_CODES[TargetGroup.ATTACKER]
+        correct = population.correct_mask
+        obedient = (
+            self._roles_rng.random(int(correct.sum()))
+            < self.config.obedient_fraction
+        )
+        behavior = population.behavior_codes
+        behavior[attackers] = BEHAVIOR_CODES[Behavior.BYZANTINE]
+        behavior[correct] = np.where(
+            obedient,
+            BEHAVIOR_CODES[Behavior.OBEDIENT],
+            BEHAVIOR_CODES[Behavior.RATIONAL],
+        )
 
     def _make_node(self, node_id: int) -> GossipNode:
-        if self.attack.controls(node_id):
-            behavior, group = Behavior.BYZANTINE, TargetGroup.ATTACKER
-        else:
-            group = (
-                TargetGroup.SATIATED
-                if self.attack.is_satiated_target(node_id)
-                else TargetGroup.ISOLATED
-            )
-            behavior = (
-                Behavior.OBEDIENT
-                if self._roles_rng.random() < self.config.obedient_fraction
-                else Behavior.RATIONAL
-            )
+        """The view of node ``node_id`` (built once, by :attr:`nodes`)."""
         store = self._pool.view(node_id) if self._pool is not None else None
-        return GossipNode(
-            node_id,
-            behavior,
-            group,
-            store=store,
-            population=self.population,
-            row=node_id,
-        )
+        return GossipNode.view(self.population, node_id, store)
 
     # ------------------------------------------------------------------
     # Per-node tally views (backend-independent API)
@@ -1545,22 +1495,17 @@ class GossipSimulator(RoundSimulator):
             or round_now % self.rotate_targets_every != 0
         ):
             return
-        correct = [node.node_id for node in self.nodes if node.is_correct]
+        group_codes = self.population.group_codes
+        correct = np.flatnonzero(self.population.correct_mask)
         count = min(len(self.attack.satiated_targets), len(correct))
         if count == 0:
             return
         picks = self._rotation_rng.choice(len(correct), size=count, replace=False)
-        new_targets = {correct[int(index)] for index in picks}
-        self.attack.retarget(new_targets)
-        for node in self.nodes:
-            if node.is_correct:
-                # The group property writes the population's code
-                # column, so the expiry-scoring masks follow for free.
-                node.group = (
-                    TargetGroup.SATIATED
-                    if node.node_id in new_targets
-                    else TargetGroup.ISOLATED
-                )
+        new_targets = correct[picks]
+        self.attack.retarget(new_targets.tolist())
+        # The expiry-scoring masks read this column, so they follow.
+        group_codes[correct] = GROUP_CODES[TargetGroup.ISOLATED]
+        group_codes[new_targets] = GROUP_CODES[TargetGroup.SATIATED]
 
     def _broadcast(self, round_now: int) -> List[int]:
         """Release this round's updates and seed each to random nodes.
@@ -1572,6 +1517,8 @@ class GossipSimulator(RoundSimulator):
         """
         fresh = self.ledger.release(round_now)
         population = self.config.n_nodes
+        evicted = self.population.evicted
+        members = self.attack.nodes
         departed = self._departed
         churning = departed is not None and departed.any()
         first_col = 0
@@ -1594,9 +1541,8 @@ class GossipSimulator(RoundSimulator):
             else:
                 for node in self.nodes:
                     node.store.announce(update, node.node_id in seeded_set)
-            for node_id in sorted(seeded_set):
-                if not self.nodes[node_id].evicted:
-                    self.attack.observe_seeding(node_id, (update,))
+            if any(not evicted[node] for node in members & seeded_set):
+                self.attack.pool.add(update)
         return fresh
 
     def _attack_out_of_band(self) -> None:
@@ -1657,26 +1603,26 @@ class GossipSimulator(RoundSimulator):
         delivered_by_node = self._delivered_by_node
         missed_by_node = self._missed_by_node
         windows_by_node = self._windows_by_node
+        correct = self.population.correct_mask.tolist()
+        satiated = self.population.satiated_mask.tolist()
         for update in due:
             created = creation_round(update, self.config.updates_per_round)
             measured = created >= self.measure_from_round
             window = created // self.config.update_lifetime
             for node in self.nodes:
                 held = node.store.expire(update)
-                if not measured or not node.is_correct:
+                node_id = node.node_id
+                if not measured or not correct[node_id]:
                     continue
                 if held:
-                    delivered_by_node[node.node_id] += 1
+                    delivered_by_node[node_id] += 1
                 else:
-                    missed_by_node[node.node_id] += 1
-                bucket = windows_by_node[node.node_id].setdefault(window, [0, 0])
+                    missed_by_node[node_id] += 1
+                bucket = windows_by_node[node_id].setdefault(window, [0, 0])
                 bucket[0 if held else 1] += 1
                 slot = 0 if held else 1
                 tallies["correct"][slot] += 1
-                group = (
-                    "satiated" if node.group is TargetGroup.SATIATED else "isolated"
-                )
-                tallies[group][slot] += 1
+                tallies["satiated" if satiated[node_id] else "isolated"][slot] += 1
         for group, (delivered, missed) in tallies.items():
             if delivered or missed:
                 self.stats.record(group, delivered, missed)
@@ -1731,17 +1677,10 @@ class GossipSimulator(RoundSimulator):
 
     def per_node_fractions(self) -> Dict[int, float]:
         """Delivery fraction of every correct node with due updates."""
-        fractions = {}
-        delivered_by_node = self._delivered_by_node
-        missed_by_node = self._missed_by_node
-        for node in self.nodes:
-            if not node.is_correct:
-                continue
-            delivered = int(delivered_by_node[node.node_id])
-            due = delivered + int(missed_by_node[node.node_id])
-            if due:
-                fractions[node.node_id] = delivered / due
-        return fractions
+        delivered = np.asarray(self._delivered_by_node, dtype=np.int64)
+        due = delivered + np.asarray(self._missed_by_node, dtype=np.int64)
+        ids = np.flatnonzero(self.population.correct_mask & (due > 0))
+        return dict(zip(ids.tolist(), (delivered[ids] / due[ids]).tolist()))
 
     def unusable_node_fraction(self, threshold: Optional[float] = None) -> float:
         """Fraction of correct nodes whose stream is not usable.
@@ -1773,14 +1712,13 @@ class GossipSimulator(RoundSimulator):
         threshold = (
             self.config.usability_threshold if threshold is None else threshold
         )
-        correct = [node for node in self.nodes if node.is_correct]
+        correct = np.flatnonzero(self.population.correct_mask).tolist()
         if not correct:
             return 0.0
         hit = 0
         per_node_windows = self.per_node_windows
-        for node in correct:
-            windows = per_node_windows[node.node_id]
-            for delivered, missed in windows.values():
+        for node_id in correct:
+            for delivered, missed in per_node_windows[node_id].values():
                 due = delivered + missed
                 if due and delivered / due <= threshold:
                     hit += 1
@@ -1789,10 +1727,13 @@ class GossipSimulator(RoundSimulator):
 
     def group_sizes(self) -> Dict[str, int]:
         """Population of each target group."""
-        sizes = {"attacker": 0, "satiated": 0, "isolated": 0}
-        for node in self.nodes:
-            sizes[node.group.value] += 1
-        return sizes
+        counts = np.bincount(
+            self.population.group_codes, minlength=len(GROUPS_BY_CODE)
+        )
+        return {
+            group.value: count
+            for group, count in zip(GROUPS_BY_CODE, counts.tolist())
+        }
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Meta-tests: the shipped tree is lotus-lint clean, and the CLI
 subcommand drives the analyzer end to end."""
 
+import ast
 import json
 from pathlib import Path
 from textwrap import dedent
@@ -8,6 +9,7 @@ from textwrap import dedent
 import pytest
 
 from repro.analysis import LintConfig, run_lint
+from repro.analysis.flow.project import ProjectModel
 from repro.harness.cli import _build_lint_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -46,6 +48,36 @@ class TestShippedTree:
         assert main(["lint", "src", "tests"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
+
+
+#: The config lists naming functions or classes of the shipped tree.
+SCOPE_LISTS = (
+    "api006_allowed_functions",
+    "flw010_roots",
+    "flw010_row_sources",
+    "flw010_local_factories",
+    "flw011_allowed_functions",
+    "flw011_protocol_sinks",
+    "flw014_retry_roots",
+)
+#: numpy calls the row-source list names on purpose.
+NUMPY_ROW_SOURCES = {"flatnonzero", "nonzero", "arange"}
+
+
+def test_scope_lists_name_functions_defined_under_src():
+    """A rule scoped to a deleted function silently checks nothing, so
+    every name in these lists must still be defined under ``src/``."""
+    defined = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    config = LintConfig()
+    stale = {
+        field: sorted(set(getattr(config, field)) - defined - NUMPY_ROW_SOURCES)
+        for field in SCOPE_LISTS
+    }
+    assert stale == {field: [] for field in SCOPE_LISTS}
 
 
 @pytest.fixture
@@ -145,6 +177,16 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert "FLW010" in {f["rule"] for f in payload["findings"]}
+
+    def test_per_file_rules_skip_the_flow_model(self, fixture_repo, capsys, monkeypatch):
+        """With no flow rule enabled, the project model is never built."""
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("flow model built with no flow rule enabled")
+
+        monkeypatch.setattr(ProjectModel, "build", no_build)
+        assert main(["lint", "--rules", "DET001", str(fixture_repo / "src")]) == 1
+        assert "DET001" in capsys.readouterr().out
 
     def test_nonexistent_path_is_an_error(self, fixture_repo, capsys):
         """A typo'd explicit path must not pass green (exit 2, not 0)."""

@@ -4,24 +4,34 @@ The end-to-end guarantees (bit-exact parity across backends and
 partner models with the columnar counters in place) live in the parity
 suites; this module pins the pieces: the counters matrix and its
 views, the code columns behind ``group``/``behavior``/``evicted``, the
-overflow guards, and the sparse counter deltas the batched sweeps fold
-in.
+overflow guards, the sparse counter deltas the batched sweeps fold
+in, and the column-first construction: role columns equal to the
+per-node loop they replace, no node view built on the words path, and
+the on-demand ``simulator.nodes`` sequence.
 """
 
 import numpy as np
 import pytest
 
 from repro.bargossip.node import (
+    BEHAVIOR_CODES,
     COUNTER_FIELDS,
     COUNTER_MAX,
     CounterColumnView,
+    GROUP_CODES,
     GossipNode,
     ServiceCounters,
     TargetGroup,
 )
+from repro.bargossip.attacker import AttackerCoalition, AttackKind
+from repro.bargossip.config import GossipConfig
+from repro.bargossip.defenses import ReportingPolicy
 from repro.bargossip.population import N_COUNTER_COLS, Population
+from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
+from repro.bargossip.simulator import GossipSimulator
 from repro.core.behaviors import Behavior
-from repro.core.errors import SimulationError
+from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.rng import RngStreams
 
 
 class TestCounterColumns:
@@ -120,17 +130,20 @@ class TestGroupCodeVocabulary:
         assert GROUP_CODES[TargetGroup.ATTACKER] == 0
 
 
+def _set_role(population, row, behavior, group):
+    population.behavior_codes[row] = BEHAVIOR_CODES[behavior]
+    population.group_codes[row] = GROUP_CODES[group]
+
+
 class TestNodeViews:
     def test_bound_node_delegates_to_columns(self):
         population = Population(3)
-        node = GossipNode(
-            1,
-            Behavior.OBEDIENT,
-            TargetGroup.SATIATED,
-            population=population,
-            row=1,
-        )
-        assert population.satiated_mask.tolist() == [False, True, False]
+        for row in range(3):
+            _set_role(population, row, Behavior.RATIONAL, TargetGroup.ISOLATED)
+        _set_role(population, 1, Behavior.OBEDIENT, TargetGroup.SATIATED)
+        node = GossipNode.view(population, 1)
+        assert node.behavior is Behavior.OBEDIENT
+        assert node.group is TargetGroup.SATIATED
         node.group = TargetGroup.ISOLATED
         assert not population.satiated_mask.any()
         assert node.group is TargetGroup.ISOLATED
@@ -139,6 +152,28 @@ class TestNodeViews:
         node.counters.add(updates_sent=2)
         assert population.counters[1, 0] == 2
         assert isinstance(node.counters, CounterColumnView)
+
+    def test_view_writes_no_column(self):
+        population = Population(2)
+        _set_role(population, 0, Behavior.RATIONAL, TargetGroup.SATIATED)
+        before = [
+            column.copy()
+            for column in (
+                population.group_codes,
+                population.behavior_codes,
+                population.evicted,
+                population.counters,
+            )
+        ]
+        GossipNode.view(population, 0)
+        after = (
+            population.group_codes,
+            population.behavior_codes,
+            population.evicted,
+            population.counters,
+        )
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
 
     def test_standalone_node_keeps_local_state(self):
         node = GossipNode(0, Behavior.RATIONAL, TargetGroup.ISOLATED)
@@ -151,14 +186,17 @@ class TestNodeViews:
     def test_attacker_flag_tracks_group(self):
         node = GossipNode(0, Behavior.BYZANTINE, TargetGroup.ATTACKER)
         assert node.is_attacker and not node.is_correct
+        node.group = TargetGroup.ISOLATED
+        assert node.is_correct
         population = Population(1)
-        bound = GossipNode(
-            0, Behavior.BYZANTINE, TargetGroup.ATTACKER,
-            population=population, row=0,
-        )
-        assert bound.is_attacker
+        _set_role(population, 0, Behavior.BYZANTINE, TargetGroup.ATTACKER)
+        bound = GossipNode.view(population, 0)
+        assert bound.is_attacker is True
         assert population.byzantine_mask.tolist() == [True]
         assert population.correct_mask.tolist() == [False]
+        # The flag reads the group column, not a copy taken at build.
+        population.group_codes[0] = GROUP_CODES[TargetGroup.SATIATED]
+        assert bound.is_correct and not bound.is_attacker
 
 
 class TestSparseDeltas:
@@ -178,3 +216,164 @@ class TestSparseDeltas:
             np.zeros(0, dtype=np.int32), np.zeros((0, N_COUNTER_COLS))
         )
         assert not target.counters.any()
+
+
+def _config(n_nodes, **fields):
+    """The paper's protocol at ``n_nodes`` (seeding clipped to fit)."""
+    return GossipConfig.paper().replace(
+        n_nodes=n_nodes, copies_seeded=min(12, n_nodes), **fields
+    )
+
+
+def _reference_codes(config, attack, roles_rng):
+    """The per-node role loop the simulator ran before roles were
+    vectorized: one obedience draw per correct node, in id order."""
+    groups, behaviors = [], []
+    for node_id in range(config.n_nodes):
+        if attack.controls(node_id):
+            behavior, group = Behavior.BYZANTINE, TargetGroup.ATTACKER
+        else:
+            group = (
+                TargetGroup.SATIATED
+                if attack.is_satiated_target(node_id)
+                else TargetGroup.ISOLATED
+            )
+            behavior = (
+                Behavior.OBEDIENT
+                if roles_rng.random() < config.obedient_fraction
+                else Behavior.RATIONAL
+            )
+        groups.append(GROUP_CODES[group])
+        behaviors.append(BEHAVIOR_CODES[behavior])
+    return groups, behaviors
+
+
+class TestColumnConstruction:
+    @pytest.mark.parametrize("n_nodes", [5, 250, 2000])
+    @pytest.mark.parametrize("obedient_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "kind",
+        [AttackKind.NONE, AttackKind.CRASH, AttackKind.IDEAL, AttackKind.TRADE],
+    )
+    def test_roles_match_the_per_node_loop(self, kind, obedient_fraction, n_nodes):
+        config = _config(n_nodes, obedient_fraction=obedient_fraction)
+        for seed in range(5):
+            attack = AttackerCoalition.build(
+                kind, n_nodes, 0.2, RngStreams(seed).get("coalition")
+            )
+            simulator = GossipSimulator(config, attack=attack, seed=seed)
+            roles_rng = RngStreams(seed).get("roles")
+            groups, behaviors = _reference_codes(config, attack, roles_rng)
+            population = simulator.population
+            assert population.group_codes.tolist() == groups
+            assert population.behavior_codes.tolist() == behaviors
+            assert simulator._roles_rng.random() == roles_rng.random()
+
+    def test_unknown_attack_node_rejected(self):
+        attack = AttackerCoalition(AttackKind.TRADE, nodes=[1, 9], satiated_targets=[7])
+        with pytest.raises(ConfigurationError, match=r"\[7, 9\]"):
+            GossipSimulator(_config(5), attack=attack)
+
+
+@pytest.fixture
+def count_node_builds(monkeypatch):
+    """Counts every node view the simulator builds."""
+    built = []
+    make_node = GossipSimulator._make_node
+
+    def counting(self, node_id):
+        built.append(node_id)
+        return make_node(self, node_id)
+
+    monkeypatch.setattr(GossipSimulator, "_make_node", counting)
+    return built
+
+
+class TestNoViewsOnTheWordsPath:
+    """The words backend's round path and the post-run reductions read
+    the columns only: no node view is ever built."""
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_build_and_step(self, count_node_builds, shards):
+        config = _config(300, obedient_fraction=1.0)
+        attack = AttackerCoalition.build(
+            AttackKind.TRADE, 300, 0.2, RngStreams(3).get("coalition")
+        )
+        simulator = GossipSimulator(
+            config,
+            attack=attack,
+            seed=3,
+            reporting=ReportingPolicy(excess_threshold=1),
+            rotate_targets_every=2,
+            execution=ExecutionConfig(backend="words", shards=shards),
+        )
+        for _ in range(3):
+            simulator.step()
+        simulator.group_sizes()
+        simulator.per_node_fractions()
+        simulator.intermittently_unusable_fraction()
+        assert simulator.population.evicted.any()  # the report path ran
+        assert count_node_builds == []
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_run_experiment(self, count_node_builds, shards):
+        scenario = Scenario(
+            config=_config(200, obedient_fraction=1.0),
+            kind=AttackKind.TRADE,
+            attacker_fraction=0.2,
+            rounds=25,
+            reporting=ReportingPolicy(excess_threshold=1),
+            rotate_targets_every=4,
+        )
+        result = run_experiment(
+            scenario, ExecutionConfig(backend="words", shards=shards), seed=1
+        )
+        assert result.isolated_fraction is not None
+        assert result.evicted_attackers > 0
+        assert count_node_builds == []
+
+
+class TestNodeSequence:
+    def test_sequence_semantics(self, count_node_builds):
+        simulator = GossipSimulator(
+            _config(6),
+            attack=AttackerCoalition(AttackKind.TRADE, nodes=[2], satiated_targets=[4]),
+        )
+        nodes = simulator.nodes
+        assert len(nodes) == 6
+        assert count_node_builds == []
+        assert nodes[3] is nodes[3]
+        assert nodes[-1] is nodes[5]
+        assert nodes[np.int64(2)] is nodes[2]
+        assert nodes[2].is_attacker and nodes[4].group is TargetGroup.SATIATED
+        assert count_node_builds == [3, 5, 2, 4]
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                nodes[index]
+        with pytest.raises(TypeError):
+            nodes[0] = nodes[1]
+        iterated = list(nodes)
+        assert [node.node_id for node in iterated] == list(range(6))
+        assert all(view is nodes[i] for i, view in enumerate(iterated))
+        assert list(nodes) == iterated
+        assert sorted(count_node_builds) == list(range(6))
+
+    def test_sets_views_keep_their_stores(self):
+        simulator = GossipSimulator(
+            _config(20),
+            execution=ExecutionConfig(backend="sets"),
+        )
+        store = simulator.nodes[7].store
+        simulator.step()
+        assert simulator.nodes[7].store is store
+        assert store.have or store.missing
+
+
+class TestRowsAreIds:
+    @pytest.mark.parametrize("pair, bad", [([0, 8], 8), ([-1, 3], -1)])
+    def test_id_outside_the_population_raises(self, pair, bad):
+        simulator = GossipSimulator(
+            _config(8), execution=ExecutionConfig(backend="words", shards=1)
+        )
+        with pytest.raises(SimulationError, match=f"node id {bad} "):
+            simulator._engine.run_exchanges_batched(0, np.array([pair]))

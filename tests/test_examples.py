@@ -2,6 +2,7 @@
 small size and prints the reading it exists to show."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ def test_million_nodes_example_reports_its_readings(tmp_path):
     out = run_example(
         "million_nodes.py", "--nodes", "2000", "--rounds", "2", tmp_path=tmp_path
     )
+    assert re.search(r"^init: \d+ ms$", out, re.MULTILINE)
     assert "ms/round over 2 rounds" in out
     assert "B/node" in out
     assert "peak RSS:" in out
