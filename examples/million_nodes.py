@@ -3,8 +3,9 @@
 
 The paper simulates 250 nodes.  The word-array backend turns each
 round's exchange and push phases into whole-population masked word
-sweeps over a flat ~115 bytes/node of state (packed have/missing rows,
-the counter matrix, and three one-byte code columns), so the protocol
+sweeps over a flat ~91 bytes/node of state (packed have rows plus one
+shared live row, the counter matrix, and three one-byte code columns;
+a node's missing row is derived as ``live & ~have``), so the protocol
 runs at 10^6 nodes in well under a second per round on a single
 machine.  This script runs one such point — a 20% trade coalition
 pampering its satiated targets — on the 4-node-cell pairing

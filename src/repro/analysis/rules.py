@@ -98,7 +98,7 @@ class LintConfig:
     flw010_buffer_attrs: Tuple[str, ...] = (
         "counters",
         "have_words",
-        "missing_words",
+        "live_words",
     )
     #: Index names treated as row guards: exact names plus
     #: prefixes (``rows``, ``rows_i`` …).

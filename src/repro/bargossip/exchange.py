@@ -161,12 +161,15 @@ def bitset_exchange(
     row AND, and id order equals bit order), applies them in place, and
     returns ``(to_initiator_count, to_responder_count)``.  Fusing the
     two steps skips materializing id tuples — the simulator only needs
-    the transfer counts for its service counters.
+    the transfer counts for its service counters.  Every have row lies
+    inside the live row, so what one end holds and the other lacks is
+    exactly what the other misses.
     """
     have = pool.have_bits
-    missing = pool.missing_bits
-    available_to_initiator = have[responder] & missing[initiator]
-    available_to_responder = have[initiator] & missing[responder]
+    have_initiator = have[initiator]
+    have_responder = have[responder]
+    available_to_initiator = have_responder & ~have_initiator
+    available_to_responder = have_initiator & ~have_responder
     if not available_to_initiator or not available_to_responder:
         return 0, 0
     n_initiator = popcount(available_to_initiator)
@@ -189,10 +192,8 @@ def bitset_exchange(
         if count_responder == n_responder
         else take(available_to_responder, count_responder)
     )
-    have[initiator] |= selected_initiator
-    missing[initiator] &= ~selected_initiator
-    have[responder] |= selected_responder
-    missing[responder] &= ~selected_responder
+    have[initiator] = have_initiator | selected_initiator
+    have[responder] = have_responder | selected_responder
     return count_initiator, count_responder
 
 
@@ -221,12 +222,18 @@ def batched_word_exchange(
     write-back run once over both directions.  Both directions select
     from the pre-exchange rows, so stacking them is exact.
 
+    Each end's have row is gathered once.  Every have row lies inside
+    the store's live row, so a side's availability — the peer's have
+    AND its own missing (``live & ~have``) — is the peer's have minus
+    its own: the columns where the two rows differ, split by which end
+    holds them.  No live-row AND is needed.
+
     The counts are planned over every pair, but only the pairs that
     move something (a positive count, hence a positive count both ways)
     are truncated and written back.  That is exact: a pair that moves
-    nothing would write ``have | 0`` and ``missing & ~0``, i.e. its
-    rows unchanged.  Under the lotus-eater attack most pairs are such
-    no-ops — a satiated node has nothing left to trade for.
+    nothing would write ``have | 0``, i.e. its rows unchanged.  Under
+    the lotus-eater attack most pairs are such no-ops — a satiated node
+    has nothing left to trade for.
 
     Returns the per-pair ``(to_initiator, to_responder)`` transfer
     counts.
@@ -237,11 +244,13 @@ def batched_word_exchange(
     rows_r = np.asarray(responders, dtype=np.intp)
     n = len(rows_i)
     have = pool.have_words
-    missing = pool.missing_words
     ends = np.concatenate((rows_i, rows_r))
-    available = missing.take(ends, axis=0)
-    available[:n] &= have.take(rows_r, axis=0)
-    available[n:] &= have.take(rows_i, axis=0)
+    available = have.take(ends, axis=0)
+    differ = available[:n] ^ available[n:]
+    # Rows [:n] become what the initiators lack, then rows [n:] what
+    # the responders lack: the two halves of ``differ``.
+    np.bitwise_and(differ, available[n:], out=available[:n])
+    np.bitwise_xor(differ, available[:n], out=available[n:])
     n_available = word_popcounts(available)
     base = np.minimum(np.minimum(n_available[:n], n_available[n:]), cap)
     both = np.concatenate((base, base))
@@ -260,7 +269,6 @@ def batched_word_exchange(
         )
         movers = ends.take(moving)
         have[movers] |= selected
-        missing[movers] &= ~selected
     return counts[:n], counts[n:]
 
 
@@ -305,9 +313,8 @@ def batched_word_dump(
     0``), in receiver order — the report path materializes id tuples
     only for the few of those the reporting policy flags.
     """
-    missing = pool.missing_words
-    miss = missing.take(receivers, axis=0)
-    selected = miss & pool_words[None, :]
+    selected = pool.missing_rows(receivers)
+    selected &= pool_words
     n_give = word_popcounts(selected)
     counts = np.minimum(n_give, limits)
     moving = counts.nonzero()[0]
@@ -318,5 +325,4 @@ def batched_word_dump(
     )
     movers = receivers.take(moving)
     pool.have_words[movers] |= selected
-    missing[movers] = miss.take(moving, axis=0) & ~selected
     return counts, selected

@@ -197,13 +197,15 @@ def batched_push_eligibility(
     """
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
     old_words = pool.mask_words(old_mask)
-    wants = word_rows_any(pool.missing_words.take(rows, axis=0) & old_words)
+    held = pool.have_words.take(rows, axis=0)
+    # A have row lies inside the live row, so a node misses an old
+    # update exactly when its old held columns differ from the old live.
+    old_held = held & old_words
+    old_held ^= pool.live_words & old_words
+    wants = word_rows_any(old_held)
     if obedient.any():
-        recent_words = pool.mask_words(recent_mask)
-        has_offers = word_rows_any(
-            pool.have_words.take(rows, axis=0) & recent_words
-        )
-        wants |= obedient & has_offers
+        held &= pool.mask_words(recent_mask)
+        wants |= obedient & word_rows_any(held)
     return wants
 
 
@@ -224,16 +226,18 @@ def bitset_plan_push(
     one mask allocation.
     """
     recent_mask = _recent_offer_mask(pool, config, round_now)
-    wanted = (
-        pool.have_bits[initiator] & pool.missing_bits[responder] & recent_mask
-    )
+    have_initiator = pool.have_bits[initiator]
+    have_responder = pool.have_bits[responder]
+    # Have rows lie inside the live row: what one end holds and the
+    # other lacks is exactly what the other misses.
+    wanted = have_initiator & ~have_responder & recent_mask
     if not wanted:
         return _EMPTY_BITSET_PUSH
     to_responder = bottom_bits(wanted, config.push_size)
     if not to_responder:
         return _EMPTY_BITSET_PUSH
     old_mask = _old_need_mask(pool, config, round_now)
-    payable = pool.missing_bits[initiator] & pool.have_bits[responder] & old_mask
+    payable = have_responder & ~have_initiator & old_mask
     to_initiator = bottom_bits(payable, popcount(to_responder))
     return BitsetPushPlan(to_responder, to_initiator)
 
@@ -243,9 +247,7 @@ def bitset_apply_push(
 ) -> None:
     """Apply a negotiated packed push in place."""
     pool.have_bits[responder] |= plan.to_responder_mask
-    pool.missing_bits[responder] &= ~plan.to_responder_mask
     pool.have_bits[initiator] |= plan.to_initiator_mask
-    pool.missing_bits[initiator] &= ~plan.to_initiator_mask
 
 
 def batched_word_push(
@@ -282,12 +284,17 @@ def batched_word_push(
     rows_i = np.asarray(initiators, dtype=np.intp)
     rows_r = np.asarray(responders, dtype=np.intp)
     recent_mask, old_mask = push_window_masks(pool, config, round_now)
-    recent = pool.mask_words(recent_mask)
     have = pool.have_words
-    missing = pool.missing_words
+    # Each end's have row, gathered once; have rows lie inside the live
+    # row, so the columns where the two differ split into what the
+    # responder misses (held by the initiator) and what the initiator
+    # misses (held by the responder).
     to_responder = have.take(rows_i, axis=0)
-    to_responder &= missing.take(rows_r, axis=0)
-    to_responder &= recent
+    payable = have.take(rows_r, axis=0)
+    payable ^= to_responder
+    to_responder &= payable
+    payable ^= to_responder
+    to_responder &= pool.mask_words(recent_mask)
     n_wanted = word_popcounts(to_responder)
     responder_counts = np.minimum(n_wanted, config.push_size)
     initiator_counts = np.zeros_like(responder_counts)
@@ -300,8 +307,7 @@ def batched_word_push(
     selected = np.empty((2 * m, have.shape[1]), dtype=have.dtype)
     to_responder.take(moving, axis=0, out=selected[:m])
     to_initiator = selected[m:]
-    missing.take(ends[m:], axis=0, out=to_initiator)
-    to_initiator &= have.take(ends[:m], axis=0)
+    payable.take(moving, axis=0, out=to_initiator)
     to_initiator &= pool.mask_words(old_mask)
     n_payable = word_popcounts(to_initiator)
     offered = responder_counts.take(moving)
@@ -314,7 +320,6 @@ def batched_word_push(
         prefer_newest=False,
     )
     have[ends] |= selected
-    missing[ends] &= ~selected
     return responder_counts, initiator_counts
 
 

@@ -1045,8 +1045,9 @@ class GossipSimulator(RoundSimulator):
     def memory_breakdown(self) -> Dict[str, int]:
         """Per-component bytes of the flat population state (words backend).
 
-        The scaling budget: word rows (have + missing), the counters
-        matrix, and the per-node role/eviction code columns.
+        The scaling budget: word rows (the have matrix plus the shared
+        live row), the counters matrix, and the per-node role/eviction
+        code columns.
         """
         if self._pool is None:
             raise SimulationError(
@@ -1568,11 +1569,10 @@ class GossipSimulator(RoundSimulator):
             if not len(rows):
                 return
             mask = self.attack.pool_mask(pool.base, pool.capacity)
-            miss = pool.missing_words.take(rows, axis=0)
-            give = miss & pool.mask_words(mask)[None, :]
+            give = pool.missing_rows(rows)
+            give &= pool.mask_words(mask)
             counts = word_popcounts(give)
             pool.have_words[rows] |= give
-            pool.missing_words[rows] = miss & ~give
             self.attack.updates_served += int(counts.sum())
             gained = counts > 0
             self.population.counters[rows[gained], CI_UPDATES_RECEIVED] += counts[
@@ -1712,18 +1712,31 @@ class GossipSimulator(RoundSimulator):
         threshold = (
             self.config.usability_threshold if threshold is None else threshold
         )
-        correct = np.flatnonzero(self.population.correct_mask).tolist()
-        if not correct:
+        correct = self.population.correct_mask
+        n_correct = int(correct.sum())
+        if not n_correct:
             return 0.0
-        hit = 0
-        per_node_windows = self.per_node_windows
-        for node_id in correct:
-            for delivered, missed in per_node_windows[node_id].values():
-                due = delivered + missed
-                if due and delivered / due <= threshold:
-                    hit += 1
-                    break
-        return hit / len(correct)
+        if self._window_tallies is None:
+            per_node_windows = self.per_node_windows
+            hit = 0
+            for node_id in np.flatnonzero(correct).tolist():
+                for delivered, missed in per_node_windows[node_id].values():
+                    due = delivered + missed
+                    if due and delivered / due <= threshold:
+                        hit += 1
+                        break
+            return hit / n_correct
+        # Words backend: one array pass per epoch over the tallies, with
+        # the same float test as the per-node walk above.
+        unusable = np.zeros(self.config.n_nodes, dtype=bool)
+        for delivered, missed in self._window_tallies.values():
+            due = delivered + missed
+            counted = due > 0
+            fraction = np.divide(
+                delivered, due, out=np.ones(len(due)), where=counted
+            )
+            unusable |= counted & (fraction <= threshold)
+        return int(np.count_nonzero(unusable & correct)) / n_correct
 
     def group_sizes(self) -> Dict[str, int]:
         """Population of each target group."""

@@ -15,9 +15,11 @@ Three views of update state are kept:
   This is the ``sets`` backend, the reference oracle.
 * :class:`WordPopulationStore` / :class:`BitsetUpdateStore` — the
   packed ``words`` backend: one dense bit matrix of shape
-  ``(n_nodes, live_window)`` per side (have/missing), stored as
-  fixed-width 64-bit word rows in one flat buffer owned by the
-  simulator, with one lightweight per-node view implementing the
+  ``(n_nodes, live_window)`` holding what each node has, stored as
+  fixed-width 64-bit word rows owned by the simulator, plus one shared
+  row of the live (announced, unexpired) columns.  A node's missing
+  row is ``live & ~have``, so ``have | missing == live`` holds by
+  construction.  One lightweight per-node view implements the
   :class:`UpdateStore` interface.  Because an update lives exactly
   ``update_lifetime`` rounds, the live id window is a sliding interval
   of at most ``updates_per_round * update_lifetime`` ids; column ``c``
@@ -242,6 +244,13 @@ class BitsetUpdateStore:
     attacker's ``dump_for``, the invariant tests) works unchanged —
     while the simulator's hot paths bypass the sets entirely and
     operate on the packed rows.
+
+    The view writes the node's have row only.  ``missing`` is derived
+    from the store's shared live row, so an update can only be
+    announced, received or missed once its column is live
+    (:meth:`WordPopulationStore.announce_fresh`), and it leaves every
+    node's missing set together, when :meth:`WordPopulationStore.clear_mask`
+    expires the column.
     """
 
     __slots__ = ("pool", "node_id")
@@ -254,6 +263,18 @@ class BitsetUpdateStore:
         base = self.pool.base
         return {base + col for col in iter_bits(bits)}
 
+    def _live_mask(self, updates: Iterable[int]) -> int:
+        """Bitmask of ``updates``; raises unless every column is live."""
+        mask = self.pool.mask_of(updates)
+        dead = mask & ~self.pool.live_bits
+        if dead:
+            update = self.pool.base + dead.bit_length() - 1
+            raise SimulationError(
+                f"update {update} is not live: announce_fresh makes a column "
+                "live for every node"
+            )
+        return mask
+
     @property
     def have(self) -> Set[int]:
         """The held live updates, materialized as a set."""
@@ -265,36 +286,37 @@ class BitsetUpdateStore:
         return self._ids(self.pool.missing_bits[self.node_id])
 
     def announce(self, update: int, holds: bool) -> None:
-        bit = 1 << self.pool.col_of(update)
+        """Mark the live ``update`` held (``holds``) or missing."""
+        bit = self._live_mask((update,))
         if holds:
             self.pool.have_bits[self.node_id] |= bit
-            self.pool.missing_bits[self.node_id] &= ~bit
         else:
-            self.pool.missing_bits[self.node_id] |= bit
             self.pool.have_bits[self.node_id] &= ~bit
 
     def receive(self, update: int) -> bool:
-        bit = 1 << self.pool.col_of(update)
+        bit = self._live_mask((update,))
         if self.pool.have_bits[self.node_id] & bit:
             return False
         self.pool.have_bits[self.node_id] |= bit
-        self.pool.missing_bits[self.node_id] &= ~bit
         return True
 
     def receive_all(self, updates: Iterable[int]) -> int:
-        mask = self.pool.mask_of(updates)
+        mask = self._live_mask(updates)
         if not mask:
             return 0
         new = popcount(mask & ~self.pool.have_bits[self.node_id])
         self.pool.have_bits[self.node_id] |= mask
-        self.pool.missing_bits[self.node_id] &= ~mask
         return new
 
     def expire(self, update: int) -> bool:
+        """Drop ``update`` from this node's have row; True iff it was held.
+
+        The column stays live (and so missing here) until the store
+        expires it for every node with :meth:`WordPopulationStore.clear_mask`.
+        """
         bit = 1 << self.pool.col_of(update)
         held = bool(self.pool.have_bits[self.node_id] & bit)
         self.pool.have_bits[self.node_id] &= ~bit
-        self.pool.missing_bits[self.node_id] &= ~bit
         return held
 
     @property
@@ -589,14 +611,35 @@ class _WordRows:
             yield int.from_bytes(flat[start : start + stride], "little") >> offset
 
 
+class _MissingRows:
+    """Read-only int view of the derived missing rows: ``live & ~have``.
+
+    Same ``missing_bits[i] -> int`` protocol as :class:`_WordRows`, for
+    the per-node views; there is no missing buffer to write.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "WordPopulationStore") -> None:
+        self._store = store
+
+    def __getitem__(self, row: int) -> int:
+        return self._store.live_bits & ~self._store.have_bits[row]
+
+
 class WordPopulationStore:
     """Dense live-update state as fixed-width word rows.
 
     The packed population store (``ExecutionConfig.backend ==
     "words"``): column ``c`` of a row holds update ``base + c``, and
-    each row is ``ceil((capacity + 63) / 64)`` 64-bit words in one flat
-    numpy buffer, with the live window floating ``offset = base % 64``
-    bits into the row (the ring scheme of :meth:`advance_to`).  The
+    each row is ``ceil((capacity + 63) / 64)`` 64-bit words, with the
+    live window floating ``offset = base % 64`` bits into the row (the
+    ring scheme of :meth:`advance_to`).  The store keeps one have row
+    per node and a single shared ``live_words`` row of the announced,
+    unexpired columns; a node's missing row is ``live & ~have``
+    (:meth:`missing_rows`), never stored.  Every writer keeps ``have``
+    inside ``live``, which the batched kernels rely on: what one node
+    holds and another does not is exactly what the other misses.  The
     fixed layout is what enables whole-population numpy sweeps: window
     slide, broadcast, expiry scoring and the batched exchange/push
     phases are array operations over all rows at once.  Traces are
@@ -616,14 +659,13 @@ class WordPopulationStore:
         # scheme the live window floats up to 63 bits into the row
         # (``offset``), so a row must hold ``capacity + 63`` bits.
         self.words_per_row = (self.capacity + 2 * (WORD_BITS - 1)) // WORD_BITS
-        rows = n_nodes * self.words_per_row
-        flat = np.zeros(2 * rows, dtype=np.uint64)
-        #: Packed have/missing rows, ``(n_nodes, words_per_row)`` uint64.
-        self.have_words = flat[:rows].reshape(n_nodes, self.words_per_row)
-        self.missing_words = flat[rows:].reshape(n_nodes, self.words_per_row)
+        #: Packed have rows, ``(n_nodes, words_per_row)`` uint64.
+        self.have_words = np.zeros((n_nodes, self.words_per_row), dtype=np.uint64)
+        #: The live (announced, unexpired) columns: one row for every node.
+        self.live_words = np.zeros(self.words_per_row, dtype=np.uint64)
         #: Int-compatible row views for the per-pair planners.
         self.have_bits = _WordRows(self.have_words, self)
-        self.missing_bits = _WordRows(self.missing_words, self)
+        self.missing_bits = _MissingRows(self)
 
     # -- Per-node views and int-bitmask helpers ------------------------
 
@@ -631,13 +673,26 @@ class WordPopulationStore:
         """The per-node :class:`UpdateStore`-compatible view."""
         return BitsetUpdateStore(self, node_id)
 
+    @property
+    def live_bits(self) -> int:
+        """The live columns as a logical bitmask (bit 0 == ``base``)."""
+        return words_to_int(self.live_words) >> self.offset
+
+    def missing_rows(self, rows: "np.ndarray") -> "np.ndarray":
+        """The packed missing rows of ``rows``: live columns each lacks."""
+        missing = self.have_words.take(rows, axis=0)
+        np.invert(missing, out=missing)
+        missing &= self.live_words
+        return missing
+
     def as_matrices(self) -> "np.ndarray":
         """The (have, missing) state as one stacked boolean array."""
         dense = np.zeros((2, self.n_nodes, self.capacity), dtype=bool)
-        for node_id in range(self.n_nodes):
-            for col in iter_bits(self.have_bits[node_id]):
+        live = self.live_bits
+        for node_id, have in enumerate(self.have_bits):
+            for col in iter_bits(have):
                 dense[0, node_id, col] = True
-            for col in iter_bits(self.missing_bits[node_id]):
+            for col in iter_bits(live & ~have):
                 dense[1, node_id, col] = True
         return dense
 
@@ -684,7 +739,7 @@ class WordPopulationStore:
         ``64 / updates_per_round`` rounds at the paper config).  The
         recycled columns come back zeroed for the fresh release, and
         id order still equals bit order, which the top/bottom-k
-        planners rely on.
+        planners rely on.  The live row slides with the have rows.
         """
         new_base = max(0, round_now - self.lifetime + 1) * self.updates_per_round
         shift = new_base - self.base
@@ -692,7 +747,7 @@ class WordPopulationStore:
             return
         if shift >= self.capacity:
             self.have_words[:] = 0
-            self.missing_words[:] = 0
+            self.live_words[:] = 0
             self.base = new_base
             return
         # Zero the expired columns: physical bits [offset, offset+shift).
@@ -701,50 +756,47 @@ class WordPopulationStore:
         last = (offset + shift - 1) // WORD_BITS
         keep = ~drop[: last + 1]
         self.have_words[:, : last + 1] &= keep
-        self.missing_words[:, : last + 1] &= keep
+        self.live_words[: last + 1] &= keep
         # Compact away fully-expired leading words (one memmove; with
         # shift < capacity the surviving window always fits — see the
         # slack word in ``words_per_row``).
         whole = new_base // WORD_BITS - self.base // WORD_BITS
         if whole:
             n_words = self.words_per_row
-            for rows in (self.have_words, self.missing_words):
-                rows[:, : n_words - whole] = rows[:, whole:]
-                rows[:, n_words - whole :] = 0
+            for rows in (self.have_words, self.live_words):
+                rows[..., : n_words - whole] = rows[..., whole:]
+                rows[..., n_words - whole :] = 0
         self.base = new_base
 
     def announce_fresh(self, first_col: int, count: int) -> None:
-        """Mark ``count`` fresh columns missing for every node."""
+        """Make ``count`` fresh columns live: missing for every node."""
         mask = ((1 << count) - 1) << first_col
-        self.missing_words |= self.mask_words(mask)
+        self.live_words |= self.mask_words(mask)
 
     def seed(self, node_ids: Iterable[int], col: int) -> None:
-        """Flip one fresh column to held for the seeded nodes."""
+        """Flip one fresh (live) column to held for the seeded nodes."""
         rows = list(node_ids)
         word, bit = divmod(col + self.offset, WORD_BITS)
-        set_bit = np.uint64(1 << bit)
-        self.have_words[rows, word] |= set_bit
-        self.missing_words[rows, word] &= ~set_bit
+        self.have_words[rows, word] |= np.uint64(1 << bit)
 
     def clear_mask(self, mask: int) -> None:
-        """Drop the masked columns from every row (end-of-life)."""
+        """Expire the masked columns for every node (end-of-life)."""
         keep = ~self.mask_words(mask)
         self.have_words &= keep
-        self.missing_words &= keep
+        self.live_words &= keep
 
     def masked_have_popcounts(self, mask: int) -> "np.ndarray":
         """Per-node count of held updates under ``mask`` (expiry scoring)."""
         return word_popcounts(self.have_words & self.mask_words(mask))
 
     def memory_breakdown(self) -> Dict[str, int]:
-        """Exact flat-buffer bytes of both packed row matrices.
+        """Exact bytes of the packed rows: the have matrix plus the live row.
 
-        ``word_row_bytes`` covers have + missing.  The budget is the
-        scaling headline: bytes here grow linearly with ``n_nodes`` and
-        are independent of run length.
+        The budget is the scaling headline: bytes here grow linearly
+        with ``n_nodes`` and are independent of run length.
         """
         return {
-            "word_row_bytes": 2 * self.n_nodes * self.words_per_row * _WORD_BYTES
+            "word_row_bytes": (self.n_nodes + 1) * self.words_per_row * _WORD_BYTES
         }
 
 

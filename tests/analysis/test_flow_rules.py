@@ -39,6 +39,19 @@ class TestFLW010Fixtures:
         assert [f.rule for f in found] == ["FLW010"]
         assert found[0].path == "src/repro/sweepfix.py"
 
+    def test_shared_live_row_write_fires(self):
+        # The live row is one row shared by every node: a sweep that
+        # writes it changes what every pair of the sweep misses.
+        sources = {
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(store, fresh):
+                store.live_words[:] |= fresh
+            """
+        }
+        found = findings_for(sources)
+        assert [f.rule for f in found] == ["FLW010"]
+        assert "'store'" in found[0].message
+
     def test_row_guarded_write_is_clean(self):
         sources = {
             "src/repro/sweepfix.py": """

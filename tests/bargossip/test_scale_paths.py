@@ -478,7 +478,7 @@ def _words_copy(pool):
     )
     copy.base = pool.base
     copy.have_words[:] = pool.have_words
-    copy.missing_words[:] = pool.missing_words
+    copy.live_words[:] = pool.live_words
     return copy
 
 
@@ -515,7 +515,7 @@ class TestOneTruncationPerSweep:
         ]
         assert list(zip(to_i.tolist(), to_r.tolist())) == expected
         assert np.array_equal(pool.have_words, oracle.have_words)
-        assert np.array_equal(pool.missing_words, oracle.missing_words)
+        assert np.array_equal(pool.live_words, oracle.live_words)
         simulator.close()
 
     def test_idle_exchange_sweep_does_not_truncate(self, monkeypatch):
@@ -545,7 +545,7 @@ class TestOneTruncationPerSweep:
             expected.append((plan.responder_count, plan.initiator_count))
         assert list(zip(to_r.tolist(), to_i.tolist())) == expected
         assert np.array_equal(pool.have_words, oracle.have_words)
-        assert np.array_equal(pool.missing_words, oracle.missing_words)
+        assert np.array_equal(pool.live_words, oracle.live_words)
         simulator.close()
 
     def test_whole_run_call_counts(self, monkeypatch):
@@ -726,7 +726,8 @@ class TestRingBudget:
         breakdown = simulator.memory_breakdown()
         store = simulator._pool
         n = config.n_nodes
-        assert breakdown["word_row_bytes"] == 2 * n * store.words_per_row * 8
+        # The have matrix plus the one shared live row.
+        assert breakdown["word_row_bytes"] == (n + 1) * store.words_per_row * 8
         assert breakdown["counter_bytes"] == n * 8 * 8
         assert breakdown["code_column_bytes"] == 3 * n
         assert breakdown["total_bytes"] == (
@@ -776,6 +777,8 @@ HOT_PATH_FUNCTIONS = {
         "WordPopulationStore.masked_have_popcounts",
         "WordPopulationStore.clear_mask",
         "WordPopulationStore.seed",
+        "WordPopulationStore.announce_fresh",
+        "WordPopulationStore.missing_rows",
         "WordPopulationStore.mask_words",
     ),
     "src/repro/bargossip/partner.py": ("dependency_waves",),

@@ -175,6 +175,34 @@ class TestRotatingAttack:
             > fixed.intermittently_unusable_fraction()
         )
 
+    def test_intermittent_fraction_matches_window_walk(self, small_gossip):
+        """The words backend's array reduction over the epoch tallies
+        agrees with a walk over ``per_node_windows`` at every threshold,
+        including each epoch's exact delivered fraction."""
+        simulator = self._run(
+            small_gossip, rotate=small_gossip.update_lifetime, rounds=45
+        )
+        windows = simulator.per_node_windows
+        correct = [node.node_id for node in simulator.nodes if node.is_correct]
+        achieved = {
+            delivered / (delivered + missed)
+            for node_id in correct
+            for delivered, missed in windows[node_id].values()
+            if delivered + missed
+        }
+        for threshold in sorted(achieved | {0.0, 0.93, 1.0}):
+            hit = sum(
+                any(
+                    delivered + missed
+                    and delivered / (delivered + missed) <= threshold
+                    for delivered, missed in windows[node_id].values()
+                )
+                for node_id in correct
+            )
+            assert simulator.intermittently_unusable_fraction(threshold) == (
+                hit / len(correct)
+            )
+
     def test_per_node_fractions_cover_correct_nodes(self, small_gossip):
         simulator = self._run(small_gossip, rotate=None, rounds=30)
         fractions = simulator.per_node_fractions()

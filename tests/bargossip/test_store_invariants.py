@@ -7,6 +7,7 @@ updates.  It must hold under every attack kind, with and without
 target rotation, on both store backends.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bargossip.attacker import AttackKind, AttackerCoalition
@@ -18,7 +19,9 @@ from repro.bargossip.updates import (
     iter_bits,
     popcount,
     top_bits,
+    words_to_int,
 )
+from repro.core.errors import SimulationError
 from repro.core.rng import RngStreams
 
 
@@ -90,13 +93,21 @@ class TestBitsetPrimitives:
 
 
 class TestBitsetViewSemantics:
-    """The per-node view behaves exactly like the reference UpdateStore."""
+    """The per-node view behaves exactly like the reference UpdateStore.
 
-    def _pool(self):
-        return WordPopulationStore(2, updates_per_round=3, lifetime=4)
+    Each test first makes its columns live for every node, as the
+    simulator's broadcast does (``announce_fresh``); the view then only
+    writes the node's have row.
+    """
+
+    def _pool(self, live=0):
+        pool = WordPopulationStore(2, updates_per_round=3, lifetime=4)
+        if live:
+            pool.announce_fresh(0, live)
+        return pool
 
     def test_announce_receive_expire(self):
-        pool = self._pool()
+        pool = self._pool(live=2)  # updates 0 and 1 are live, 2 is not
         view = pool.view(0)
         view.announce(0, holds=False)
         view.announce(1, holds=True)
@@ -107,10 +118,34 @@ class TestBitsetViewSemantics:
         assert view.expire(0) is True
         assert view.expire(1) is True
         assert view.expire(2) is False
+        assert view.have == set()
+        # A column leaves every node's missing set when the store expires it.
+        pool.clear_mask(0b111)
         assert view.have == set() and view.missing == set()
 
+    def test_writes_need_a_live_column(self):
+        pool = self._pool(live=2)
+        view = pool.view(0)
+        for write in (
+            lambda: view.announce(2, holds=False),
+            lambda: view.announce(2, holds=True),
+            lambda: view.receive(2),
+            lambda: view.receive_all([1, 2]),
+        ):
+            with pytest.raises(SimulationError, match="not live"):
+                write()
+        assert view.have == set() and view.missing == {0, 1}
+
+    def test_missing_rows_are_derived_and_read_only(self):
+        pool = self._pool(live=3)
+        pool.view(1).receive(1)
+        assert [pool.missing_bits[node] for node in (0, 1)] == [0b111, 0b101]
+        assert words_to_int(pool.missing_rows([1, 0])[0]) >> pool.offset == 0b101
+        with pytest.raises(TypeError):
+            pool.missing_bits[0] = 0
+
     def test_receive_all_counts_new_only(self):
-        pool = self._pool()
+        pool = self._pool(live=3)
         view = pool.view(1)
         for update in (0, 1, 2):
             view.announce(update, holds=False)
@@ -119,7 +154,7 @@ class TestBitsetViewSemantics:
         assert view.is_satiated
 
     def test_window_slide_preserves_ids(self):
-        pool = self._pool()
+        pool = self._pool(live=3)
         view = pool.view(0)
         for update in range(3):
             view.announce(update, holds=update == 0)
@@ -128,12 +163,11 @@ class TestBitsetViewSemantics:
         assert view.have == set() and view.missing == set()
 
     def test_age_queries_match_reference_semantics(self):
-        pool = self._pool()
+        pool = self._pool(live=6)
         view = pool.view(0)
         # Updates 0-2 are round 0; 3-5 are round 1.
-        view.announce(0, holds=False)
-        view.announce(3, holds=True)
-        view.announce(4, holds=False)
+        for update in range(6):
+            view.announce(update, holds=update in (1, 2, 3))
         assert view.missing_older_than(1, 3) == [0]
         assert view.has_missing_older_than(1, 3)
         assert not view.has_missing_older_than(0, 3)

@@ -181,27 +181,24 @@ class TestWordPopulationStore:
     Each packed op is replayed on one :class:`UpdateStore` per node:
     column ``c`` of a row is update ``base + c``, so a window slide
     expires the ids that fall below the new base, a fresh column is an
-    announce, and a column mask names a set of live ids.
+    announce, and a column mask names a set of live ids.  The mirror
+    starts from one shared live window (every column, as after a full
+    lifetime of releases) with random have rows inside it.
     """
 
     def _mirror(self, n=5, updates_per_round=10, lifetime=10, seed=3):
         rng = np.random.default_rng(seed)
         words = WordPopulationStore(n, updates_per_round, lifetime)
+        words.announce_fresh(0, words.capacity)
         sets = [UpdateStore() for _ in range(n)]
         for node in range(n):
-            have = int(rng.integers(0, 1 << 63)) | (
-                int(rng.integers(0, 1 << 37)) << 63
-            )
-            missing = (
+            have = (
                 int(rng.integers(0, 1 << 63))
                 | (int(rng.integers(0, 1 << 37)) << 63)
-            ) & ~have
+            ) & words.full_mask
             words.have_bits[node] = have
-            words.missing_bits[node] = missing
-            for col in iter_bits(have):
-                sets[node].announce(col, holds=True)
-            for col in iter_bits(missing):
-                sets[node].announce(col, holds=False)
+            for col in range(words.capacity):
+                sets[node].announce(col, holds=bool(have >> col & 1))
         return sets, words
 
     @staticmethod

@@ -7,6 +7,8 @@ over one :class:`~repro.bargossip.updates.WordPopulationStore`:
 
 * :func:`~repro.bargossip.exchange.batched_word_exchange` against
   :func:`~repro.bargossip.exchange.bitset_exchange`, pair by pair;
+* :func:`~repro.bargossip.push.batched_push_eligibility` against the
+  per-node views' age queries behind ``GossipNode.wants_to_push``;
 * :func:`~repro.bargossip.push.batched_word_push` against
   :func:`~repro.bargossip.push.bitset_plan_push` plus
   :func:`~repro.bargossip.push.bitset_apply_push` (a responder accepts
@@ -15,7 +17,10 @@ over one :class:`~repro.bargossip.updates.WordPopulationStore`:
   :meth:`~repro.bargossip.attacker.AttackerCoalition.dump_for`.
 
 The oracle runs on a copy of the same store through its int row views,
-and both the rows (have and missing) and the counts must be identical.
+and both the have rows and the counts must be identical.  Every store
+is a state the simulator reaches: one shared live window (a contiguous
+run of columns, as release and expiry leave it), with each node's have
+row inside it and its missing row the rest of the window.
 The batched sweeps only truncate and write back the pairs that move, so
 the cases below include no movers at all, every pair moving, capped
 counts of one, and windows floating across bit 63 of a word.
@@ -33,40 +38,46 @@ from repro.bargossip.exchange import (
     bitset_exchange,
 )
 from repro.bargossip.push import (
+    batched_push_eligibility,
     batched_word_push,
     bitset_apply_push,
     bitset_plan_push,
 )
 from repro.bargossip.updates import WORD_BITS, WordPopulationStore, words_to_int
 
-#: Column fill profiles: (P[held], P[missing]); the rest is neither
-#: (an update the node never heard of, or a dead column).
-DENSITIES = (
-    (0.0, 0.0),
-    (0.05, 0.05),
-    (0.3, 0.3),
-    (0.5, 0.5),
-    (0.0, 1.0),
-    (1.0, 0.0),
-    (0.45, 0.1),
-)
+#: Column fill profiles: P[held] for each live column of a row; the
+#: rest of the live window is missing.
+DENSITIES = (0.0, 0.05, 0.3, 0.5, 0.55, 0.8, 1.0)
 
 
-def _store(n_nodes, updates_per_round, lifetime, round_now, seed, density):
-    """A store advanced to ``round_now`` with random disjoint rows."""
+def _set_live(store, live):
+    """Make exactly the columns of the logical bitmask ``live`` live."""
+    store.live_words[:] = store.mask_words(live)
+
+
+def _store(n_nodes, updates_per_round, lifetime, round_now, seed, density,
+           live=None):
+    """A store advanced to ``round_now`` with random rows inside ``live``.
+
+    ``live`` defaults, drawn from ``seed``, to the whole window (the
+    steady state once a lifetime of rounds has been released) or to a
+    random contiguous run of columns, possibly empty; each live column
+    of a row is held with probability ``density``.
+    """
     store = WordPopulationStore(n_nodes, updates_per_round, lifetime)
     store.advance_to(round_now)
     rng = np.random.default_rng(seed)
-    p_have, p_missing = density
-    states = rng.choice(
-        3, size=(n_nodes, store.capacity),
-        p=[1.0 - p_have - p_missing, p_have, p_missing],
-    )
+    if live is None:
+        lo, hi = sorted(rng.integers(0, store.capacity + 1, size=2).tolist())
+        if rng.random() < 0.5:
+            lo, hi = 0, store.capacity
+        live = ((1 << (hi - lo)) - 1) << lo
+    _set_live(store, live)
+    held = rng.random((n_nodes, store.capacity)) < density
     weights = [1 << col for col in range(store.capacity)]
     for node in range(n_nodes):
-        row = states[node]
-        store.have_bits[node] = sum(w for w, s in zip(weights, row) if s == 1)
-        store.missing_bits[node] = sum(w for w, s in zip(weights, row) if s == 2)
+        row = sum(w for w, h in zip(weights, held[node]) if h)
+        store.have_bits[node] = row & live
     return store
 
 
@@ -75,7 +86,7 @@ def _copy(store):
     twin = WordPopulationStore(store.n_nodes, store.updates_per_round, store.lifetime)
     twin.base = store.base
     twin.have_words[:] = store.have_words
-    twin.missing_words[:] = store.missing_words
+    twin.live_words[:] = store.live_words
     return twin
 
 
@@ -88,8 +99,8 @@ def _pairs(n_nodes, n_pairs, seed):
 
 def _assert_same_rows(store, oracle):
     assert np.array_equal(store.have_words, oracle.have_words)
-    assert np.array_equal(store.missing_words, oracle.missing_words)
-    assert not (store.have_words & store.missing_words).any()
+    assert np.array_equal(store.live_words, oracle.live_words)
+    assert not (store.have_words & ~store.live_words).any()
 
 
 @st.composite
@@ -161,16 +172,15 @@ class TestBatchedWordExchange:
     @pytest.mark.parametrize("unbalanced", [False, True])
     def test_zero_movers_leave_rows_untouched(self, unbalanced):
         # Every node already holds everything live: nothing to trade.
-        store = _store(12, 10, 10, 25, seed=1, density=(1.0, 0.0))
-        before = (store.have_words.copy(), store.missing_words.copy())
+        store = _store(12, 10, 10, 25, seed=1, density=1.0)
+        before = store.have_words.copy()
         oracle = _copy(store)
         initiators, responders = _pairs(12, 6, seed=2)
         counts = _check_exchange(
             store, oracle, initiators, responders, 10, unbalanced, True
         )
         assert counts == [(0, 0)] * 6
-        assert np.array_equal(store.have_words, before[0])
-        assert np.array_equal(store.missing_words, before[1])
+        assert np.array_equal(store.have_words, before)
 
     @pytest.mark.parametrize("unbalanced", [False, True])
     @pytest.mark.parametrize("prefer_newest", [False, True])
@@ -180,12 +190,13 @@ class TestBatchedWordExchange:
         # columns the other way round: every pair trades both ways.
         store = WordPopulationStore(8, 12, 12)
         store.advance_to(40)
+        _set_live(store, store.full_mask)
         even = sum(1 << col for col in range(0, store.capacity, 2))
         odd = store.full_mask ^ even
         initiators, responders = np.arange(0, 8, 2), np.arange(1, 8, 2)
         for i, r in zip(initiators, responders):
-            store.have_bits[i], store.missing_bits[i] = even, odd
-            store.have_bits[r], store.missing_bits[r] = odd, even
+            store.have_bits[i] = even
+            store.have_bits[r] = odd
         oracle = _copy(store)
         counts = _check_exchange(
             store, oracle, initiators, responders, cap, unbalanced, prefer_newest
@@ -196,7 +207,9 @@ class TestBatchedWordExchange:
     def test_boundary_word_holds_bit_63(self, prefer_newest):
         # Dense rows over a window floating across a word edge: bit 63
         # of the first word is live, and cap=1 makes each side keep one.
-        store = _store(10, 10, 10, 16, seed=5, density=(0.45, 0.1))
+        store = _store(
+            10, 10, 10, 16, seed=5, density=0.8, live=(1 << 100) - 1
+        )
         assert store.offset + store.capacity > WORD_BITS
         assert (store.have_words[:, 0] >> np.uint64(63)).any()
         oracle = _copy(store)
@@ -241,6 +254,38 @@ def _check_push(store, oracle, initiators, responders, config, round_now):
     return expected
 
 
+class TestBatchedPushEligibility:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=kernel_cases(),
+        age=st.integers(min_value=1, max_value=12),
+        recent=st.integers(min_value=1, max_value=12),
+        p_obedient=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_per_node_views(self, case, age, recent, p_obedient):
+        store = _store(
+            case["n_nodes"], case["updates_per_round"], case["lifetime"],
+            case["round_now"], case["seed"], case["density"],
+        )
+        config = _push_config(case, 1, age, recent)
+        round_now = case["round_now"]
+        rows = np.arange(case["n_nodes"])
+        obedient = np.random.default_rng(case["seed"]).random(len(rows)) < p_obedient
+        wants = batched_push_eligibility(store, rows, obedient, config, round_now)
+        u = config.updates_per_round
+        expected = []
+        for node, obeys in zip(rows.tolist(), obedient.tolist()):
+            view = store.view(node)
+            old_needs = view.has_missing_older_than(
+                round_now - config.push_age_threshold + 1, u
+            )
+            offers = view.has_have_newer_than(
+                round_now - config.push_recent_window + 1, u
+            )
+            expected.append(old_needs or (obeys and offers))
+        assert wants.tolist() == expected
+
+
 class TestBatchedWordPush:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -258,7 +303,7 @@ class TestBatchedWordPush:
 
     def test_zero_movers(self):
         # Nobody misses anything: no push is accepted.
-        store = _store(12, 10, 10, 25, seed=3, density=(1.0, 0.0))
+        store = _store(12, 10, 10, 25, seed=3, density=1.0)
         oracle = _copy(store)
         initiators, responders = _pairs(12, 6, seed=4)
         case = {"n_nodes": 12, "updates_per_round": 10, "lifetime": 10}
@@ -275,13 +320,12 @@ class TestBatchedWordPush:
         # columns their responders hold.
         store = WordPopulationStore(8, 10, 10)
         store.advance_to(30)
+        _set_live(store, store.full_mask)
         old = (1 << 40) - 1
         initiators, responders = np.arange(0, 8, 2), np.arange(1, 8, 2)
         for k, (i, r) in enumerate(zip(initiators, responders)):
             store.have_bits[i] = store.full_mask ^ (old if k % 2 else 0)
-            store.missing_bits[i] = old if k % 2 else 0
             store.have_bits[r] = old
-            store.missing_bits[r] = store.full_mask ^ old
         oracle = _copy(store)
         case = {"n_nodes": 8, "updates_per_round": 10, "lifetime": 10}
         counts = _check_push(
@@ -296,10 +340,10 @@ class TestBatchedWordPush:
         # updates: it pays one, not push_size.
         store = WordPopulationStore(2, 10, 10)
         store.advance_to(30)
+        # Only these six columns are live: each node misses the other's.
+        _set_live(store, (1 << 95) | 0b11111)
         store.have_bits[0] = 1 << 95
-        store.missing_bits[0] = 0b11111
         store.have_bits[1] = 0b11111
-        store.missing_bits[1] = 1 << 95
         oracle = _copy(store)
         case = {"n_nodes": 2, "updates_per_round": 10, "lifetime": 10}
         counts = _check_push(
@@ -335,11 +379,14 @@ def _check_dump(store, oracle, coalition, receivers, limits):
 
 
 def _coalition(store, seed, fraction):
-    """A trade coalition pooling a random share of the live window."""
+    """A trade coalition pooling a random share of the live columns."""
     rng = np.random.default_rng(seed)
     coalition = AttackerCoalition(AttackKind.TRADE, nodes=[store.n_nodes + 1])
-    live = np.flatnonzero(rng.random(store.capacity) < fraction)
-    coalition.pool.update(int(store.base + col) for col in live)
+    live = store.live_bits
+    pooled = np.flatnonzero(rng.random(store.capacity) < fraction)
+    coalition.pool.update(
+        int(store.base + col) for col in pooled if live >> int(col) & 1
+    )
     return coalition
 
 
@@ -360,17 +407,19 @@ class TestBatchedWordDump:
         _check_dump(store, oracle, coalition, initiators, limits)
 
     def test_zero_and_all_movers(self):
-        store = _store(10, 10, 10, 16, seed=8, density=(0.0, 1.0))
+        store = _store(
+            10, 10, 10, 16, seed=8, density=0.0, live=(1 << 100) - 1
+        )
         coalition = _coalition(store, seed=9, fraction=1.0)
         receivers = np.arange(10)
         # limit 0 everywhere: nobody moves, rows stay as they were.
         oracle = _copy(store)
-        before = store.missing_words.copy()
+        before = store.have_words.copy()
         counts = _check_dump(
             store, oracle, coalition, receivers, np.zeros(10, dtype=np.int64)
         )
         assert not counts.any()
-        assert np.array_equal(store.missing_words, before)
+        assert np.array_equal(store.have_words, before)
         # limit 1 everywhere: everybody moves exactly the oldest update.
         counts = _check_dump(
             store, oracle, coalition, receivers, np.ones(10, dtype=np.int64)
