@@ -62,10 +62,10 @@ class LintConfig:
     include_overrides: Mapping[str, Sequence[str]] = field(default_factory=dict)
 
     # API006 — the batched-phase scatter-add sites allowed to write
-    # counter columns directly (cells are node-disjoint, so += is an
-    # exact scatter-add there).
+    # counter columns directly (the pairs of one wave are node-disjoint,
+    # so += is an exact scatter-add there).
     api006_allowed_functions: Tuple[str, ...] = (
-        "run_exchanges_batched",
+        "run_phase",
         "_push_pass_batched",
         "_exchange_apply_clean",
         "_exchange_pass_mixed",
@@ -87,7 +87,7 @@ class LintConfig:
 
     # FLW010 — write disjointness of the batched sweeps.  Entry points
     # whose reachable set is scanned for writes into shared population
-    # buffers.
+    # buffers; both reach every sweep through ``run_phase``.
     flw010_roots: Tuple[str, ...] = (
         "run_exchanges_batched",
         "_push_pass_batched",
@@ -108,7 +108,6 @@ class LintConfig:
     #: assigned from one of these is a row guard too.
     flw010_row_sources: Tuple[str, ...] = (
         "_rows_of_ids",
-        "_split_cell_pairs",
         "flatnonzero",
         "nonzero",
         "arange",
@@ -165,6 +164,7 @@ class LintConfig:
         "_record_push",
         "run_exchanges",
         "run_pushes",
+        "run_phase",
         "run_exchanges_batched",
         "run_pushes_batched",
         "_push_pass_batched",

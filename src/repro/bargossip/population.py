@@ -31,8 +31,9 @@ is indexed.  ``node.counters`` is a
 :class:`~repro.bargossip.node.CounterColumnView` over one matrix row;
 ``node.group``/``node.evicted`` read and write the code arrays.  The
 scalar ``sets`` oracle and the event schedule's per-pair path use the
-views; the batched paths scatter-add whole phases into the matrix —
-cell pairs are node-disjoint, so plain fancy-index ``+=`` is exact.
+views; the batched paths scatter-add whole waves into the matrix —
+the pairs of one wave are node-disjoint, so plain fancy-index ``+=``
+is exact.
 """
 
 from __future__ import annotations

@@ -57,8 +57,9 @@ class ExecutionConfig:
     #: Update-store implementation.  ``"words"`` (the default) packs
     #: the population's live-update state into fixed-width 64-bit word
     #: arrays and runs every rounds-schedule phase as batched numpy
-    #: sweeps: dependency waves on the paper's uniform partner
-    #: schedule and whole-phase sweeps on the cell pairing.  ``"sets"``
+    #: sweeps over node-disjoint waves: dependency waves on the paper's
+    #: uniform partner schedule, one wave run both ways on the cell
+    #: pairing.  ``"sets"``
     #: keeps per-node Python sets: the reference oracle every parity
     #: suite compares against.
     backend: str = "words"
@@ -134,7 +135,9 @@ class Scenario:
     kind: AttackKind = AttackKind.NONE
     #: Fraction of the population the attacker controls.
     attacker_fraction: float = 0.0
-    #: Fraction of the remaining correct nodes the attacker satiates.
+    #: Fraction of the whole system, coalition included, that ends up
+    #: satiated: the coalition plus ``round(f * n_nodes) - attackers``
+    #: correct targets (see ``AttackerCoalition.build``).
     satiate_fraction: float = DEFAULT_SATIATE_FRACTION
     #: Rounds to simulate.
     rounds: int = 50

@@ -9,9 +9,10 @@ seeded permutation of the population (a pure function of the root
 seed — no node can bias its own draws), consecutive positions form
 *cells* of four nodes, and both sub-protocols pair nodes within their
 cell (exchange pairs ``(0,1)/(2,3)``, push pairs ``(0,2)/(1,3)``).
-Every interaction of a round therefore touches exactly one cell, and
-the words backend runs each phase as whole-phase batched sweeps over
-node-disjoint pairs.  The per-round permutation keeps each node's
+Every interaction of a round therefore touches exactly one cell, so
+each phase's pairs are one node-disjoint wave: the words backend runs
+it through ``InteractionEngine.run_phase`` in both directions, with no
+dependency peel.  The per-round permutation keeps each node's
 partner distribution uniform over the other nodes across rounds.
 
 Results differ from the paper's schedule, which is why the cache

@@ -68,7 +68,7 @@ from .node import (
     TargetGroup,
 )
 from .partner import PartnerSchedule, Purpose, dependency_waves
-from .population import N_COUNTER_COLS, NodeViews, Population
+from .population import NodeViews, Population
 from .push import (
     apply_push,
     batched_push_eligibility,
@@ -105,15 +105,23 @@ CI_EXCHANGES_NONEMPTY = COUNTER_INDEX["exchanges_nonempty"]
 CI_PUSHES_INITIATED = COUNTER_INDEX["pushes_initiated"]
 CI_PUSHES_NONEMPTY = COUNTER_INDEX["pushes_nonempty"]
 
-#: One booked exchange initiation, as a counters-row delta.
-_BOOK_EXCHANGE = np.zeros(N_COUNTER_COLS, dtype=np.int64)
-_BOOK_EXCHANGE[CI_EXCHANGES_INITIATED] = 1
-
-#: Cache-block size, in pairs, of the batched whole-phase sweeps (see
+#: Cache-block size, in pairs, of the batched wave sweeps (see
 #: :meth:`InteractionEngine._pair_chunks`): each block's gathered word
 #: rows stay cache-resident at million-node scale.  Any blocking is
-#: trace-identical, because the pairs of one sweep are node-disjoint.
+#: trace-identical, because the pairs of one wave are node-disjoint.
 PHASE_CHUNK_PAIRS = 32768
+
+
+def _directions(rows, both_ways: bool):
+    """The directed ``(initiators, partners)`` passes over pair rows.
+
+    One pass a→b, plus b→a after it with ``both_ways``; none for an
+    empty array.
+    """
+    if not len(rows):
+        return ()
+    forward = (rows[:, 0], rows[:, 1])
+    return (forward, forward[::-1]) if both_ways else (forward,)
 
 
 class InteractionEngine:
@@ -159,8 +167,8 @@ class InteractionEngine:
         self.authority = authority
         self.pool = pool
         self.population = population
-        #: Cache-block size (in pairs) for the batched whole-phase
-        #: sweeps; 0 disables chunking.
+        #: Cache-block size (in pairs) for the batched wave sweeps; 0
+        #: disables chunking.
         self.chunk_pairs = PHASE_CHUNK_PAIRS
         #: ``(targets_version, mask)`` of the last satiated-row mask built.
         self._satiated_rows: Optional[Tuple[int, np.ndarray]] = None
@@ -210,12 +218,14 @@ class InteractionEngine:
         unpaired tail); the reference schedule never produces one.
 
         On the words backend the phase runs as dependency waves
-        (:meth:`_run_waves`; ``partners`` must be an array there); the
-        sets backend walks the pairs one at a time, the reference the
-        waves are pinned to.
+        (:meth:`run_phase` over :meth:`_phase_waves`; ``partners`` must
+        be an array there); the sets backend walks the pairs one at a
+        time, the reference the waves are pinned to.
         """
         if self.pool is not None:
-            self._run_waves(round_now, order, partners, Purpose.EXCHANGE)
+            self.run_phase(
+                round_now, self._phase_waves(order, partners), Purpose.EXCHANGE
+            )
             return
         for initiator_id in order:
             partner_id = int(partners[initiator_id])
@@ -238,29 +248,18 @@ class InteractionEngine:
         initiator.counters.add(exchanges_initiated=1)
         self.interact_exchange(round_now, initiator, partner)
 
-    def _split_cell_pairs(self, pairs):
-        """Partition cell pairs into clean and mixed two-node islands.
-
-        Returns ``(clean_rows, mixed_rows)``, both ``(m, 2)`` arrays of
-        population rows in schedule order.  Clean islands (two live
-        correct nodes) run through the plain exchange/push sweeps;
-        mixed islands — an attacker or evicted member present — run
-        through the masked dump/eviction sweeps
-        (:meth:`_exchange_pass_mixed` / :meth:`_push_pass_mixed`).  The
-        split itself is one masked array op over the population's
-        behaviour/eviction columns, not a Python walk, and *both*
-        classes stay on the batched word path: the per-pair scalar
-        methods survive only as the sets parity oracle and the event
-        schedule's per-pair path.
-        """
-        ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        return self._split_pair_rows(self._rows_of_ids(ids))
-
     def _split_pair_rows(self, rows):
-        """:meth:`_split_cell_pairs` over an ``(m, 2)`` array of rows.
+        """Partition one wave's ``(m, 2)`` pair rows into clean and mixed pairs.
 
-        Reads the eviction column at call time, so a split taken between
-        dependency waves sees the evictions of the waves before it.
+        Returns ``(clean_rows, mixed_rows)`` in schedule order.  Clean
+        pairs (two live correct nodes) run through the plain
+        exchange/push sweeps; mixed pairs (an attacker or evicted member
+        present) run through the masked dump/eviction sweeps
+        (:meth:`_exchange_pass_mixed` / :meth:`_push_pass_mixed`).  One
+        masked array op over the population's behaviour/eviction
+        columns.  Reads the eviction column at call time, so a split
+        taken between dependency waves sees the evictions of the waves
+        before it.
         """
         population = self.population
         special = population.byzantine_mask | population.evicted
@@ -275,11 +274,12 @@ class InteractionEngine:
     def _pair_chunks(self, rows):
         """Cache-sized blocks of an ``(m, 2)`` pair-row array.
 
-        Both directions of one chunk run before the next chunk starts:
-        bit-exact, because islands are node-disjoint (a chunk's state
-        never feeds another chunk's plan), and cache-friendly because a
-        chunk's gathered word rows stay resident across its two
-        directed passes.  ``chunk_pairs == 0`` disables chunking.
+        Bit-exact, because a wave's pairs are node-disjoint (a chunk's
+        state never feeds another chunk's plan).  A chunk run both ways
+        (:meth:`run_phase`) finishes both directions before the next
+        chunk starts, so its gathered word rows stay resident across
+        its two directed passes.  ``chunk_pairs == 0`` disables
+        chunking.
         """
         if self.chunk_pairs <= 0 or len(rows) <= self.chunk_pairs:
             if len(rows):
@@ -317,15 +317,21 @@ class InteractionEngine:
         for wave in dependency_waves(rows[:, 0], rows[:, 1]):
             yield rows.take(wave, axis=0)
 
-    def _run_waves(self, round_now: int, order, partners, purpose) -> None:
-        """One exchange or push phase of the per-initiator schedule, in waves.
+    def run_phase(
+        self, round_now: int, waves, purpose, both_ways: bool = False
+    ) -> None:
+        """One exchange or push phase on the words backend, wave by wave.
 
-        The sequential phase is cut into node-disjoint dependency waves
-        (:meth:`_phase_waves`), and each wave runs through the same
-        one-direction passes as the cell pairing: clean pairs through
-        the plain word sweeps, pairs with an attacker or evicted member
-        through the masked dump sweeps.  Bit-identical to the per-pair
-        walk, because within a phase
+        ``waves`` iterates node-disjoint ``(m, 2)`` arrays of
+        ``(initiator, partner)`` rows, in schedule order.  Each wave
+        runs through one-direction passes: clean pairs through the
+        plain word sweeps, pairs with an attacker or evicted member
+        through the masked dump sweeps.  With ``both_ways`` each pair
+        then initiates back (the cell pairing's undirected pairs): each
+        cache block runs a→b and then b→a before the next block starts,
+        so its gathered word rows stay resident, and the mixed rows do
+        the same.  Bit-identical to the per-pair walk, because within
+        a phase
 
         * an interaction only touches its two nodes' rows and counters;
         * the coalition's pool changes only in broadcast and expiry, so
@@ -340,70 +346,49 @@ class InteractionEngine:
         pool_words = self._attack_pool_words()
         satiated = self._satiated_row_mask() if pool_words is not None else None
         obedient = self.population.obedient_mask
+        counters = self.population.counters
         exchange = purpose is Purpose.EXCHANGE
-        for wave in self._phase_waves(order, partners):
+        for wave in waves:
             clean_rows, mixed_rows = self._split_pair_rows(wave)
             for block in self._pair_chunks(clean_rows):
+                if not exchange:
+                    for rows_i, rows_r in _directions(block, both_ways):
+                        self._push_pass_batched(
+                            round_now, rows_i, rows_r, obedient
+                        )
+                    continue
                 rows_i, rows_r = block[:, 0], block[:, 1]
+                # Rows are pairwise disjoint within a pass, so fancy-index
+                # += is an exact scatter-add.
+                counters[rows_i, CI_EXCHANGES_INITIATED] += 1
+                moved = self._exchange_apply_clean(rows_i, rows_r)
+                if both_ways:
+                    # When the other end initiates, the pair's two
+                    # availabilities just swap sides, and the transfer
+                    # size (the capped minimum of both) is symmetric in
+                    # them: only the movers go again.
+                    counters[rows_r, CI_EXCHANGES_INITIATED] += 1
+                    self._exchange_apply_clean(rows_r[moved], rows_i[moved])
+            for rows_i, rows_r in _directions(mixed_rows, both_ways):
                 if exchange:
-                    self.population.add_counter_deltas(rows_i, _BOOK_EXCHANGE)
-                    self._exchange_apply_clean(rows_i, rows_r)
+                    self._exchange_pass_mixed(
+                        round_now, rows_i, rows_r, pool_words, satiated
+                    )
                 else:
-                    self._push_pass_batched(round_now, rows_i, rows_r, obedient)
-            if not len(mixed_rows):
-                continue
-            rows_i, rows_r = mixed_rows[:, 0], mixed_rows[:, 1]
-            if exchange:
-                self._exchange_pass_mixed(
-                    round_now, rows_i, rows_r, pool_words, satiated
-                )
-            else:
-                self._push_pass_mixed(
-                    round_now, rows_i, rows_r, pool_words, obedient, satiated
-                )
+                    self._push_pass_mixed(
+                        round_now, rows_i, rows_r, pool_words, obedient, satiated
+                    )
 
     def run_exchanges_batched(self, round_now: int, pairs) -> None:
-        """One balanced-exchange phase over disjoint cell pairs, batched.
+        """One balanced-exchange phase over the cell pairing's pairs.
 
-        ``pairs`` lists each cell's exchange pair once (undirected);
-        both directions initiate, exactly as when the per-pair
-        dispatcher walks the permutation order.  Because cell pairs are
-        node-disjoint, the phase decomposes into two-node islands whose
-        internal order (first the left node initiates, then the right)
-        is all that matters — so clean islands run as chunked
-        whole-phase word sweeps whose counter updates land as
-        scatter-adds on the counters matrix, and islands containing an
-        attacker or evicted node run through the masked coalition-dump
-        sweep.  Requires the words backend and a population.
+        ``pairs`` lists each cell's exchange pair once (undirected) and
+        is one node-disjoint wave; both directions initiate, first the
+        left node and then the right, as in the per-pair walk of the
+        permutation order.
         """
-        if len(pairs) == 0:
-            return
-        clean_rows, mixed_rows = self._split_cell_pairs(pairs)
-        counters = self.population.counters
-        for block in self._pair_chunks(clean_rows):
-            left, right = block[:, 0], block[:, 1]
-            # Rows are pairwise disjoint within a pass, so fancy-index
-            # += is an exact scatter-add (no np.add.at needed).  Both
-            # directions book up front: counters never feed a plan.
-            for rows_i in (left, right):
-                counters[rows_i, CI_EXCHANGES_INITIATED] += 1
-            moved = self._exchange_apply_clean(left, right)
-            # When the other end initiates, the pair's two availabilities
-            # just swap sides, and the transfer size (the capped minimum
-            # of both) is symmetric in them.  A pair that moved nothing
-            # the first way moves nothing the second way either, so
-            # only the movers go again.
-            self._exchange_apply_clean(right[moved], left[moved])
-        if len(mixed_rows):
-            pool_words = self._attack_pool_words()
-            satiated = (
-                self._satiated_row_mask() if pool_words is not None else None
-            )
-            left, right = mixed_rows[:, 0], mixed_rows[:, 1]
-            for rows_i, rows_r in ((left, right), (right, left)):
-                self._exchange_pass_mixed(
-                    round_now, rows_i, rows_r, pool_words, satiated
-                )
+        rows = self._rows_of_ids(np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
+        self.run_phase(round_now, (rows,), Purpose.EXCHANGE, both_ways=True)
 
     def _exchange_apply_clean(self, rows_i, rows_r) -> "np.ndarray":
         """Apply one direction's correct-correct exchanges (no booking).
@@ -645,7 +630,9 @@ class InteractionEngine:
     def run_pushes(self, round_now: int, order, partners) -> None:
         """One optimistic-push phase (same calling convention as exchanges)."""
         if self.pool is not None:
-            self._run_waves(round_now, order, partners, Purpose.PUSH)
+            self.run_phase(
+                round_now, self._phase_waves(order, partners), Purpose.PUSH
+            )
             return
         for initiator_id in order:
             partner_id = int(partners[initiator_id])
@@ -698,33 +685,14 @@ class InteractionEngine:
         )
 
     def run_pushes_batched(self, round_now: int, pairs) -> None:
-        """One optimistic-push phase over disjoint cell pairs, batched.
+        """One optimistic-push phase over the cell pairing's pairs.
 
-        Mirrors :meth:`run_exchanges_batched`: each undirected cell
-        pair initiates in both directions, clean islands run as
-        chunked whole-phase word sweeps (the second direction's
+        Mirrors :meth:`run_exchanges_batched`; the second direction's
         willingness is evaluated after the first has been applied, as
-        in the per-pair order), and attacker/evicted islands run
-        through the masked dump sweep of :meth:`_push_pass_mixed`.
+        in the per-pair order.
         """
-        if len(pairs) == 0:
-            return
-        clean_rows, mixed_rows = self._split_cell_pairs(pairs)
-        obedient = self.population.obedient_mask
-        for block in self._pair_chunks(clean_rows):
-            left, right = block[:, 0], block[:, 1]
-            for rows_i, rows_r in ((left, right), (right, left)):
-                self._push_pass_batched(round_now, rows_i, rows_r, obedient)
-        if len(mixed_rows):
-            pool_words = self._attack_pool_words()
-            satiated = (
-                self._satiated_row_mask() if pool_words is not None else None
-            )
-            left, right = mixed_rows[:, 0], mixed_rows[:, 1]
-            for rows_i, rows_r in ((left, right), (right, left)):
-                self._push_pass_mixed(
-                    round_now, rows_i, rows_r, pool_words, obedient, satiated
-                )
+        rows = self._rows_of_ids(np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
+        self.run_phase(round_now, (rows,), Purpose.PUSH, both_ways=True)
 
     def _push_pass_mixed(
         self, round_now: int, rows_i, rows_r, pool_words, obedient,
@@ -1203,10 +1171,11 @@ class GossipSimulator(RoundSimulator):
     def _step_cells(self, round_now: int) -> None:
         """Exchange and push phases of one round on the cell pairing.
 
-        The full-population engine runs both phases directly: as
-        whole-phase batched sweeps on the words backend, or per pair in
-        canonical (permutation) order on the sets oracle.  The shard-parity
-        suite pins the two to bit-identical traces.
+        On the words backend each phase's pairs are one node-disjoint
+        wave, run both ways through :meth:`InteractionEngine.run_phase`;
+        the sets oracle walks the pairs in canonical (permutation)
+        order.  The shard-parity suite pins the two to bit-identical
+        traces.
         """
         schedule = self._partners
         if self._pool is not None:

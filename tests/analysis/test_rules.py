@@ -482,7 +482,7 @@ class TestApi006:
         assert codes(
             """
             class Engine:
-                def run_exchanges_batched(self, rows):
+                def run_phase(self, rows):
                     counters = self.population.counters
                     counters[rows, 0] += 1
             """

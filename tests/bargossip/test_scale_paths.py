@@ -754,10 +754,9 @@ HOT_PATH_FUNCTIONS = {
     "src/repro/bargossip/simulator.py": (
         "InteractionEngine.run_exchanges_batched",
         "InteractionEngine.run_pushes_batched",
-        "InteractionEngine._split_cell_pairs",
         "InteractionEngine._split_pair_rows",
         "InteractionEngine._phase_waves",
-        "InteractionEngine._run_waves",
+        "InteractionEngine.run_phase",
         "InteractionEngine._exchange_apply_clean",
         "InteractionEngine._exchange_pass_mixed",
         "InteractionEngine._push_pass_mixed",
