@@ -26,7 +26,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rules import LintConfig, dotted_name
+from ..rules import LintConfig, dotted_name, is_slice_view
 from .callgraph import CallGraph
 from .project import FunctionModel, ProjectModel
 
@@ -138,19 +138,28 @@ def _buffer_chain(expr: ast.expr, buffer_attrs: Tuple[str, ...]) -> Optional[Lis
 #: Array methods that return a *view* of the receiver — an alias bound
 #: through one of these still denotes the shared buffer.  Anything else
 #: (fancy indexing, arithmetic, ``.copy()``, reductions) produces a new
-#: array, which is private until written back.
+#: array, which is private until written back.  A subscript with a
+#: ``:`` in its index (``buf[:, c]``) is a view too.
 _VIEW_METHODS = ("reshape", "view", "ravel", "squeeze", "transpose")
 
 
 def _strip_views(expr: ast.expr) -> ast.expr:
-    """Peel ``.reshape(...)`` / ``.view(...)`` wrappers off a chain."""
-    while (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in _VIEW_METHODS
-    ):
-        expr = expr.func.value
-    return expr
+    """Peel ``.reshape(...)`` / ``.view(...)`` / ``[:, c]`` views off a chain.
+
+    So ``buf[:, c][rows] += v`` is a write to ``buf`` indexed by
+    ``rows``.
+    """
+    while True:
+        if (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in _VIEW_METHODS
+        ):
+            expr = expr.func.value
+        elif is_slice_view(expr):
+            expr = expr.value
+        else:
+            return expr
 
 
 def contains_buffer_read(

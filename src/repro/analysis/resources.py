@@ -14,7 +14,7 @@ import ast
 from typing import Iterable, List, Optional, Set
 
 from .findings import Finding
-from .rules import FileContext, LintConfig, Rule, register
+from .rules import FileContext, LintConfig, Rule, is_slice_view, register
 
 __all__ = ["CounterMutationRule"]
 
@@ -63,6 +63,9 @@ class CounterMutationRule(Rule):
             visit_AsyncFunctionDef = _enter
 
             def _is_counters_expr(self, node: ast.AST) -> bool:
+                if is_slice_view(node):
+                    # ``counters[:, c]`` is a view: one column of the matrix.
+                    return self._is_counters_expr(node.value)
                 if isinstance(node, ast.Attribute) and node.attr == "counters":
                     return True
                 if isinstance(node, ast.Name):
@@ -98,6 +101,7 @@ class CounterMutationRule(Rule):
                             "or Population.add_counter_deltas() for batches",
                         )
                     )
+                    return
 
             def visit_Assign(self, node: ast.Assign) -> None:
                 for target in node.targets:

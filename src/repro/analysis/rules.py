@@ -29,6 +29,7 @@ __all__ = [
     "rule_codes",
     "ImportTracker",
     "dotted_name",
+    "is_slice_view",
 ]
 
 
@@ -301,6 +302,18 @@ def dotted_name(node: ast.AST) -> Optional[List[str]]:
         parts.reverse()
         return parts
     return None
+
+
+def is_slice_view(node: ast.AST) -> bool:
+    """``x[:, c]``, ``x[a:b]``: a subscript whose index holds a slice.
+
+    Such a subscript is a view, so a write through it lands in ``x``.
+    """
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return any(isinstance(part, ast.Slice) for part in parts)
 
 
 class ImportTracker(ast.NodeVisitor):

@@ -69,9 +69,10 @@ class TargetGroup(enum.Enum):
 
 #: The service-counter columns, in storage order.  This tuple *is* the
 #: schema of the columnar counters matrix: column ``i`` of a
-#: ``Population``'s ``(n_nodes, 8)`` buffer holds field
-#: ``COUNTER_FIELDS[i]``, and the batched sweeps' counter deltas use
-#: the same order.
+#: ``Population``'s ``(n_nodes, 8)`` counters view holds field
+#: ``COUNTER_FIELDS[i]`` (stored column-major, so each field's column
+#: is contiguous), and the batched sweeps' counter deltas use the same
+#: order.
 COUNTER_FIELDS: Tuple[str, ...] = (
     "updates_sent",
     "updates_received",

@@ -35,7 +35,13 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["Purpose", "RoundWindowSchedule", "PartnerSchedule", "dependency_waves"]
+__all__ = [
+    "Purpose",
+    "RoundWindowSchedule",
+    "PartnerSchedule",
+    "dependency_plan",
+    "dependency_waves",
+]
 
 
 class Purpose(enum.Enum):
@@ -158,7 +164,7 @@ class PartnerSchedule(RoundWindowSchedule):
         return np.where(draws >= initiators, draws + 1, draws)
 
 
-def dependency_waves(initiators, partners) -> List[np.ndarray]:
+def dependency_plan(initiators, partners, mixed=None) -> Tuple[np.ndarray, np.ndarray]:
     """Cut an ordered list of directed interactions into dependency waves.
 
     Interaction ``k`` is ``initiators[k] -> partners[k]``, in schedule
@@ -172,8 +178,13 @@ def dependency_waves(initiators, partners) -> List[np.ndarray]:
     schedule's dependency order, hence the same trace whenever an
     interaction only touches its two nodes' state.
 
-    Returns one ascending index array into the inputs per wave (none
-    for an empty or all-self list).  The peel is one plain pass over
+    ``mixed`` (one flag per interaction, default all False) splits
+    each wave in two parts, unflagged first.  Returns ``(order,
+    bounds)``: ``order`` lists the non-self interactions stably sorted
+    by (wave, flag), so each part keeps schedule order, and part
+    ``2 * w + flag`` of wave ``w`` is ``order[bounds[2 * w] :
+    bounds[2 * w + 1]]`` (unflagged) and ``order[bounds[2 * w + 1] :
+    bounds[2 * w + 2]]`` (flagged).  The peel is one plain pass over
     the list.
     """
     initiators = np.asarray(initiators, dtype=np.intp)
@@ -187,12 +198,22 @@ def dependency_waves(initiators, partners) -> List[np.ndarray]:
         wave = last[a] if last[a] >= last[b] else last[b]
         last[a] = last[b] = wave + 1
         levels.append(wave)
-    levels = np.asarray(levels, dtype=np.intp)
-    # A stable sort keeps schedule order inside each wave; the -1
-    # (self) entries sort to the front and are dropped.
-    order = np.argsort(levels, kind="stable")
-    sizes = np.bincount(levels[levels >= 0])
-    if not len(sizes):
-        return []
-    order = order[len(levels) - int(sizes.sum()) :]
-    return np.split(order, np.cumsum(sizes)[:-1])
+    keys = np.asarray(levels, dtype=np.intp) * 2
+    if mixed is not None:
+        keys += mixed
+    # A stable sort keeps schedule order inside each part; the negative
+    # (self) keys sort to the front and are dropped.
+    order = np.argsort(keys, kind="stable")
+    sizes = np.bincount(keys[keys >= 0], minlength=2 * max(last, default=0))
+    order = order[len(keys) - int(sizes.sum()) :]
+    return order, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def dependency_waves(initiators, partners) -> List[np.ndarray]:
+    """The waves of :func:`dependency_plan`, one ascending index array each.
+
+    Returns one array of indices into the inputs per wave (none for an
+    empty or all-self list).
+    """
+    order, bounds = dependency_plan(initiators, partners)
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1:2], bounds[2::2])]

@@ -10,8 +10,8 @@ arrays owned by the simulation:
 =================  ========================  =============================
 column             dtype / shape             contents
 =================  ========================  =============================
-``counters``       int64 ``(n_nodes, 8)``    the :data:`~repro.bargossip.
-                                             node.COUNTER_FIELDS` tallies
+``counters``       int64 ``(n_nodes, 8)``,   the :data:`~repro.bargossip.
+                   column-major              node.COUNTER_FIELDS` tallies
 ``group_codes``    int8 ``(n_nodes,)``       :data:`~repro.bargossip.
                                              node.GROUP_CODES`
 ``behavior_codes`` int8 ``(n_nodes,)``       :data:`~repro.bargossip.
@@ -34,6 +34,14 @@ scalar ``sets`` oracle and the event schedule's per-pair path use the
 views; the batched paths scatter-add whole waves into the matrix —
 the pairs of one wave are node-disjoint, so plain fancy-index ``+=``
 is exact.
+
+The counters live in one ``(8, n_nodes)`` block, and ``counters`` is
+its transposed view: the ``(n_nodes, 8)`` shape, row views and
+reductions are unchanged, while each field's column
+(``counters[:, CI_X]``) is contiguous.  The batched sweeps book one
+field at a time (``counters[:, CI_X][rows] += v``), and a 1-D
+scatter-add on a contiguous column costs a fraction of the same add
+into a strided column of a row-major matrix.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ class Population:
 
     def __init__(self, n_nodes: int) -> None:
         self.n_nodes = n_nodes
-        self.counters = np.zeros((n_nodes, N_COUNTER_COLS), dtype=np.int64)
+        self.counters = np.zeros((N_COUNTER_COLS, n_nodes), dtype=np.int64).T
         self.group_codes = np.zeros(n_nodes, dtype=np.int8)
         self.behavior_codes = np.zeros(n_nodes, dtype=np.int8)
         self.evicted = np.zeros(n_nodes, dtype=bool)
@@ -133,7 +141,7 @@ class Population:
     def memory_breakdown(self) -> "Dict[str, int]":
         """Bytes held per columnar component.
 
-        ``counter_bytes`` covers the (n, 8) int64 tallies matrix;
+        ``counter_bytes`` covers the (n, 8) int64 tallies block;
         ``code_column_bytes`` covers the two int8 role columns and the
         eviction flags (3 bytes per node).
         """

@@ -52,7 +52,7 @@ __all__ = [
     "BitsetPushPlan",
     "bitset_plan_push",
     "bitset_apply_push",
-    "push_window_masks",
+    "push_window_words",
     "batched_push_eligibility",
     "batched_word_push",
     "push_dump_limits",
@@ -165,15 +165,19 @@ def _old_need_mask(pool, config: GossipConfig, round_now: int) -> int:
     return (1 << old_hi) - 1
 
 
-def push_window_masks(pool, config: GossipConfig, round_now: int) -> Tuple[int, int]:
-    """This round's ``(recent, old)`` push-window column masks.
+def push_window_words(
+    pool: WordPopulationStore, config: GossipConfig, round_now: int
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """This round's ``(recent, old)`` push-window columns as packed word rows.
 
     Built from the same two helpers the per-pair planner uses, so the
-    batched word sweep can never disagree with it on the windows.
+    batched word sweeps can never disagree with it on the windows.
+    They hold while the window stands still, so a phase builds them
+    once and hands them to every sweep.
     """
     return (
-        _recent_offer_mask(pool, config, round_now),
-        _old_need_mask(pool, config, round_now),
+        pool.mask_words(_recent_offer_mask(pool, config, round_now)),
+        pool.mask_words(_old_need_mask(pool, config, round_now)),
     )
 
 
@@ -181,8 +185,7 @@ def batched_push_eligibility(
     pool: WordPopulationStore,
     rows: "np.ndarray",
     obedient: "np.ndarray",
-    config: GossipConfig,
-    round_now: int,
+    windows: Tuple["np.ndarray", "np.ndarray"],
 ) -> "np.ndarray":
     """Which of ``rows`` would initiate an optimistic push, as one sweep.
 
@@ -191,12 +194,11 @@ def batched_push_eligibility(
     "expiring relatively soon"; an obedient node (per the ``obedient``
     mask, aligned with ``rows``) additionally pushes when it holds a
     recently released offer.  Callers pre-filter attackers and evicted
-    nodes, exactly as the per-pair path's early returns do.  Built on
-    the same window masks as the per-pair planner, so the two can never
-    disagree on the cutoffs.
+    nodes, exactly as the per-pair path's early returns do.
+    ``windows`` is the round's :func:`push_window_words`, so the
+    cutoffs are the per-pair planner's.
     """
-    recent_mask, old_mask = push_window_masks(pool, config, round_now)
-    old_words = pool.mask_words(old_mask)
+    recent_words, old_words = windows
     held = pool.have_words.take(rows, axis=0)
     # A have row lies inside the live row, so a node misses an old
     # update exactly when its old held columns differ from the old live.
@@ -204,7 +206,7 @@ def batched_push_eligibility(
     old_held ^= pool.live_words & old_words
     wants = word_rows_any(old_held)
     if obedient.any():
-        held &= pool.mask_words(recent_mask)
+        held &= recent_words
         wants |= obedient & word_rows_any(held)
     return wants
 
@@ -255,7 +257,7 @@ def batched_word_push(
     initiators: Sequence[int],
     responders: Sequence[int],
     config: GossipConfig,
-    round_now: int,
+    windows: Tuple["np.ndarray", "np.ndarray"],
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Many optimistic pushes in one word-array sweep.
 
@@ -278,12 +280,13 @@ def batched_word_push(
     stacked call: row ``k`` is what the ``k``-th accepting responder
     receives, row ``m + k`` what its initiator receives.
 
-    Returns the per-pair ``(to_responder, to_initiator)`` counts; the
-    junk payment is their difference.
+    ``windows`` is the round's :func:`push_window_words`.  Returns the
+    per-pair ``(to_responder, to_initiator)`` counts; the junk payment
+    is their difference.
     """
     rows_i = np.asarray(initiators, dtype=np.intp)
     rows_r = np.asarray(responders, dtype=np.intp)
-    recent_mask, old_mask = push_window_masks(pool, config, round_now)
+    recent_words, old_words = windows
     have = pool.have_words
     # Each end's have row, gathered once; have rows lie inside the live
     # row, so the columns where the two differ split into what the
@@ -294,7 +297,7 @@ def batched_word_push(
     payable ^= to_responder
     to_responder &= payable
     payable ^= to_responder
-    to_responder &= pool.mask_words(recent_mask)
+    to_responder &= recent_words
     n_wanted = word_popcounts(to_responder)
     responder_counts = np.minimum(n_wanted, config.push_size)
     initiator_counts = np.zeros_like(responder_counts)
@@ -308,7 +311,7 @@ def batched_word_push(
     to_responder.take(moving, axis=0, out=selected[:m])
     to_initiator = selected[m:]
     payable.take(moving, axis=0, out=to_initiator)
-    to_initiator &= pool.mask_words(old_mask)
+    to_initiator &= old_words
     n_payable = word_popcounts(to_initiator)
     offered = responder_counts.take(moving)
     paid = np.minimum(n_payable, offered)

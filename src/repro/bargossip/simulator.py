@@ -24,7 +24,7 @@ of both).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from .node import (
     GossipNode,
     TargetGroup,
 )
-from .partner import PartnerSchedule, Purpose, dependency_waves
+from .partner import PartnerSchedule, Purpose, dependency_plan
 from .population import NodeViews, Population
 from .push import (
     apply_push,
@@ -77,6 +77,7 @@ from .push import (
     bitset_plan_push,
     plan_optimistic_push,
     push_dump_limits,
+    push_window_words,
 )
 from .sharding import ShardedPartnerSchedule
 from .updates import (
@@ -105,11 +106,35 @@ CI_EXCHANGES_NONEMPTY = COUNTER_INDEX["exchanges_nonempty"]
 CI_PUSHES_INITIATED = COUNTER_INDEX["pushes_initiated"]
 CI_PUSHES_NONEMPTY = COUNTER_INDEX["pushes_nonempty"]
 
+_BYZANTINE_CODE = BEHAVIOR_CODES[Behavior.BYZANTINE]
+
 #: Cache-block size, in pairs, of the batched wave sweeps (see
 #: :meth:`InteractionEngine._pair_chunks`): each block's gathered word
 #: rows stay cache-resident at million-node scale.  Any blocking is
 #: trace-identical, because the pairs of one wave are node-disjoint.
 PHASE_CHUNK_PAIRS = 32768
+
+
+class _Phase(NamedTuple):
+    """What every sweep of one phase shares, built once at phase start.
+
+    Within a phase no role changes, the coalition's pool and target set
+    hold, and the push windows stand still (they move only in
+    broadcast, expiry and rotation).  The eviction column does change,
+    so the sweeps read it themselves.
+    """
+
+    round_now: int
+    #: Per-row attacker mask (Byzantine behaviour).
+    byzantine: "np.ndarray"
+    #: Per-row obedience mask.
+    obedient: "np.ndarray"
+    #: The coalition's pooled-have word row; None when it cannot dump.
+    pool_words: Optional["np.ndarray"]
+    #: The satiated-row mask; None when ``pool_words`` is.
+    satiated: Optional["np.ndarray"]
+    #: The round's ``(recent, old)`` push-window word rows (push phases).
+    windows: Optional[Tuple["np.ndarray", "np.ndarray"]]
 
 
 def _directions(rows, both_ways: bool):
@@ -248,22 +273,27 @@ class InteractionEngine:
         initiator.counters.add(exchanges_initiated=1)
         self.interact_exchange(round_now, initiator, partner)
 
-    def _split_pair_rows(self, rows):
-        """Partition one wave's ``(m, 2)`` pair rows into clean and mixed pairs.
+    def _mixed_pairs(self, rows) -> "np.ndarray":
+        """Which ``(m, 2)`` pair rows hold an attacker or evicted member.
 
-        Returns ``(clean_rows, mixed_rows)`` in schedule order.  Clean
-        pairs (two live correct nodes) run through the plain
-        exchange/push sweeps; mixed pairs (an attacker or evicted member
-        present) run through the masked dump/eviction sweeps
-        (:meth:`_exchange_pass_mixed` / :meth:`_push_pass_mixed`).  One
-        masked array op over the population's behaviour/eviction
-        columns.  Reads the eviction column at call time, so a split
-        taken between dependency waves sees the evictions of the waves
-        before it.
+        Clean pairs (two live correct nodes) run through the plain
+        exchange/push sweeps; mixed pairs run through the masked
+        dump/eviction sweeps (:meth:`_exchange_pass_mixed` /
+        :meth:`_push_pass_mixed`).  A phase tags its pairs once, at its
+        start, and that is exact: inside a phase only attacker rows are
+        ever evicted (a flagged dump evicts its giver), and every pair
+        holding an attacker is already mixed.
         """
         population = self.population
         special = population.byzantine_mask | population.evicted
-        mixed = special[rows[:, 0]] | special[rows[:, 1]]
+        return special[rows[:, 0]] | special[rows[:, 1]]
+
+    def _split_pair_rows(self, rows):
+        """One node-disjoint wave as ``(clean_rows, mixed_rows)``.
+
+        Both keep schedule order; see :meth:`_mixed_pairs`.
+        """
+        mixed = self._mixed_pairs(rows)
         # Row gathers by index: boolean-masking an (m, 2) array costs
         # several times more.
         return (
@@ -303,31 +333,58 @@ class InteractionEngine:
             return None
         return self.pool.mask_words(mask)
 
+    def _phase_constants(self, round_now: int, purpose) -> _Phase:
+        """The :class:`_Phase` of a phase starting now."""
+        population = self.population
+        pool_words = self._attack_pool_words()
+        return _Phase(
+            round_now,
+            population.byzantine_mask,
+            population.obedient_mask,
+            pool_words,
+            self._satiated_row_mask() if pool_words is not None else None,
+            None
+            if purpose is Purpose.EXCHANGE
+            else push_window_words(self.pool, self.config, round_now),
+        )
+
     def _phase_waves(self, order, partners):
-        """The phase's directed interactions as ``(m, 2)`` row arrays, wave by wave.
+        """The phase's directed interactions, as ``(clean, mixed)`` row arrays per wave.
 
         Interactions are ``(initiator, partners[initiator])`` in
         ``order`` (``partners`` an id-indexed array, as the partner
-        schedules produce); self-partner entries are dropped.  See
-        :func:`~repro.bargossip.partner.dependency_waves`.
+        schedules produce); self-partner entries are dropped.  The
+        phase is peeled once
+        (:func:`~repro.bargossip.partner.dependency_plan`) with each
+        interaction tagged clean or mixed once (:meth:`_mixed_pairs`),
+        so every wave is two zero-copy slices of one sorted row array,
+        each in schedule order.
         """
         initiators = np.asarray(order, dtype=np.intp)
         targets = np.asarray(partners, dtype=np.intp)[initiators]
         rows = self._rows_of_ids(np.stack([initiators, targets], axis=1))
-        for wave in dependency_waves(rows[:, 0], rows[:, 1]):
-            yield rows.take(wave, axis=0)
+        plan, bounds = dependency_plan(
+            rows[:, 0], rows[:, 1], self._mixed_pairs(rows)
+        )
+        rows = rows.take(plan, axis=0)
+        bounds = bounds.tolist()
+        return [
+            (rows[lo:mid], rows[mid:hi])
+            for lo, mid, hi in zip(bounds[:-1:2], bounds[1::2], bounds[2::2])
+        ]
 
     def run_phase(
         self, round_now: int, waves, purpose, both_ways: bool = False
     ) -> None:
         """One exchange or push phase on the words backend, wave by wave.
 
-        ``waves`` iterates node-disjoint ``(m, 2)`` arrays of
-        ``(initiator, partner)`` rows, in schedule order.  Each wave
-        runs through one-direction passes: clean pairs through the
-        plain word sweeps, pairs with an attacker or evicted member
-        through the masked dump sweeps.  With ``both_ways`` each pair
-        then initiates back (the cell pairing's undirected pairs): each
+        ``waves`` iterates node-disjoint waves in schedule order, each
+        a ``(clean_rows, mixed_rows)`` pair of ``(m, 2)`` arrays of
+        ``(initiator, partner)`` rows, split at phase start
+        (:meth:`_mixed_pairs`).  Clean pairs run through the plain word
+        sweeps, pairs with an attacker or evicted member through the
+        masked dump sweeps.  With ``both_ways`` each pair then
+        initiates back (the cell pairing's undirected pairs): each
         cache block runs a→b and then b→a before the next block starts,
         so its gathered word rows stay resident, and the mixed rows do
         the same.  Bit-identical to the per-pair walk, because within
@@ -335,49 +392,41 @@ class InteractionEngine:
 
         * an interaction only touches its two nodes' rows and counters;
         * the coalition's pool changes only in broadcast and expiry, so
-          its word row (and the satiated-row mask) hold for the phase;
+          its word row (and the satiated-row mask) hold for the phase,
+          as do the roles and the push windows (:class:`_Phase`);
         * eviction reports are keyed by the offender, a member of the
           pair, and the pair's own wave order is the schedule's;
         * ``updates_served`` is a sum.
 
-        Each pass reads the eviction column when it starts, so a wave
-        sees every eviction an earlier wave made.
+        Each mixed pass reads the eviction column when it starts, so a
+        wave sees every eviction an earlier wave made.
         """
-        pool_words = self._attack_pool_words()
-        satiated = self._satiated_row_mask() if pool_words is not None else None
-        obedient = self.population.obedient_mask
-        counters = self.population.counters
+        phase = self._phase_constants(round_now, purpose)
         exchange = purpose is Purpose.EXCHANGE
-        for wave in waves:
-            clean_rows, mixed_rows = self._split_pair_rows(wave)
+        initiated = self.population.counters[:, CI_EXCHANGES_INITIATED]
+        for clean_rows, mixed_rows in waves:
             for block in self._pair_chunks(clean_rows):
                 if not exchange:
                     for rows_i, rows_r in _directions(block, both_ways):
-                        self._push_pass_batched(
-                            round_now, rows_i, rows_r, obedient
-                        )
+                        self._push_pass_batched(phase, rows_i, rows_r)
                     continue
                 rows_i, rows_r = block[:, 0], block[:, 1]
                 # Rows are pairwise disjoint within a pass, so fancy-index
                 # += is an exact scatter-add.
-                counters[rows_i, CI_EXCHANGES_INITIATED] += 1
+                initiated[rows_i] += 1
                 moved = self._exchange_apply_clean(rows_i, rows_r)
                 if both_ways:
                     # When the other end initiates, the pair's two
                     # availabilities just swap sides, and the transfer
                     # size (the capped minimum of both) is symmetric in
                     # them: only the movers go again.
-                    counters[rows_r, CI_EXCHANGES_INITIATED] += 1
+                    initiated[rows_r] += 1
                     self._exchange_apply_clean(rows_r[moved], rows_i[moved])
             for rows_i, rows_r in _directions(mixed_rows, both_ways):
                 if exchange:
-                    self._exchange_pass_mixed(
-                        round_now, rows_i, rows_r, pool_words, satiated
-                    )
+                    self._exchange_pass_mixed(phase, rows_i, rows_r)
                 else:
-                    self._push_pass_mixed(
-                        round_now, rows_i, rows_r, pool_words, obedient, satiated
-                    )
+                    self._push_pass_mixed(phase, rows_i, rows_r)
 
     def run_exchanges_batched(self, round_now: int, pairs) -> None:
         """One balanced-exchange phase over the cell pairing's pairs.
@@ -388,7 +437,10 @@ class InteractionEngine:
         permutation order.
         """
         rows = self._rows_of_ids(np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
-        self.run_phase(round_now, (rows,), Purpose.EXCHANGE, both_ways=True)
+        self.run_phase(
+            round_now, (self._split_pair_rows(rows),), Purpose.EXCHANGE,
+            both_ways=True,
+        )
 
     def _exchange_apply_clean(self, rows_i, rows_r) -> "np.ndarray":
         """Apply one direction's correct-correct exchanges (no booking).
@@ -410,16 +462,14 @@ class InteractionEngine:
         counters = self.population.counters
         rows_i, rows_r = rows_i[moved], rows_r[moved]
         gained, given = to_initiator[moved], to_partner[moved]
-        counters[rows_i, CI_UPDATES_SENT] += given
-        counters[rows_i, CI_UPDATES_RECEIVED] += gained
-        counters[rows_r, CI_UPDATES_SENT] += gained
-        counters[rows_r, CI_UPDATES_RECEIVED] += given
-        counters[rows_i, CI_EXCHANGES_NONEMPTY] += 1
+        counters[:, CI_UPDATES_SENT][rows_i] += given
+        counters[:, CI_UPDATES_RECEIVED][rows_i] += gained
+        counters[:, CI_UPDATES_SENT][rows_r] += gained
+        counters[:, CI_UPDATES_RECEIVED][rows_r] += given
+        counters[:, CI_EXCHANGES_NONEMPTY][rows_i] += 1
         return moved
 
-    def _exchange_pass_mixed(
-        self, round_now: int, rows_i, rows_r, pool_words, satiated_rows
-    ) -> None:
+    def _exchange_pass_mixed(self, phase: _Phase, rows_i, rows_r) -> None:
         """One direction of the exchange phase over mixed islands.
 
         The scalar ``_exchange_directed`` → ``interact_exchange``
@@ -435,34 +485,32 @@ class InteractionEngine:
         island, and each node sits in exactly one island per phase.
         """
         population = self.population
-        byz = population.byzantine_mask
+        byz = phase.byzantine
         evicted = population.evicted
         i_byz = byz[rows_i]
         r_byz = byz[rows_r]
         alive = ~(evicted[rows_i] | evicted[rows_r])
         book = alive if self.attack.trades() else (alive & ~i_byz)
         booked = rows_i.take(book.nonzero()[0])
-        population.counters[booked, CI_EXCHANGES_INITIATED] += 1
-        if pool_words is None:
+        population.counters[:, CI_EXCHANGES_INITIATED][booked] += 1
+        if phase.pool_words is None:
             return
         dumped = (alive & (i_byz ^ r_byz)).nonzero()[0]
         if not len(dumped):
             return
         givers = np.where(i_byz, rows_i, rows_r)[dumped]
         receivers = np.where(i_byz, rows_r, rows_i)[dumped]
-        satiated = satiated_rows[receivers].nonzero()[0]
+        satiated = phase.satiated[receivers].nonzero()[0]
         if not len(satiated):
             return
         givers, receivers = givers.take(satiated), receivers.take(satiated)
         limits = exchange_dump_limits(
-            self.config, population.obedient_mask[receivers], self.pool.capacity
+            self.config, phase.obedient[receivers], self.pool.capacity
         )
-        self._apply_dump(
-            round_now, givers, receivers, pool_words, limits, Purpose.EXCHANGE
-        )
+        self._apply_dump(phase, givers, receivers, limits, Purpose.EXCHANGE)
 
     def _apply_dump(
-        self, round_now: int, givers, receivers, pool_words, limits, purpose
+        self, phase: _Phase, givers, receivers, limits, purpose
     ) -> None:
         """Batched ``attacker_dump``: one masked word sweep per pass.
 
@@ -474,7 +522,7 @@ class InteractionEngine:
         for the rows the policy flags.
         """
         counts, selected = batched_word_dump(
-            self.pool, pool_words, receivers, limits
+            self.pool, phase.pool_words, receivers, limits
         )
         self.attack.updates_served += int(counts.sum())
         gave = counts.nonzero()[0]
@@ -483,17 +531,18 @@ class InteractionEngine:
         # ``selected`` holds exactly the receivers that gain, in order.
         givers, receivers, counts = givers[gave], receivers[gave], counts[gave]
         counters = self.population.counters
-        counters[receivers, CI_UPDATES_RECEIVED] += counts
-        counters[givers, CI_UPDATES_SENT] += counts
+        counters[:, CI_UPDATES_RECEIVED][receivers] += counts
+        counters[:, CI_UPDATES_SENT][givers] += counts
         authority = self.authority
         if authority is None:
             return
         flagged = (counts > authority.policy.excess_threshold) & (
-            self.population.obedient_mask[receivers]
+            phase.obedient[receivers]
         )
         for k in flagged.nonzero()[0]:
             self._file_dump_report(
-                round_now, int(givers[k]), int(receivers[k]), selected[k], purpose
+                phase.round_now, int(givers[k]), int(receivers[k]), selected[k],
+                purpose,
             )
 
     def _file_dump_report(
@@ -692,12 +741,11 @@ class InteractionEngine:
         in the per-pair order.
         """
         rows = self._rows_of_ids(np.asarray(pairs, dtype=np.intp).reshape(-1, 2))
-        self.run_phase(round_now, (rows,), Purpose.PUSH, both_ways=True)
+        self.run_phase(
+            round_now, (self._split_pair_rows(rows),), Purpose.PUSH, both_ways=True
+        )
 
-    def _push_pass_mixed(
-        self, round_now: int, rows_i, rows_r, pool_words, obedient,
-        satiated_rows,
-    ) -> None:
+    def _push_pass_mixed(self, phase: _Phase, rows_i, rows_r) -> None:
         """One direction of the push phase over mixed islands.
 
         The scalar ``_push_directed`` decision tree as masked sweeps.
@@ -712,7 +760,8 @@ class InteractionEngine:
         pass.
         """
         population = self.population
-        byz = population.byzantine_mask
+        byz = phase.byzantine
+        obedient = phase.obedient
         evicted = population.evicted
         i_byz = byz[rows_i]
         r_byz = byz[rows_r]
@@ -720,12 +769,12 @@ class InteractionEngine:
         rows_ci = rows_i.take(correct_i)
         rows_cr = rows_r.take(correct_i)
         wants = batched_push_eligibility(
-            self.pool, rows_ci, obedient[rows_ci], self.config, round_now
+            self.pool, rows_ci, obedient[rows_ci], phase.windows
         )
         book = (wants & ~evicted[rows_cr]).nonzero()[0]
         rows_ci, rows_cr = rows_ci.take(book), rows_cr.take(book)
-        population.counters[rows_ci, CI_PUSHES_INITIATED] += 1
-        if pool_words is None:
+        population.counters[:, CI_PUSHES_INITIATED][rows_ci] += 1
+        if phase.pool_words is None:
             return
         # Forward dumps (attacker initiator onto its correct responder),
         # then reverse dumps (a booked push landing on an attacker), as
@@ -738,22 +787,19 @@ class InteractionEngine:
         back = byz[rows_cr].nonzero()[0]
         givers = np.concatenate((rows_i.take(forward), rows_cr.take(back)))
         receivers = np.concatenate((rows_r.take(forward), rows_ci.take(back)))
-        satiated = satiated_rows[receivers].nonzero()[0]
+        satiated = phase.satiated[receivers].nonzero()[0]
         if not len(satiated):
             return
         receivers = receivers.take(satiated)
         self._apply_dump(
-            round_now,
+            phase,
             givers.take(satiated),
             receivers,
-            pool_words,
             push_dump_limits(self.config, obedient[receivers]),
             Purpose.PUSH,
         )
 
-    def _push_pass_batched(
-        self, round_now: int, rows_i, rows_r, obedient
-    ) -> None:
+    def _push_pass_batched(self, phase: _Phase, rows_i, rows_r) -> None:
         """One direction of the batched push phase.
 
         The willingness rule is ``GossipNode.wants_to_push`` evaluated
@@ -763,17 +809,17 @@ class InteractionEngine:
         the counters matrix.
         """
         wants = batched_push_eligibility(
-            self.pool, rows_i, obedient[rows_i], self.config, round_now
+            self.pool, rows_i, phase.obedient[rows_i], phase.windows
         )
         willing = wants.nonzero()[0]
         if not len(willing):
             return
         rows_i, rows_r = rows_i[willing], rows_r[willing]
         responder_counts, initiator_counts = batched_word_push(
-            self.pool, rows_i, rows_r, self.config, round_now
+            self.pool, rows_i, rows_r, self.config, phase.windows
         )
         counters = self.population.counters
-        counters[rows_i, CI_PUSHES_INITIATED] += 1
+        counters[:, CI_PUSHES_INITIATED][rows_i] += 1
         applied = responder_counts.nonzero()[0]
         if not len(applied):
             return
@@ -781,13 +827,13 @@ class InteractionEngine:
         to_responder = responder_counts[applied]
         to_initiator = initiator_counts[applied]
         junk = to_responder - to_initiator
-        counters[rows_i, CI_PUSHES_NONEMPTY] += 1
-        counters[rows_i, CI_UPDATES_SENT] += to_responder
-        counters[rows_i, CI_UPDATES_RECEIVED] += to_initiator
-        counters[rows_r, CI_UPDATES_SENT] += to_initiator
-        counters[rows_r, CI_UPDATES_RECEIVED] += to_responder
-        counters[rows_r, CI_JUNK_SENT] += junk
-        counters[rows_i, CI_JUNK_RECEIVED] += junk
+        counters[:, CI_PUSHES_NONEMPTY][rows_i] += 1
+        counters[:, CI_UPDATES_SENT][rows_i] += to_responder
+        counters[:, CI_UPDATES_RECEIVED][rows_i] += to_initiator
+        counters[:, CI_UPDATES_SENT][rows_r] += to_initiator
+        counters[:, CI_UPDATES_RECEIVED][rows_r] += to_responder
+        counters[:, CI_JUNK_SENT][rows_r] += junk
+        counters[:, CI_JUNK_RECEIVED][rows_i] += junk
 
     def _push_bitset(
         self, round_now: int, initiator: GossipNode, partner: GossipNode
@@ -1480,39 +1526,55 @@ class GossipSimulator(RoundSimulator):
     def _broadcast(self, round_now: int) -> List[int]:
         """Release this round's updates and seed each to random nodes.
 
-        Returns the fresh update ids.  Under the event schedule a seed
-        drawn for a departed node is skipped (the node is not there to
-        receive it) — without churn the filter never fires, keeping the
-        seeding stream parity-exact with the classic schedule.
+        Returns the fresh update ids.  Each update draws its seeded
+        nodes in release order (the seeding stream's sequence); the
+        words backend then writes every seed at once.  Under the event
+        schedule a seed drawn for a departed node is skipped (the node
+        is not there to receive it) — without churn the filter never
+        fires, keeping the seeding stream parity-exact with the classic
+        schedule.  The coalition pools every update a live member was
+        seeded: the members are the Byzantine rows, less the evicted
+        ones, which the coalition drops as it evicts them.
         """
         fresh = self.ledger.release(round_now)
-        population = self.config.n_nodes
-        evicted = self.population.evicted
-        members = self.attack.nodes
-        departed = self._departed
-        churning = departed is not None and departed.any()
-        first_col = 0
-        if self._pool is not None:
-            self._pool.advance_to(round_now)
-            first_col = fresh[0] - self._pool.base
-            self._pool.announce_fresh(first_col, len(fresh))
-        for offset, update in enumerate(fresh):
-            seeded = self._seeding_rng.choice(
-                population, size=self.config.copies_seeded, replace=False
+        copies = self.config.copies_seeded
+        seeded = np.array(
+            [
+                self._seeding_rng.choice(
+                    self.config.n_nodes, size=copies, replace=False
+                )
+                for _ in fresh
+            ],
+            dtype=np.intp,
+        ).reshape(len(fresh), copies)
+        if self._departed is None:
+            landed = np.ones(seeded.shape, dtype=bool)
+        else:
+            landed = ~self._departed[seeded]
+            self.network_stats.seeds_to_departed += int(landed.size - landed.sum())
+        pool = self._pool
+        if pool is not None:
+            pool.advance_to(round_now)
+            first_col = fresh[0] - pool.base
+            pool.announce_fresh(first_col, len(fresh))
+            cols = np.arange(first_col, first_col + len(fresh))
+            pool.seed(
+                seeded[landed], np.broadcast_to(cols[:, None], seeded.shape)[landed]
             )
-            seeded_set = {int(node) for node in seeded}
-            if churning:
-                skipped = {node for node in seeded_set if departed[node]}
-                if skipped:
-                    seeded_set -= skipped
-                    self.network_stats.seeds_to_departed += len(skipped)
-            if self._pool is not None:
-                self._pool.seed(sorted(seeded_set), first_col + offset)
-            else:
+        else:
+            for update, row, lands in zip(fresh, seeded.tolist(), landed.tolist()):
+                seeded_set = {node for node, land in zip(row, lands) if land}
                 for node in self.nodes:
                     node.store.announce(update, node.node_id in seeded_set)
-            if any(not evicted[node] for node in members & seeded_set):
-                self.attack.pool.add(update)
+        population = self.population
+        members = (
+            landed
+            & ~population.evicted[seeded]
+            & (population.behavior_codes[seeded] == _BYZANTINE_CODE)
+        )
+        self.attack.pool.update(
+            fresh[k] for k in members.any(axis=1).nonzero()[0].tolist()
+        )
         return fresh
 
     def _attack_out_of_band(self) -> None:
@@ -1544,7 +1606,7 @@ class GossipSimulator(RoundSimulator):
             pool.have_words[rows] |= give
             self.attack.updates_served += int(counts.sum())
             gained = counts > 0
-            self.population.counters[rows[gained], CI_UPDATES_RECEIVED] += counts[
+            self.population.counters[:, CI_UPDATES_RECEIVED][rows[gained]] += counts[
                 gained
             ]
             return
@@ -1618,15 +1680,12 @@ class GossipSimulator(RoundSimulator):
             self._delivered_by_node += delivered
             self._missed_by_node += missed
             window = created // self.config.update_lifetime
-            window_delivered, window_missed = self._window_tallies.setdefault(
-                window,
-                [
-                    np.zeros(self.config.n_nodes, dtype=np.int64),
-                    np.zeros(self.config.n_nodes, dtype=np.int64),
-                ],
-            )
-            window_delivered += delivered
-            window_missed += missed
+            tallies = self._window_tallies.get(window)
+            if tallies is None:
+                self._window_tallies[window] = [delivered, missed]
+            else:
+                tallies[0] += delivered
+                tallies[1] += missed
             self.stats.record_groups(
                 tally_group_codes(
                     delivered_counts, due_each, self.population.group_codes

@@ -36,7 +36,7 @@ Three views of update state are kept:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 import numpy as np
 
@@ -773,11 +773,19 @@ class WordPopulationStore:
         mask = ((1 << count) - 1) << first_col
         self.live_words |= self.mask_words(mask)
 
-    def seed(self, node_ids: Iterable[int], col: int) -> None:
-        """Flip one fresh (live) column to held for the seeded nodes."""
-        rows = list(node_ids)
-        word, bit = divmod(col + self.offset, WORD_BITS)
-        self.have_words[rows, word] |= np.uint64(1 << bit)
+    def seed(self, node_ids: Sequence[int], col) -> None:
+        """Flip fresh (live) columns to held for the seeded nodes.
+
+        ``col`` is one column for every node, or one per node: a whole
+        round's seeds land in one write.  A node may be seeded several
+        columns of one word, so the bits are OR-ed in unbuffered
+        (``np.bitwise_or.at``), which keeps every one of them.
+        """
+        rows = np.asarray(node_ids, dtype=np.intp)
+        word, bit = np.divmod(np.asarray(col, dtype=np.intp) + self.offset, WORD_BITS)
+        np.bitwise_or.at(
+            self.have_words, (rows, word), np.left_shift(_ONE, bit.astype(np.uint64))
+        )
 
     def clear_mask(self, mask: int) -> None:
         """Expire the masked columns for every node (end-of-life)."""

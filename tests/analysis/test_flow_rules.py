@@ -97,6 +97,56 @@ class TestFLW010Fixtures:
         assert [f.rule for f in found] == ["FLW010"]
         assert found[0].trace, "interprocedural finding must carry a call chain"
 
+    def test_duplicate_index_write_fires(self):
+        sources = {
+            "src/repro/sweepfix.py": """
+            import numpy as np
+
+            def run_exchanges_batched(state):
+                perm = np.array([0, 0])
+                state.counters[perm, 3] += 1
+            """
+        }
+        assert rules_fired(sources) == ["FLW010"]
+
+    def test_duplicate_index_column_write_fires(self):
+        # ``buf[:, c]`` is a view of ``buf``: the write lands in the
+        # shared matrix, guarded only by the outer index.
+        sources = {
+            "src/repro/sweepfix.py": """
+            import numpy as np
+
+            def run_exchanges_batched(state):
+                perm = np.array([0, 0])
+                state.counters[:, 3][perm] += 1
+            """
+        }
+        assert rules_fired(sources) == ["FLW010"]
+
+    def test_duplicate_index_column_alias_write_fires(self):
+        sources = {
+            "src/repro/sweepfix.py": """
+            import numpy as np
+
+            def run_exchanges_batched(state):
+                column = state.counters[:, 3]
+                perm = np.array([0, 0])
+                column[perm] += 1
+            """
+        }
+        assert rules_fired(sources) == ["FLW010"]
+
+    def test_row_guarded_column_write_is_clean(self):
+        sources = {
+            "src/repro/sweepfix.py": """
+            def run_exchanges_batched(state, rows):
+                state.counters[:, 3][rows] += 1
+                column = state.counters[:, 4]
+                column[rows] += 1
+            """
+        }
+        assert rules_fired(sources) == []
+
     def test_derived_row_index_is_clean(self):
         sources = {
             "src/repro/sweepfix.py": """
@@ -339,14 +389,38 @@ class TestSeededMutations:
 
     def test_flw010_unguarded_counter_write(self, tree_sources):
         sim = tree_sources["src/repro/bargossip/simulator.py"]
-        needle = "counters[rows_i, CI_EXCHANGES_INITIATED] += 1"
+        needle = "counters[:, CI_EXCHANGES_NONEMPTY][rows_i] += 1"
         assert needle in sim
         mutated = dict(tree_sources)
         mutated["src/repro/bargossip/simulator.py"] = sim.replace(
-            needle, "counters[7, CI_EXCHANGES_INITIATED] += 1"
+            needle, "counters[:, CI_EXCHANGES_NONEMPTY][7] += 1"
         )
         fired = tree_findings(mutated)
         assert fired, "removing the row guard must surface FLW010"
+        assert all(rule == "FLW010" for rule, _, _ in fired)
+        assert all(path == "src/repro/bargossip/simulator.py" for _, path, _ in fired)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            "population.counters[perm, CI_UPDATES_SENT] += 1",
+            "population.counters[:, CI_UPDATES_SENT][perm] += 1",
+        ],
+        ids=["matrix", "column"],
+    )
+    def test_flw010_duplicate_rows_in_mixed_pass(self, tree_sources, write):
+        """A scatter-add whose index repeats a row, planted in the mixed
+        exchange pass, in both the 2-D and the column spelling."""
+        sim = tree_sources["src/repro/bargossip/simulator.py"]
+        anchor = "        if phase.pool_words is None:\n            return\n        dumped ="
+        assert sim.count(anchor) == 1
+        planted = (
+            "        perm = np.array([0, 0])\n        " + write + "\n" + anchor
+        )
+        mutated = dict(tree_sources)
+        mutated["src/repro/bargossip/simulator.py"] = sim.replace(anchor, planted)
+        fired = tree_findings(mutated)
+        assert fired, "a duplicate-row counters write must surface FLW010"
         assert all(rule == "FLW010" for rule, _, _ in fired)
         assert all(path == "src/repro/bargossip/simulator.py" for _, path, _ in fired)
 

@@ -460,6 +460,18 @@ class TestApi006:
             """
         )
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            "population.counters[:, 2][rows] += 1",
+            "column = population.counters[:, 2]\n    column[rows] += 1",
+        ],
+        ids=["column", "column-alias"],
+    )
+    def test_raw_column_write_fires(self, write):
+        found = codes("def cheat(population, rows):\n    " + write + "\n")
+        assert found.count("API006") == 1
+
     def test_counters_view_write_fires(self):
         assert "API006" in codes(
             """

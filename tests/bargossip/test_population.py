@@ -81,6 +81,70 @@ class TestCounterColumns:
         ]
 
 
+class TestCounterLayout:
+    """The counters are stored column-major behind an ``(n, 8)`` view.
+
+    Every read the rest of the tree makes — the shape, the dtype, row
+    views, reductions, the per-node :class:`CounterColumnView` and
+    :meth:`Population.add_counter_deltas` — must see what a row-major
+    ``(n, 8)`` int64 matrix given the same writes holds.
+    """
+
+    N = 7
+
+    def _booked(self):
+        """A population and a C-order reference given the same writes."""
+        population = Population(self.N)
+        reference = np.zeros((self.N, N_COUNTER_COLS), dtype=np.int64)
+        rng = np.random.default_rng(5)
+        for row in range(self.N):
+            view = population.counters_view(row)
+            for index, name in enumerate(COUNTER_FIELDS):
+                amount = int(rng.integers(0, 50))
+                view.add(**{name: amount})
+                reference[row, index] += amount
+        view = population.counters_view(3)
+        view.junk_sent = 11
+        reference[3, COUNTER_FIELDS.index("junk_sent")] = 11
+        rows = np.array([5, 0, 2])
+        deltas = rng.integers(0, 9, size=(3, N_COUNTER_COLS))
+        population.add_counter_deltas(rows, deltas)
+        reference[rows] += deltas
+        # The batched sweeps' booking: one column at a time.
+        population.counters[:, 4][rows] += np.array([1, 2, 3])
+        reference[rows, 4] += np.array([1, 2, 3])
+        return population, reference
+
+    def test_shape_and_dtype(self):
+        population = Population(self.N)
+        assert population.counters.shape == (self.N, N_COUNTER_COLS)
+        assert population.counters.dtype == np.int64
+        assert population.memory_breakdown()["counter_bytes"] == (
+            self.N * N_COUNTER_COLS * 8
+        )
+
+    def test_each_column_is_contiguous(self):
+        counters = Population(self.N).counters
+        for index in range(N_COUNTER_COLS):
+            assert counters[:, index].flags.c_contiguous
+
+    def test_reads_match_row_major_reference(self):
+        population, reference = self._booked()
+        counters = population.counters
+        assert np.array_equal(counters, reference)
+        assert np.ascontiguousarray(counters).tobytes() == reference.tobytes()
+        for row in range(self.N):
+            assert counters[row].tolist() == reference[row].tolist()
+            assert population.counters_view(row).as_tuple() == tuple(
+                reference[row].tolist()
+            )
+            assert population.counters_view(row) == ServiceCounters(
+                **dict(zip(COUNTER_FIELDS, reference[row].tolist()))
+            )
+        assert counters.sum(axis=0).tolist() == reference.sum(axis=0).tolist()
+        assert int(counters.sum()) == int(reference.sum())
+
+
 class TestOverflowGuards:
     """The int64 columns refuse to wrap, on every mutation path."""
 

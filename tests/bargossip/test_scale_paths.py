@@ -35,6 +35,7 @@ from repro.bargossip.defenses import (
     figure3_variants,
     with_larger_pushes,
 )
+from repro.bargossip.partner import Purpose
 from repro.bargossip.scenario import ExecutionConfig
 from repro.bargossip.simulator import GossipSimulator, InteractionEngine
 from repro.bargossip.updates import (
@@ -533,7 +534,8 @@ class TestOneTruncationPerSweep:
         oracle = _words_copy(pool)
         calls = _count_calls(monkeypatch, push, "truncate_word_rows")
         to_r, to_i = push.batched_word_push(
-            pool, initiators, responders, config, round_now
+            pool, initiators, responders, config,
+            push.push_window_words(pool, config, round_now),
         )
         accepted = int(np.count_nonzero(to_r))
         assert accepted and len(calls) == 1 and len(calls[0][2]) == 2 * accepted
@@ -639,9 +641,7 @@ class TestOneTruncationPerSweep:
         rows_r = np.array([receiver, attackers[1]])
         words = simulators["words"]._engine
         words._push_pass_mixed(
-            round_now, rows_i, rows_r, words._attack_pool_words(),
-            simulators["words"].population.obedient_mask,
-            words._satiated_row_mask(),
+            words._phase_constants(round_now, Purpose.PUSH), rows_i, rows_r
         )
         for initiator, responder in zip(rows_i.tolist(), rows_r.tolist()):
             reference._engine._push_directed(round_now, initiator, responder)
@@ -754,7 +754,9 @@ HOT_PATH_FUNCTIONS = {
     "src/repro/bargossip/simulator.py": (
         "InteractionEngine.run_exchanges_batched",
         "InteractionEngine.run_pushes_batched",
+        "InteractionEngine._mixed_pairs",
         "InteractionEngine._split_pair_rows",
+        "InteractionEngine._phase_constants",
         "InteractionEngine._phase_waves",
         "InteractionEngine.run_phase",
         "InteractionEngine._exchange_apply_clean",
@@ -780,13 +782,14 @@ HOT_PATH_FUNCTIONS = {
         "WordPopulationStore.missing_rows",
         "WordPopulationStore.mask_words",
     ),
-    "src/repro/bargossip/partner.py": ("dependency_waves",),
+    "src/repro/bargossip/partner.py": ("dependency_plan", "dependency_waves"),
     "src/repro/bargossip/exchange.py": (
         "batched_word_exchange",
         "batched_word_dump",
         "exchange_dump_limits",
     ),
     "src/repro/bargossip/push.py": (
+        "push_window_words",
         "batched_push_eligibility",
         "batched_word_push",
         "push_dump_limits",

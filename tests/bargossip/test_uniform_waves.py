@@ -2,14 +2,16 @@
 
 On the rounds schedule the words engine cuts each exchange/push phase
 into node-disjoint dependency waves
-(:func:`~repro.bargossip.partner.dependency_waves`) and runs each wave
+(:func:`~repro.bargossip.partner.dependency_plan`; its wave list is
+:func:`~repro.bargossip.partner.dependency_waves`) and runs each wave
 through the batched word sweeps.  Two layers of properties pin it:
 
 * **The peel** against its brute-force definition: waves are
   node-disjoint, every earlier interaction sharing a node sits in an
   earlier wave (and each interaction in the earliest such wave),
   schedule order holds within a wave, and the waves concatenate to a
-  permutation of the non-self entries.
+  permutation of the non-self entries.  With per-interaction flags the
+  same plan splits each wave into its unflagged and flagged parts.
 * **Whole runs**: the wave path equals the per-pair ``sets`` oracle on
   generated scenarios (populations of 2 to 200 nodes, every attack,
   mid-phase evictions, rotating targets, capped pushes and exchanges),
@@ -39,7 +41,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bargossip.attacker import AttackKind, AttackerCoalition
 from repro.bargossip.config import GossipConfig
 from repro.bargossip.defenses import ReportingPolicy
-from repro.bargossip.partner import PartnerSchedule, Purpose, dependency_waves
+from repro.bargossip.partner import (
+    PartnerSchedule,
+    Purpose,
+    dependency_plan,
+    dependency_waves,
+)
 from repro.bargossip.scenario import ExecutionConfig, Scenario, run_experiment
 from repro.bargossip.simulator import GossipSimulator
 from repro.core.rng import RngStreams
@@ -130,6 +137,26 @@ class TestPeel:
             partners = schedule.partners_for_round(0, purpose)
             pairs = [(int(i), int(partners[i])) for i in order]
             _assert_peel_invariants(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=_interaction_lists(), data=st.data())
+    def test_flagged_plan_splits_each_wave(self, pairs, data):
+        """``dependency_plan`` with flags: each wave (the same level pass
+        the engine runs) is its unflagged then its flagged interactions,
+        each part in schedule order."""
+        flags = np.array(
+            data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))),
+            dtype=bool,
+        )
+        waves = _assert_peel_invariants(pairs)
+        order, bounds = dependency_plan(
+            [a for a, _ in pairs], [b for _, b in pairs], flags
+        )
+        assert len(bounds) == 2 * len(waves) + 1
+        for level, wave in enumerate(waves):
+            lo, mid, hi = bounds[2 * level : 2 * level + 3]
+            assert order[lo:mid].tolist() == wave[~flags[wave]].tolist()
+            assert order[mid:hi].tolist() == wave[flags[wave]].tolist()
 
     def test_empty_and_all_self(self):
         assert dependency_waves([], []) == []

@@ -42,6 +42,7 @@ from repro.bargossip.push import (
     batched_word_push,
     bitset_apply_push,
     bitset_plan_push,
+    push_window_words,
 )
 from repro.bargossip.updates import WORD_BITS, WordPopulationStore, words_to_int
 
@@ -239,7 +240,8 @@ def _push_config(case, push_size, age, recent):
 
 def _check_push(store, oracle, initiators, responders, config, round_now):
     to_responder, to_initiator = batched_word_push(
-        store, initiators, responders, config, round_now
+        store, initiators, responders, config,
+        push_window_words(store, config, round_now),
     )
     expected = []
     for i, r in zip(initiators, responders):
@@ -271,7 +273,9 @@ class TestBatchedPushEligibility:
         round_now = case["round_now"]
         rows = np.arange(case["n_nodes"])
         obedient = np.random.default_rng(case["seed"]).random(len(rows)) < p_obedient
-        wants = batched_push_eligibility(store, rows, obedient, config, round_now)
+        wants = batched_push_eligibility(
+            store, rows, obedient, push_window_words(store, config, round_now)
+        )
         u = config.updates_per_round
         expected = []
         for node, obeys in zip(rows.tolist(), obedient.tolist()):
